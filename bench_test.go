@@ -10,8 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -542,32 +540,16 @@ func BenchmarkEvidenceLog(b *testing.B) {
 			}
 		}
 	})
-	b.Run("file-synced", func(b *testing.B) {
-		l, err := nrlog.OpenFile(b.TempDir()+"/bench.log", clk)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer func() { _ = l.Close() }()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.Append("run", "obj", "propose", "p", nrlog.DirSent, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkDurabilityPlane (E17): bytes persisted and committed runs/sec on
 // the fsync-bound write path — a >=1 MiB object receiving 64-byte updates —
-// across the three storage configurations: the legacy per-event-fsync file
-// stores (full-state checkpoint per commit), the segment WAL with
-// per-record fsync, and the WAL with group commit (the default). The
-// custom metrics report what the acceptance bars measure: persisted
-// bytes/run (>=10x lower on the plane) and runs/s (>=2x higher with group
-// commit than per-record fsync). The two plane variants carry a 2ms
-// injected delay per fsync so their comparison stays fsync-bound on hosts
-// whose test filesystem makes fsync free; the legacy variant runs at
-// native fsync speed and its meaningful metric is persisted-B/run.
+// on the segment WAL with per-record fsync and with group commit (the
+// default). The custom metrics report what the acceptance bars measure:
+// persisted bytes/run (<=256 KiB) and runs/s (>=2x higher with group commit
+// than per-record fsync). Both variants carry a 2ms injected delay per fsync
+// so their comparison stays fsync-bound on hosts whose test filesystem
+// makes fsync free.
 func BenchmarkDurabilityPlane(b *testing.B) {
 	ids := []string{"org00", "org01"}
 	base := make([]byte, 1<<20)
@@ -581,19 +563,15 @@ func BenchmarkDurabilityPlane(b *testing.B) {
 		RetainEntries: 256,
 	}
 
-	run := func(legacy, perRecord bool) func(b *testing.B) {
+	run := func(perRecord bool) func(b *testing.B) {
 		return func(b *testing.B) {
-			dir := b.TempDir()
 			p := pol
 			p.SyncEveryRecord = perRecord
-			opts := lab.Options{Seed: 1, StorageDir: dir, Durability: p, LegacyStorage: legacy}
-			if !legacy {
-				opts.FS = map[string]store.FS{}
-				for _, id := range ids {
-					dfs := faults.NewDiskFS(nil)
-					dfs.SetSyncDelay(func() { time.Sleep(2 * time.Millisecond) })
-					opts.FS[id] = dfs
-				}
+			opts := lab.Options{Seed: 1, StorageDir: b.TempDir(), Durability: p, FS: map[string]store.FS{}}
+			for _, id := range ids {
+				dfs := faults.NewDiskFS(nil)
+				dfs.SetSyncDelay(func() { time.Sleep(2 * time.Millisecond) })
+				opts.FS[id] = dfs
 			}
 			w, err := lab.NewWorld(opts, ids...)
 			if err != nil {
@@ -611,9 +589,6 @@ func BenchmarkDurabilityPlane(b *testing.B) {
 			ctx := context.Background()
 
 			bytesBefore := func() float64 {
-				if legacy {
-					return float64(dirSizeB(b, dir))
-				}
 				var total uint64
 				for _, id := range ids {
 					total += w.Party(id).Plane.Stats().BytesWritten
@@ -660,24 +635,8 @@ func BenchmarkDurabilityPlane(b *testing.B) {
 			}
 		}
 	}
-	b.Run("legacy-full-state", run(true, false))
-	b.Run("plane-per-record-fsync", run(false, true))
-	b.Run("plane-group-commit", run(false, false))
-}
-
-func dirSizeB(b *testing.B, dir string) int64 {
-	b.Helper()
-	var total int64
-	err := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			total += info.Size()
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return total
+	b.Run("plane-per-record-fsync", run(true))
+	b.Run("plane-group-commit", run(false))
 }
 
 // BenchmarkCommModes (E11): client-observed cost of the three communication

@@ -128,16 +128,16 @@
 // verifies (nrlog.Verify) and archive + anchor reproduce the full chain
 // for arbitration. Participant.EvidenceArchives lists the archives,
 // Participant.StorageUsage reports the WAL's bounded on-disk size, and
-// Participant.Compact forces a cycle. WithLegacyStorage keeps the old
-// one-file-per-record, fsync-per-event layout as a measured baseline
-// (cmd/b2bbench -exp E17). See docs/ARCHITECTURE.md, "Durability plane".
+// Participant.Compact forces a cycle. The plane is the only durable layout.
+// See docs/ARCHITECTURE.md, "Durability plane".
 //
 // # Multi-tenant quotas and runtime introspection
 //
-// One Participant hosts many objects: bindings are lazily materialized and
-// idle objects hold no goroutine and almost no memory, so an endpoint
-// scales to tens of thousands of bound objects (cmd/b2bbench -exp E20). A
-// shared worker pool schedules only objects with pending traffic,
+// One Participant hosts many objects on one runtime: bindings are lazily
+// materialized and idle objects hold no goroutine and under 1 KiB of
+// memory, so an endpoint scales to tens of thousands of bound objects
+// (cmd/b2bbench -exp E20). A shared worker pool schedules only objects
+// with pending traffic,
 // preserving per-object serial execution while isolating tenants from each
 // other's backlogs. WithQuotas arms per-group resource caps and admission
 // control:

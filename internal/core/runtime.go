@@ -64,7 +64,7 @@ type QuotaPolicy struct {
 // RuntimeStats is a snapshot of the multi-tenant runtime: the shared worker
 // pool and every group's aggregate queue/quota state.
 type RuntimeStats struct {
-	Workers      int    // scheduler worker-pool size (0 in legacy dispatch mode)
+	Workers      int    // scheduler worker-pool size
 	Bound        int    // bound objects (tenants), idle or not
 	Materialized int    // bound objects whose engines have been constructed
 	Active       int    // bindings currently queued or running on a worker
@@ -156,20 +156,17 @@ type sched struct {
 	shed         uint64
 }
 
-// newSched builds the scheduler; with start false (legacy dispatch mode) no
-// workers are spun up — the sched then only carries session-gate accounting.
-func newSched(log nrlog.Log, self string, q QuotaPolicy, start bool) *sched {
+// newSched builds the scheduler and starts its worker pool.
+func newSched(log nrlog.Log, self string, q QuotaPolicy) *sched {
 	s := &sched{log: log, self: self, quotas: q}
 	s.cond = sync.NewCond(&s.mu)
 	s.workers = q.Workers
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
-	if start {
-		for i := 0; i < s.workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
+	for i := 0; i < s.workers; i++ {
+		s.wg.Add(1)
+		go s.worker()
 	}
 	return s
 }
@@ -188,8 +185,8 @@ func (s *sched) enqueue(b *binding, from string, env wire.Envelope) {
 	cost := envCost(env)
 	s.mu.Lock()
 	if s.stopped {
-		// Matches the legacy dispatch's <-stop case: the participant is
-		// closing and the connection is (about to be) gone.
+		// The participant is closing and the connection is (about to be)
+		// gone.
 		s.mu.Unlock()
 		return
 	}
@@ -433,12 +430,8 @@ func (p *Participant) RuntimeStats() RuntimeStats {
 	s := p.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	workers := s.workers
-	if p.cfg.LegacyDispatch {
-		workers = 0
-	}
 	return RuntimeStats{
-		Workers:      workers,
+		Workers:      s.workers,
 		Bound:        bound,
 		Materialized: materialized,
 		Active:       s.active,

@@ -77,8 +77,7 @@ func testWorldDeps(t *testing.T) (*transport.Network, *clock.Sim, *crypto.CA, *c
 
 // TestIdleBindingsMemoryBound is the tentpole's memory bar: 10k lazily bound
 // objects must cost at most ~1 KiB each (amortized) and zero goroutines —
-// the O(active) property. The legacy dispatch charged each object a 1024-slot
-// inbox channel and a goroutine before any traffic existed.
+// the O(active) property.
 func TestIdleBindingsMemoryBound(t *testing.T) {
 	nw, clk, ca, tsa := testWorldDeps(t)
 	p := newQuotaParticipant(t, nw, clk, ca, tsa, "host", nil, core.QuotaPolicy{})
@@ -238,8 +237,8 @@ func TestAdmitRefusesOverResidentPages(t *testing.T) {
 // TestFairnessUnderFlood is the multi-tenant fairness regression: a tenant
 // flooding one object with traffic must not starve a sibling object's
 // coordination runs on the same endpoint — the quiet tenant's throughput
-// degrades by less than 2x. Under legacy dispatch the flood filled the
-// shared delivery path; under the runtime it only fills its own queues.
+// degrades by less than 2x. The flood fills only its own object's queues,
+// never the shared delivery path.
 func TestFairnessUnderFlood(t *testing.T) {
 	// Party c is the flooding tenant's traffic source: it shares only b's
 	// inbound dispatch with the quiet tenant (a's own outbound link must not

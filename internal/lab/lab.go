@@ -42,8 +42,8 @@ type Party struct {
 	Store       store.Store
 	Part        *core.Participant
 	// Plane is the party's durability plane when the world was built with
-	// Options.StorageDir (nil for in-memory and legacy storage). SegLog is
-	// the plane-backed evidence log (anchor/archive inspection).
+	// Options.StorageDir (nil for in-memory storage). SegLog is the
+	// plane-backed evidence log (anchor/archive inspection).
 	Plane  *store.Plane
 	SegLog *nrlog.Segmented
 	// Disk is the fault-injecting filesystem under the party's plane when
@@ -104,20 +104,15 @@ type Options struct {
 	// lab — short enough to keep in-memory latency sane, long enough that
 	// a protocol step's ack and reply coalesce).
 	BatchWindow time.Duration
-	// NoTSA disables time-stamping (crypto ablation experiments). Signed
-	// messages then fail verification, so it only makes sense together with
-	// measuring raw signing cost, not protocol runs.
+	// Start is the origin of the world's simulated clock (zero: 2002-06-23
+	// UTC).
 	Start time.Time
 	// StorageDir, when set, gives every party durable storage under
-	// <StorageDir>/<id>: the durability plane (segment WAL shared by
-	// checkpoints, run records and evidence) by default, or the legacy
-	// per-event-fsync stores with LegacyStorage — the baseline the E17
-	// experiment measures the plane against.
+	// <StorageDir>/<id>: the durability plane, one segment WAL shared by
+	// checkpoints, run records and evidence.
 	StorageDir string
 	// Durability tunes the plane (zero: defaults).
 	Durability store.Policy
-	// LegacyStorage selects store.File + nrlog.File under StorageDir.
-	LegacyStorage bool
 	// FS injects a filesystem under a party's plane; parties not in the
 	// map use the real filesystem. For disk-fault injection prefer
 	// DiskFaults, which wraps this (or the real filesystem) in a
@@ -148,10 +143,6 @@ type Options struct {
 	// Quotas applies per-group resource quotas and admission control to
 	// every party (zero: uncapped).
 	Quotas core.QuotaPolicy
-	// LegacyDispatch selects the pre-runtime per-object-goroutine dispatch
-	// in every party — the measured baseline for the E20 multi-tenant
-	// runtime experiment.
-	LegacyDispatch bool
 	// Relay names the party hosting the relay mailbox service (store-and-
 	// forward for offline members). Every other party gets a relay client:
 	// its catch-up drains the mailbox, and traffic over
@@ -336,18 +327,7 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 		Interceptor: ic,
 		Disk:        disk,
 	}
-	switch {
-	case opts.StorageDir != "" && opts.LegacyStorage:
-		fl, err := nrlog.OpenFile(filepath.Join(opts.StorageDir, id, "evidence.nrlog"), w.Clk)
-		if err != nil {
-			return nil, err
-		}
-		fst, err := store.OpenFile(filepath.Join(opts.StorageDir, id, "store"))
-		if err != nil {
-			return nil, err
-		}
-		p.Log, p.Store = fl, fst
-	case opts.StorageDir != "":
+	if opts.StorageDir != "" {
 		pl, err := store.OpenPlane(filepath.Join(opts.StorageDir, id), opts.Durability, fs)
 		if err != nil {
 			return nil, err
@@ -359,7 +339,7 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 			return nil, err
 		}
 		p.Plane = pl
-	default:
+	} else {
 		p.Log, p.Store = nrlog.NewMemory(w.Clk), store.NewMemory()
 	}
 	snapEvery := opts.SnapshotEvery
@@ -383,7 +363,6 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 		Transfer:         opts.Transfer,
 		PageSize:         opts.PageSize,
 		Quotas:           opts.Quotas,
-		LegacyDispatch:   opts.LegacyDispatch,
 	}
 	// Relay plane: members get sealing keys and a prekey directory before
 	// the runtime is built (the directory feeds Welcome construction, the
@@ -498,9 +477,6 @@ func (w *World) Close() {
 		if p.Plane != nil {
 			_ = p.Plane.Close()
 		}
-		if fl, ok := p.Log.(*nrlog.File); ok {
-			_ = fl.Close()
-		}
 	}
 	w.Net.Close()
 }
@@ -574,9 +550,6 @@ func (w *World) Crash(id string) {
 	if p.Plane != nil {
 		_ = p.Plane.Close()
 	}
-	if fl, ok := p.Log.(*nrlog.File); ok {
-		_ = fl.Close()
-	}
 }
 
 // Restart rebuilds a crashed party over its storage directory: fresh stack,
@@ -589,7 +562,7 @@ func (w *World) Crash(id string) {
 func (w *World) Restart(id string) (*Party, error) {
 	var fs store.FS
 	var disk *faults.DiskFS
-	if w.opts.StorageDir != "" && !w.opts.LegacyStorage {
+	if w.opts.StorageDir != "" {
 		disk = faults.NewDiskFS(nil)
 		fs = disk
 	}

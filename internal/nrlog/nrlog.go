@@ -7,14 +7,11 @@
 package nrlog
 
 import (
-	"bufio"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -186,7 +183,7 @@ func pickEntries(entries []Entry, idx []int) []Entry {
 func (l *Memory) Verify() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return verifyChain(l.entries)
+	return verifyChainFrom(l.entries, 0, [32]byte{})
 }
 
 // Len implements Log.
@@ -206,22 +203,8 @@ func closeJoin(err error, c io.Closer) error {
 	return err
 }
 
-func verifyChain(entries []Entry) error {
-	var prev [32]byte
-	for i := range entries {
-		e := &entries[i]
-		if e.PrevHash != prev {
-			return fmt.Errorf("%w: entry %d", ErrChainBroken, i)
-		}
-		if entryHash(e) != e.Hash {
-			return fmt.Errorf("%w: entry %d", ErrBadEntry, i)
-		}
-		prev = e.Hash
-	}
-	return nil
-}
-
-// fileEntry is the JSON-lines on-disk form.
+// fileEntry is the JSON-lines form of evidence archives (written by
+// Segmented's compaction, read back by ReadArchive).
 type fileEntry struct {
 	Seq       uint64    `json:"seq"`
 	RunSeq    uint64    `json:"run_seq,omitempty"`
@@ -289,138 +272,4 @@ func marshalFileEntry(e Entry) ([]byte, error) {
 		return nil, fmt.Errorf("nrlog: encoding entry: %w", err)
 	}
 	return line, nil
-}
-
-// File is a persistent Log stored as JSON lines, one entry per line, synced
-// on every append. On open it loads and verifies the existing chain, so a
-// party recovering from a crash resumes with intact evidence. Like Memory
-// it maintains a per-run index and the cached tail hash, keeping Append
-// O(1) and ByRun O(matches) however long the log grows.
-type File struct {
-	mu      sync.Mutex
-	clk     Clock
-	path    string
-	f       *os.File
-	entries []Entry
-	byRun   map[string][]int
-	tail    [32]byte
-}
-
-// OpenFile opens (or creates) the log at path.
-func OpenFile(path string, clk Clock) (*File, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("nrlog: creating log directory: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("nrlog: opening %s: %w", path, err)
-	}
-	l := &File{clk: clk, path: path, f: f, byRun: make(map[string][]int)}
-	scanner := bufio.NewScanner(f)
-	scanner.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var fe fileEntry
-		if err := json.Unmarshal(line, &fe); err != nil {
-			return nil, closeJoin(fmt.Errorf("nrlog: corrupt entry in %s: %w", path, err), f)
-		}
-		e, err := fromFileEntry(fe)
-		if err != nil {
-			return nil, closeJoin(err, f)
-		}
-		l.byRun[e.RunID] = append(l.byRun[e.RunID], len(l.entries))
-		l.entries = append(l.entries, e)
-		l.tail = e.Hash
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, closeJoin(fmt.Errorf("nrlog: reading %s: %w", path, err), f)
-	}
-	if err := verifyChain(l.entries); err != nil {
-		return nil, closeJoin(fmt.Errorf("nrlog: %s failed verification on open: %w", path, err), f)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		return nil, closeJoin(fmt.Errorf("nrlog: seeking %s: %w", path, err), f)
-	}
-	return l, nil
-}
-
-// Append implements Log.
-func (l *File) Append(runID, object, kind, party string, dir Direction, payload []byte) (Entry, error) {
-	return l.AppendSeq(runID, 0, object, kind, party, dir, payload)
-}
-
-// AppendSeq implements SeqAppender.
-func (l *File) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := Entry{
-		Seq:       uint64(len(l.entries)),
-		RunSeq:    runSeq,
-		Time:      l.clk.Now(),
-		RunID:     runID,
-		Object:    object,
-		Kind:      kind,
-		Party:     party,
-		Direction: dir,
-		Payload:   append([]byte(nil), payload...),
-	}
-	if len(l.entries) > 0 {
-		e.PrevHash = l.tail
-	}
-	e.Hash = entryHash(&e)
-
-	line, err := marshalFileEntry(e)
-	if err != nil {
-		return Entry{}, err
-	}
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return Entry{}, fmt.Errorf("nrlog: writing entry: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return Entry{}, fmt.Errorf("nrlog: syncing: %w", err)
-	}
-	l.byRun[e.RunID] = append(l.byRun[e.RunID], len(l.entries))
-	l.entries = append(l.entries, e)
-	l.tail = e.Hash
-	return e, nil
-}
-
-// Entries implements Log.
-func (l *File) Entries() ([]Entry, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out, nil
-}
-
-// ByRun implements Log via the per-run index.
-func (l *File) ByRun(runID string) ([]Entry, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return pickEntries(l.entries, l.byRun[runID]), nil
-}
-
-// Verify implements Log.
-func (l *File) Verify() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return verifyChain(l.entries)
-}
-
-// Len implements Log.
-func (l *File) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
-// Close closes the underlying file.
-func (l *File) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
 }

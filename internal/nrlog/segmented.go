@@ -1,6 +1,8 @@
 package nrlog
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -19,8 +21,8 @@ import (
 // cached tail hash so appends and lookups never re-read the record, and
 // hash-anchored truncation at compaction — the retained suffix stays
 // authenticated across the cut by a signed Anchor carrying the chain hash of
-// everything pruned, and pruned entries are archived (JSON lines, the
-// nrlog.File format), never destroyed.
+// everything pruned, and pruned entries are archived (JSON lines, see
+// ReadArchive), never destroyed.
 type Segmented struct {
 	pl     *store.Plane
 	clk    Clock
@@ -291,8 +293,8 @@ func (l *Segmented) Anchor() *Anchor {
 	return &a
 }
 
-// verifyChainFrom checks a suffix chain that starts at seq base with
-// predecessor hash baseHash.
+// verifyChainFrom checks a chain that starts at seq base with predecessor
+// hash baseHash (zero for a whole log, an anchor's base for a suffix).
 func verifyChainFrom(entries []Entry, base uint64, baseHash [32]byte) error {
 	prev := baseHash
 	for i := range entries {
@@ -455,8 +457,8 @@ func (c *segmentedConsumer) Compact(emit func(kind store.RecordKind, payload []b
 }
 
 // writeArchiveLocked writes pruned entries to a fresh archive file (JSON
-// lines, the nrlog.File on-disk format) and syncs it before the compaction
-// may commit: evidence is never destroyed, only moved out of the WAL's way.
+// lines, read back by ReadArchive) and syncs it before the compaction may
+// commit: evidence is never destroyed, only moved out of the WAL's way.
 func (l *Segmented) writeArchiveLocked(entries []Entry) (string, error) {
 	fs := l.pl.Filesystem()
 	dir := filepath.Join(l.pl.Dir(), "archive")
@@ -491,6 +493,41 @@ func (l *Segmented) writeArchiveLocked(entries []Entry) (string, error) {
 		return "", err
 	}
 	return name, nil
+}
+
+// ReadArchive reads an evidence archive written at a compaction cut (the
+// file an Anchor names, under <plane dir>/archive) and verifies its chain:
+// sequence numbers are contiguous, each PrevHash is its predecessor's Hash
+// and every Hash recomputes, so an edited or reordered line is rejected. The
+// first entry's PrevHash splices onto the previous archive's tail (zero for
+// the first archive); the last entry's Hash is its Anchor's BaseHash.
+func ReadArchive(path string) ([]Entry, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("nrlog: reading archive: %w", err)
+	}
+	var entries []Entry
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var fe fileEntry
+		if err := json.Unmarshal(line, &fe); err != nil {
+			return nil, fmt.Errorf("nrlog: corrupt entry in %s: %w", path, err)
+		}
+		e, err := fromFileEntry(fe)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, e)
+	}
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	if err := verifyChainFrom(entries, entries[0].Seq, entries[0].PrevHash); err != nil {
+		return nil, fmt.Errorf("nrlog: archive %s failed verification: %w", path, err)
+	}
+	return entries, nil
 }
 
 // Archives lists the archive file names written by truncation, oldest

@@ -2,7 +2,10 @@ package nrlog
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -168,19 +171,14 @@ func TestSegmentedLogAnchoredTruncation(t *testing.T) {
 		t.Fatalf("anchor signature after reopen: %v", err)
 	}
 
-	// The pruned evidence is in the archive, readable in the nrlog.File
-	// format, and its chain splices onto the anchor.
-	arch, err := OpenFile(dir+"/archive/"+a.Archive, clk)
+	// The pruned evidence is in the archive, readable and verified by
+	// ReadArchive, and its chain splices onto the anchor.
+	archEntries, err := ReadArchive(filepath.Join(dir, "archive", a.Archive))
 	if err != nil {
 		t.Fatalf("archive unreadable: %v", err)
 	}
-	defer func() { _ = arch.Close() }()
-	if arch.Len() != int(a.BaseSeq) {
-		t.Fatalf("archive holds %d entries, want %d", arch.Len(), a.BaseSeq)
-	}
-	archEntries, err := arch.Entries()
-	if err != nil {
-		t.Fatal(err)
+	if len(archEntries) != int(a.BaseSeq) {
+		t.Fatalf("archive holds %d entries, want %d", len(archEntries), a.BaseSeq)
 	}
 	if archEntries[len(archEntries)-1].Hash != a.BaseHash {
 		t.Fatal("archive tail hash does not match the anchor's base hash")
@@ -247,7 +245,8 @@ func TestSegmentedLogTamperDetected(t *testing.T) {
 		}
 	}
 	// In-memory tampering is caught by Verify (the on-disk analogue is
-	// covered by the File log tests and the CRC framing).
+	// covered by the CRC framing and, for archives, by
+	// TestFileDetectsOnDiskTampering).
 	l.mu.Lock()
 	l.entries[2].Payload = []byte("forged")
 	l.mu.Unlock()
@@ -255,4 +254,133 @@ func TestSegmentedLogTamperDetected(t *testing.T) {
 		t.Fatal("tampered entry passed verification")
 	}
 	_ = pl.Close()
+}
+
+// writeTestArchive appends entries (RunSeq = index+1) to a segmented log that
+// retains one entry, compacts so the rest move to an archive, and returns the
+// archive's path with the anchor of the cut.
+func writeTestArchive(t *testing.T, payloads ...string) (string, *Anchor) {
+	t.Helper()
+	dir := t.TempDir()
+	pl, l := openSegLog(t, dir, store.Policy{RetainEntries: 1}, nil)
+	defer func() { _ = pl.Close() }()
+	for i, p := range payloads {
+		if _, err := l.AppendSeq(fmt.Sprintf("run-%d", i), uint64(i+1), "obj", "propose", "alice", DirSent, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pl.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	a := l.Anchor()
+	if a == nil {
+		t.Fatal("no anchor after compaction")
+	}
+	return filepath.Join(dir, "archive", a.Archive), a
+}
+
+// readArchiveLines returns the JSON lines of an archive file.
+func readArchiveLines(t *testing.T, path string) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+}
+
+// writeArchiveLines overwrites an archive file with the given JSON lines.
+func writeArchiveLines(t *testing.T, path string, lines [][]byte) {
+	t.Helper()
+	if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileRoundTripAndRecovery: evidence moved to an archive file reads back
+// intact, and its chain splices onto the anchor the live log keeps.
+func TestFileRoundTripAndRecovery(t *testing.T) {
+	payloads := []string{"propose run-1", "respond run-1", "commit run-1", "retained"}
+	path, a := writeTestArchive(t, payloads...)
+	entries, err := ReadArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(payloads)-1 {
+		t.Fatalf("archive holds %d entries, want %d", len(entries), len(payloads)-1)
+	}
+	for i, e := range entries {
+		if string(e.Payload) != payloads[i] {
+			t.Fatalf("entry %d payload %q, want %q", i, e.Payload, payloads[i])
+		}
+	}
+	if entries[len(entries)-1].Hash != a.BaseHash {
+		t.Fatal("archive tail hash does not match the anchor's base hash")
+	}
+}
+
+func TestFileLogRunSeqSurvivesReopen(t *testing.T) {
+	path, _ := writeTestArchive(t, "x", "y", "retained")
+	entries, err := ReadArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
+		if e.RunSeq != uint64(i+1) || e.RunID != fmt.Sprintf("run-%d", i) || e.Object != "obj" {
+			t.Fatalf("entry %d did not round-trip: %+v", i, e)
+		}
+	}
+}
+
+func TestFileDetectsOnDiskTampering(t *testing.T) {
+	path, _ := writeTestArchive(t, "evidence-AAAA", "evidence-BBBB", "evidence-CCCC", "retained")
+	lines := readArchiveLines(t, path)
+	edited := func(i int, edit func(*Entry)) []byte {
+		var fe fileEntry
+		if err := json.Unmarshal(lines[i], &fe); err != nil {
+			t.Fatal(err)
+		}
+		e, err := fromFileEntry(fe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&e)
+		line, err := marshalFileEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	}
+	for name, tampered := range map[string][][]byte{
+		"edited payload":  {edited(0, func(e *Entry) { e.Payload = []byte("rewritten history") }), lines[1], lines[2]},
+		"edited kind":     {edited(1, func(e *Entry) { e.Kind = "forged-kind" }), lines[0], lines[2]},
+		"reordered lines": {lines[1], lines[0], lines[2]},
+	} {
+		writeArchiveLines(t, path, tampered)
+		if _, err := ReadArchive(path); err == nil {
+			t.Errorf("%s: tampered archive read without error", name)
+		}
+	}
+}
+
+func TestFileDetectsTruncationOfTail(t *testing.T) {
+	// Deleting an interior line breaks the chain and is caught by
+	// ReadArchive. Dropping the final line leaves a valid prefix, so it is
+	// caught by splicing onto the anchor instead.
+	path, a := writeTestArchive(t, "a", "b", "c", "retained")
+	lines := readArchiveLines(t, path)
+
+	writeArchiveLines(t, path, [][]byte{lines[0], lines[2]})
+	if _, err := ReadArchive(path); err == nil {
+		t.Fatal("interior deletion not detected")
+	}
+
+	writeArchiveLines(t, path, lines[:2])
+	entries, err := ReadArchive(path)
+	if err != nil {
+		t.Fatalf("valid prefix rejected: %v", err)
+	}
+	if entries[len(entries)-1].Hash == a.BaseHash {
+		t.Fatal("tail truncation still splices onto the anchor")
+	}
 }

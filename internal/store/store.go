@@ -6,12 +6,8 @@
 package store
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -228,340 +224,4 @@ func sortRuns(out []RunRecord) {
 		}
 		return out[i].RunID < out[j].RunID
 	})
-}
-
-// fileCheckpoint / fileRun are the on-disk JSON forms.
-type fileCheckpoint struct {
-	Object    string    `json:"object"`
-	Seq       uint64    `json:"seq"`
-	HashRand  string    `json:"hash_rand"`
-	HashState string    `json:"hash_state"`
-	State     string    `json:"state"`
-	GroupSeq  uint64    `json:"group_seq"`
-	GroupRand string    `json:"group_rand"`
-	GroupMem  string    `json:"group_members_hash"`
-	Members   []string  `json:"members"`
-	Time      time.Time `json:"time"`
-	Delta     bool      `json:"delta,omitempty"`
-	Update    string    `json:"update,omitempty"`
-	PredSeq   uint64    `json:"pred_seq,omitempty"`
-	PredRand  string    `json:"pred_rand,omitempty"`
-	PredSt    string    `json:"pred_state,omitempty"`
-}
-
-type fileRun struct {
-	RunID    string    `json:"run_id"`
-	Object   string    `json:"object"`
-	Role     string    `json:"role"`
-	Seq      uint64    `json:"seq"`
-	HashRand string    `json:"hash_rand"`
-	HashSt   string    `json:"hash_state"`
-	PredSeq  uint64    `json:"pred_seq,omitempty"`
-	PredRand string    `json:"pred_rand,omitempty"`
-	PredSt   string    `json:"pred_state,omitempty"`
-	State    string    `json:"state"`
-	Auth     string    `json:"auth"`
-	Raw      string    `json:"raw,omitempty"`
-	Time     time.Time `json:"time"`
-}
-
-func b64(b []byte) string { return base64.StdEncoding.EncodeToString(b) }
-
-func unb64(s string) ([]byte, error) { return base64.StdEncoding.DecodeString(s) }
-
-func unb64h(s string) ([32]byte, error) {
-	var out [32]byte
-	b, err := unb64(s)
-	if err != nil {
-		return out, err
-	}
-	if len(b) != 32 {
-		return out, fmt.Errorf("store: hash length %d", len(b))
-	}
-	copy(out[:], b)
-	return out, nil
-}
-
-// File is a durable Store rooted at a directory:
-//
-//	<dir>/checkpoints/<object>.jsonl   (append-only history; last line is Latest)
-//	<dir>/runs/<runID>.json            (one file per pending run)
-//
-// Appends are synced before returning, so an acknowledged checkpoint
-// survives a crash.
-type File struct {
-	mu  sync.Mutex
-	dir string
-}
-
-// OpenFile creates/opens a file store rooted at dir.
-func OpenFile(dir string) (*File, error) {
-	for _, sub := range []string{"checkpoints", "runs"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: creating %s: %w", sub, err)
-		}
-	}
-	return &File{dir: dir}, nil
-}
-
-func (s *File) cpPath(object string) string {
-	return filepath.Join(s.dir, "checkpoints", sanitize(object)+".jsonl")
-}
-
-func (s *File) runPath(runID string) string {
-	return filepath.Join(s.dir, "runs", sanitize(runID)+".json")
-}
-
-// sanitize keeps object/run names filesystem-safe.
-func sanitize(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
-// SaveCheckpoint implements Store.
-func (s *File) SaveCheckpoint(cp Checkpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fc := fileCheckpoint{
-		Object:    cp.Object,
-		Seq:       cp.Tuple.Seq,
-		HashRand:  b64(cp.Tuple.HashRand[:]),
-		HashState: b64(cp.Tuple.HashState[:]),
-		State:     b64(cp.State),
-		GroupSeq:  cp.Group.Seq,
-		GroupRand: b64(cp.Group.HashRand[:]),
-		GroupMem:  b64(cp.Group.HashMembers[:]),
-		Members:   cp.Members,
-		Time:      cp.Time,
-	}
-	if cp.Delta {
-		fc.Delta = true
-		fc.Update = b64(cp.Update)
-		fc.PredSeq = cp.Pred.Seq
-		fc.PredRand = b64(cp.Pred.HashRand[:])
-		fc.PredSt = b64(cp.Pred.HashState[:])
-	}
-	line, err := json.Marshal(fc)
-	if err != nil {
-		return fmt.Errorf("store: encoding checkpoint: %w", err)
-	}
-	f, err := os.OpenFile(s.cpPath(cp.Object), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: opening checkpoint file: %w", err)
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		return closeJoin(fmt.Errorf("store: writing checkpoint: %w", err), f)
-	}
-	if err := f.Sync(); err != nil {
-		return closeJoin(fmt.Errorf("store: syncing checkpoint: %w", err), f)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (s *File) loadCheckpoints(object string) ([]Checkpoint, error) {
-	raw, err := os.ReadFile(s.cpPath(object))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: reading checkpoints: %w", err)
-	}
-	var out []Checkpoint
-	for _, line := range splitLines(raw) {
-		var fc fileCheckpoint
-		if err := json.Unmarshal(line, &fc); err != nil {
-			return nil, fmt.Errorf("store: corrupt checkpoint: %w", err)
-		}
-		cp := Checkpoint{Object: fc.Object, Members: fc.Members, Time: fc.Time}
-		if cp.Tuple.HashRand, err = unb64h(fc.HashRand); err != nil {
-			return nil, err
-		}
-		if cp.Tuple.HashState, err = unb64h(fc.HashState); err != nil {
-			return nil, err
-		}
-		cp.Tuple.Seq = fc.Seq
-		if cp.State, err = unb64(fc.State); err != nil {
-			return nil, err
-		}
-		if cp.Group.HashRand, err = unb64h(fc.GroupRand); err != nil {
-			return nil, err
-		}
-		if cp.Group.HashMembers, err = unb64h(fc.GroupMem); err != nil {
-			return nil, err
-		}
-		cp.Group.Seq = fc.GroupSeq
-		if fc.Delta {
-			cp.Delta = true
-			if cp.Update, err = unb64(fc.Update); err != nil {
-				return nil, err
-			}
-			if cp.Pred.HashRand, err = unb64h(fc.PredRand); err != nil {
-				return nil, err
-			}
-			if cp.Pred.HashState, err = unb64h(fc.PredSt); err != nil {
-				return nil, err
-			}
-			cp.Pred.Seq = fc.PredSeq
-		}
-		out = append(out, cp)
-	}
-	return out, nil
-}
-
-func splitLines(raw []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i, b := range raw {
-		if b == '\n' {
-			if i > start {
-				out = append(out, raw[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(raw) {
-		out = append(out, raw[start:])
-	}
-	return out
-}
-
-// Latest implements Store.
-func (s *File) Latest(object string) (Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cps, err := s.loadCheckpoints(object)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	if len(cps) == 0 {
-		return Checkpoint{}, fmt.Errorf("%w: %s", ErrNoCheckpoint, object)
-	}
-	return cps[len(cps)-1], nil
-}
-
-// History implements Store.
-func (s *File) History(object string) ([]Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadCheckpoints(object)
-}
-
-// Chain implements Store.
-func (s *File) Chain(object string) ([]Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cps, err := s.loadCheckpoints(object)
-	if err != nil {
-		return nil, err
-	}
-	return chainOf(cps), nil
-}
-
-// SaveRun implements Store.
-func (s *File) SaveRun(r RunRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fr := fileRun{
-		RunID:    r.RunID,
-		Object:   r.Object,
-		Role:     r.Role,
-		Seq:      r.Proposed.Seq,
-		HashRand: b64(r.Proposed.HashRand[:]),
-		HashSt:   b64(r.Proposed.HashState[:]),
-		PredSeq:  r.Pred.Seq,
-		PredRand: b64(r.Pred.HashRand[:]),
-		PredSt:   b64(r.Pred.HashState[:]),
-		State:    b64(r.State),
-		Auth:     b64(r.Auth),
-		Raw:      b64(r.Raw),
-		Time:     r.Time,
-	}
-	data, err := json.Marshal(fr)
-	if err != nil {
-		return fmt.Errorf("store: encoding run: %w", err)
-	}
-	tmp := s.runPath(r.RunID) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: writing run: %w", err)
-	}
-	if err := os.Rename(tmp, s.runPath(r.RunID)); err != nil {
-		return fmt.Errorf("store: installing run: %w", err)
-	}
-	return nil
-}
-
-// DeleteRun implements Store.
-func (s *File) DeleteRun(runID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := os.Remove(s.runPath(runID))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-// PendingRuns implements Store.
-func (s *File) PendingRuns() ([]RunRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dir := filepath.Join(s.dir, "runs")
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: listing runs: %w", err)
-	}
-	var out []RunRecord
-	for _, de := range names {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, de.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("store: reading run %s: %w", de.Name(), err)
-		}
-		var fr fileRun
-		if err := json.Unmarshal(raw, &fr); err != nil {
-			return nil, fmt.Errorf("store: corrupt run %s: %w", de.Name(), err)
-		}
-		r := RunRecord{RunID: fr.RunID, Object: fr.Object, Role: fr.Role, Time: fr.Time}
-		if r.Proposed.HashRand, err = unb64h(fr.HashRand); err != nil {
-			return nil, err
-		}
-		if r.Proposed.HashState, err = unb64h(fr.HashSt); err != nil {
-			return nil, err
-		}
-		r.Proposed.Seq = fr.Seq
-		if fr.PredRand != "" {
-			if r.Pred.HashRand, err = unb64h(fr.PredRand); err != nil {
-				return nil, err
-			}
-			if r.Pred.HashState, err = unb64h(fr.PredSt); err != nil {
-				return nil, err
-			}
-			r.Pred.Seq = fr.PredSeq
-		}
-		if r.State, err = unb64(fr.State); err != nil {
-			return nil, err
-		}
-		if r.Auth, err = unb64(fr.Auth); err != nil {
-			return nil, err
-		}
-		if r.Raw, err = unb64(fr.Raw); err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	sortRuns(out)
-	return out, nil
 }

@@ -44,8 +44,12 @@ func testStoreSuite(t *testing.T, s Store) {
 		t.Fatalf("members = %v", got.Members)
 	}
 
-	// Later checkpoint becomes Latest; history keeps both.
+	// A delta chained on it becomes Latest; history and the reconstruction
+	// chain keep both (a store with bounded retention prunes only before
+	// the latest full snapshot).
 	cp2 := sampleCheckpoint("order", 2, "state-v2")
+	cp2.State = nil
+	cp2.Delta, cp2.Update, cp2.Pred = true, []byte("+v2"), cp1.Tuple
 	if err := s.SaveCheckpoint(cp2); err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +57,8 @@ func testStoreSuite(t *testing.T, s Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tuple.Seq != 2 {
-		t.Fatalf("Latest seq = %d", got.Tuple.Seq)
+	if got.Tuple.Seq != 2 || !got.Delta || !bytes.Equal(got.Update, cp2.Update) || got.Pred != cp1.Tuple {
+		t.Fatalf("Latest = %+v", got)
 	}
 	hist, err := s.History("order")
 	if err != nil {
@@ -62,6 +66,13 @@ func testStoreSuite(t *testing.T, s Store) {
 	}
 	if len(hist) != 2 || hist[0].Tuple.Seq != 1 || hist[1].Tuple.Seq != 2 {
 		t.Fatalf("history = %+v", hist)
+	}
+	chain, err := s.Chain("order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != 2 || chain[0].Delta || !chain[1].Delta {
+		t.Fatalf("chain = %+v", chain)
 	}
 
 	// Separate objects are independent.
@@ -116,32 +127,36 @@ func TestMemoryStore(t *testing.T) {
 	testStoreSuite(t, NewMemory())
 }
 
+// mustOpenFileStore opens the file-backed Store — a Segmented over a Plane,
+// which is what WithFileStorage deploys — and closes its plane when the test
+// ends.
+func mustOpenFileStore(t *testing.T) Store {
+	t.Helper()
+	pl, st := openSegmented(t, t.TempDir(), Policy{})
+	t.Cleanup(func() { _ = pl.Close() })
+	return st
+}
+
 func TestFileStore(t *testing.T) {
-	s, err := OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStoreSuite(t, s)
+	testStoreSuite(t, mustOpenFileStore(t))
 }
 
 func TestFileStoreSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl, s := openSegmented(t, dir, Policy{})
 	if err := s.SaveCheckpoint(sampleCheckpoint("order", 1, "v1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveRun(RunRecord{RunID: "run-9", Object: "order", Role: "recipient"}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Fresh handle over the same directory simulates crash+recovery.
-	s2, err := OpenFile(dir)
-	if err != nil {
+	if err := pl.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A fresh plane over the same directory simulates crash+recovery.
+	pl2, s2 := openSegmented(t, dir, Policy{})
+	defer func() { _ = pl2.Close() }()
 	cp, err := s2.Latest("order")
 	if err != nil {
 		t.Fatal(err)
@@ -155,23 +170,6 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	}
 	if len(pend) != 1 || pend[0].RunID != "run-9" {
 		t.Fatalf("pending runs lost: %+v", pend)
-	}
-}
-
-func TestSanitize(t *testing.T) {
-	tests := []struct {
-		give string
-		want string
-	}{
-		{give: "order", want: "order"},
-		{give: "../../etc/passwd", want: ".._.._etc_passwd"},
-		{give: "run/1:2", want: "run_1_2"},
-		{give: "A-Z_0.9", want: "A-Z_0.9"},
-	}
-	for _, tt := range tests {
-		if got := sanitize(tt.give); got != tt.want {
-			t.Errorf("sanitize(%q) = %q, want %q", tt.give, got, tt.want)
-		}
 	}
 }
 
@@ -207,7 +205,7 @@ func TestRunRecordRawPersistence(t *testing.T) {
 		s    Store
 	}{
 		{name: "memory", s: NewMemory()},
-		{name: "file", s: mustOpenFile(t)},
+		{name: "file", s: mustOpenFileStore(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := []byte("signed-propose-bytes")
@@ -228,28 +226,13 @@ func TestRunRecordRawPersistence(t *testing.T) {
 	}
 }
 
-func mustOpenFile(t *testing.T) Store {
-	t.Helper()
-	s, err := OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestPendingRunsPipelineOrder(t *testing.T) {
 	for _, mk := range []struct {
 		name string
 		mk   func(t *testing.T) Store
 	}{
 		{name: "memory", mk: func(*testing.T) Store { return NewMemory() }},
-		{name: "file", mk: func(t *testing.T) Store {
-			s, err := OpenFile(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
+		{name: "file", mk: mustOpenFileStore},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			s := mk.mk(t)

@@ -122,7 +122,6 @@ type participantOpts struct {
 	ttp              string
 	storageDir       string
 	durability       DurabilityPolicy
-	legacyStorage    bool
 	transfer         TransferPolicy
 	paging           PagingPolicy
 	retryInterval    time.Duration
@@ -188,15 +187,6 @@ type DurabilityPolicy = store.Policy
 // with WithFileStorage).
 func WithDurability(p DurabilityPolicy) Option {
 	return func(o *participantOpts) { o.durability = p }
-}
-
-// WithLegacyStorage selects the pre-plane storage layout under
-// WithFileStorage's dir: one JSON file per checkpoint history / run record
-// / evidence log, fsynced per event, unbounded growth. It exists as the
-// measured baseline for the durability plane (cmd/b2bbench -exp E17) and
-// for reading old deployments' state; new deployments should not use it.
-func WithLegacyStorage() Option {
-	return func(o *participantOpts) { o.legacyStorage = true }
 }
 
 // TransferPolicy tunes the state-transfer plane: the chunk size and
@@ -294,8 +284,8 @@ type Participant struct {
 	tsa    wire.Stamper
 	vfr    *crypto.Verifier
 	conn   core.Conn
-	plane  *store.Plane     // nil unless plane-backed file storage
-	segLog *nrlog.Segmented // nil unless plane-backed file storage
+	plane  *store.Plane     // nil unless file storage
+	segLog *nrlog.Segmented // nil unless file storage
 	reg    *metrics.Registry
 	relay  *relay.Client // nil unless WithRelay
 	relSrv *relay.Server // nil unless WithRelayHost
@@ -333,18 +323,7 @@ func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opt
 	var st store.Store
 	var plane *store.Plane
 	var segLog *nrlog.Segmented
-	switch {
-	case o.storageDir != "" && o.legacyStorage:
-		fl, err := nrlog.OpenFile(filepath.Join(o.storageDir, ident.ID()+".nrlog"), o.clk)
-		if err != nil {
-			return nil, err
-		}
-		fs, err := store.OpenFile(filepath.Join(o.storageDir, ident.ID()+".store"))
-		if err != nil {
-			return nil, err
-		}
-		log, st = fl, fs
-	case o.storageDir != "":
+	if o.storageDir != "" {
 		pl, err := store.OpenPlane(filepath.Join(o.storageDir, ident.ID()+".wal"), o.durability, nil)
 		if err != nil {
 			return nil, err
@@ -356,7 +335,7 @@ func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opt
 			return nil, err
 		}
 		plane = pl
-	default:
+	} else {
 		log, st = nrlog.NewMemory(o.clk), store.NewMemory()
 	}
 
@@ -664,16 +643,16 @@ func (p *Participant) Close() error {
 // Compact forces a durability-plane compaction now: the live set (latest
 // snapshots, delta chains, pending runs, anchored evidence suffix) is
 // rewritten into a fresh segment and dead segments are deleted. A no-op
-// error-free call requires plane-backed file storage.
+// error-free call requires file storage.
 func (p *Participant) Compact() error {
 	if p.plane == nil {
-		return errors.New("b2b: Compact requires plane-backed file storage")
+		return errors.New("b2b: Compact requires file storage")
 	}
 	return p.plane.Compact()
 }
 
 // StorageUsage reports the durability plane's on-disk size in bytes (zero
-// without plane-backed file storage). Archives are not counted: they are
+// without file storage). Archives are not counted: they are
 // the operator's to retain or ship off-host.
 func (p *Participant) StorageUsage() int64 {
 	if p.plane == nil {
@@ -684,9 +663,10 @@ func (p *Participant) StorageUsage() int64 {
 
 // EvidenceArchives lists the evidence archive files written by anchored
 // truncation, oldest first, as names relative to the plane's archive
-// directory. Empty without plane-backed file storage or before the first
-// cut. Each archive is a JSON-lines evidence file (the nrlog.File format)
-// whose chain splices onto the anchor recorded in the live log — handing
+// directory. Empty without file storage or before the first
+// cut. Each archive is a JSON-lines evidence file (read and verified by
+// nrlog.ReadArchive) whose chain splices onto the anchor recorded in the
+// live log — handing
 // an archive plus the signed anchor to arbitration reproduces the full
 // evidence trail.
 func (p *Participant) EvidenceArchives() ([]string, error) {
