@@ -136,8 +136,8 @@
 // One Participant hosts many objects on one runtime: bindings are lazily
 // materialized and idle objects hold no goroutine and under 1 KiB of
 // memory, so an endpoint scales to tens of thousands of bound objects
-// (cmd/b2bbench -exp E20). A shared worker pool schedules only objects
-// with pending traffic,
+// (internal/core's TestIdleBindingsMemoryBound holds 10,000 of them to that
+// bound). A shared worker pool schedules only objects with pending traffic,
 // preserving per-object serial execution while isolating tenants from each
 // other's backlogs. WithQuotas arms per-group resource caps and admission
 // control:
@@ -194,19 +194,9 @@
 //     remote invocation, example applications.
 //
 // Commands: cmd/b2bnode (a networked node), cmd/b2bdemo (a scripted demo),
-// and cmd/b2bbench, which regenerates the paper's evaluation artefacts:
-//
-//	go run ./cmd/b2bbench -list     # enumerate experiments
-//	go run ./cmd/b2bbench -exp all  # run everything
-//	go run ./cmd/b2bbench -exp E15  # transport batching + multi-object throughput
-//	go run ./cmd/b2bbench -exp E16  # pipelined coordination: runs/sec vs window W
-//	go run ./cmd/b2bbench -exp E17  # durability plane: delta checkpoints, group commit
-//	go run ./cmd/b2bbench -exp E17 -soak  # the CI soak: >=10k runs, bounded disk
-//	go run ./cmd/b2bbench -exp E18  # state transfer: delta catch-up vs snapshot, chunked join
-//	go run ./cmd/b2bbench -exp E19  # paged Merkle identity: O(delta) runs on large objects
-//
-// Benchmarks (message complexity, state size, communication modes, batching,
-// multi-object and pipelined throughput) run with:
-//
-//	go test -bench . -benchtime 100x .
+// cmd/b2bsoak (the randomized scenario soak) and cmd/b2blint (the protocol
+// lint suite). The paper's claims (message complexity, liveness under loss,
+// Fig 2/5/7, safety under attack, membership, termination rules) and each
+// plane's structural bars are ordinary tests; docs/TESTING.md maps them.
+// Timing lives in the benchmark module under bench/ (bash bench/run.sh).
 package b2b

@@ -683,14 +683,6 @@ func (en *Engine) resolveContest(pred tuple.State) {
 
 // --- proposer lease -------------------------------------------------------
 
-// SetLease enables or disables the proposer-lease fast path (enabled by
-// default). The contention benchmark measures both modes.
-func (en *Engine) SetLease(on bool) {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	en.leaseOff = !on
-}
-
 // contentionWindow is how long after an observed contention event the
 // lease keeps engaging.
 func (en *Engine) contentionWindow() time.Duration {
@@ -740,7 +732,7 @@ func (en *Engine) leaseHolderLocked() string {
 // contention is never marked.
 func (en *Engine) leaseDefer(ctx context.Context) {
 	en.mu.Lock()
-	if en.leaseOff || !en.bootstrapped || len(en.members) < 2 || !en.contendedLocked() {
+	if !en.bootstrapped || len(en.members) < 2 || !en.contendedLocked() {
 		en.mu.Unlock()
 		return
 	}

@@ -157,7 +157,8 @@ type Outcome struct {
 	Diagnostic string
 }
 
-// Stats counts protocol messages for the message-complexity experiment,
+// Stats counts protocol messages (TestMessageComplexityIs3NMinus1 holds
+// them to §7's 3(n-1) per run),
 // plus the verified-signature memo's effectiveness (ed25519 verifies skipped
 // because the identical signed bytes had already been verified — or signed —
 // by this party).
@@ -302,7 +303,6 @@ type Engine struct {
 	contests    map[tuple.State]*contest
 	contestQ    []tuple.State // contest creation order (FIFO eviction)
 	recent      []installRecord
-	leaseOff    bool
 	contendedAt time.Time // zero: no contention observed recently
 
 	stats Stats

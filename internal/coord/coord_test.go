@@ -384,13 +384,18 @@ func TestUpdateModeInapplicableUpdateVetoed(t *testing.T) {
 	}
 }
 
+// TestSequentialRunsAdvanceSequence is Fig 2's shape: four organisations
+// share one logical object, the proposer rotates through every member, and
+// after every run each replica holds the byte-equal agreed tuple and state.
 func TestSequentialRunsAdvanceSequence(t *testing.T) {
-	c := newCluster(t, []string{"alice", "bob"}, []byte("v0"))
-	states := []string{"v1", "v2", "v3"}
-	for i, s := range states {
-		proposer := []string{"alice", "bob"}[i%2]
+	ids := []string{"alice", "bob", "carol", "dave"}
+	c := newCluster(t, ids, []byte("v0"))
+	const runs = 12
+	for i := 1; i <= runs; i++ {
+		proposer := ids[(i-1)%len(ids)]
+		want := []byte(fmt.Sprintf("v%d-from-%s", i, proposer))
 		ctx, cancel := ctxTO(5 * time.Second)
-		out, err := c.node(proposer).engine.Propose(ctx, []byte(s))
+		out, err := c.node(proposer).engine.Propose(ctx, want)
 		cancel()
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -398,13 +403,18 @@ func TestSequentialRunsAdvanceSequence(t *testing.T) {
 		if !out.Valid {
 			t.Fatalf("run %d invalid", i)
 		}
-		if err := c.waitAgreed([]byte(s), 3*time.Second); err != nil {
+		if err := c.waitAgreed(want, 3*time.Second); err != nil {
 			t.Fatal(err)
 		}
-	}
-	agreed, _ := c.node("alice").engine.Agreed()
-	if agreed.Seq != 3 {
-		t.Fatalf("agreed seq = %d, want 3", agreed.Seq)
+		ref, refState := c.node(proposer).engine.Agreed()
+		if ref.Seq != uint64(i) {
+			t.Fatalf("run %d: agreed seq = %d", i, ref.Seq)
+		}
+		for _, id := range ids {
+			if tup, s := c.node(id).engine.Agreed(); tup != ref || !bytes.Equal(s, refState) {
+				t.Fatalf("run %d: %s holds (%v, %q), proposer %s holds (%v, %q)", i, id, tup, s, proposer, ref, refState)
+			}
+		}
 	}
 }
 
@@ -459,24 +469,31 @@ func TestBlockedRunCompletesAfterHeal(t *testing.T) {
 	}
 }
 
+// TestLivenessUnderMessageLoss is §4.1's liveness claim: under bounded
+// temporary failures (here every datagram dropped with probability p and
+// duplicated with p/3) every run still completes.
 func TestLivenessUnderMessageLoss(t *testing.T) {
-	c := newCluster(t, []string{"alice", "bob", "carol"}, []byte("v0"))
-	c.net.SetDefaultFaults(transport.Faults{DropProb: 0.3, DupProb: 0.1})
+	for _, drop := range []float64{0.3, 0.5} {
+		t.Run(fmt.Sprintf("drop=%.1f", drop), func(t *testing.T) {
+			c := newCluster(t, []string{"alice", "bob", "carol"}, []byte("v0"))
+			c.net.SetDefaultFaults(transport.Faults{DropProb: drop, DupProb: drop / 3})
 
-	for i := 1; i <= 3; i++ {
-		want := []byte(fmt.Sprintf("v%d", i))
-		ctx, cancel := ctxTO(20 * time.Second)
-		out, err := c.node("alice").engine.Propose(ctx, want)
-		cancel()
-		if err != nil {
-			t.Fatalf("run %d under loss: %v", i, err)
-		}
-		if !out.Valid {
-			t.Fatalf("run %d invalid", i)
-		}
-		if err := c.waitAgreed(want, 20*time.Second); err != nil {
-			t.Fatal(err)
-		}
+			for i := 1; i <= 5; i++ {
+				want := []byte(fmt.Sprintf("v%d", i))
+				ctx, cancel := ctxTO(20 * time.Second)
+				out, err := c.node("alice").engine.Propose(ctx, want)
+				cancel()
+				if err != nil {
+					t.Fatalf("run %d under loss: %v", i, err)
+				}
+				if !out.Valid {
+					t.Fatalf("run %d invalid", i)
+				}
+				if err := c.waitAgreed(want, 20*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -637,7 +654,7 @@ func TestRestoreFromCheckpoint(t *testing.T) {
 
 func TestMessageComplexityIs3NMinus1(t *testing.T) {
 	// §7: the protocol is O(n): 3(n-1) protocol messages per run.
-	for _, n := range []int{2, 3, 5, 8} {
+	for _, n := range []int{2, 3, 5, 8, 12, 16} {
 		ids := make([]string, n)
 		for i := range ids {
 			ids[i] = fmt.Sprintf("p%d", i)

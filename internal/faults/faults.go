@@ -4,7 +4,7 @@
 // forge commits; and a Dolev-Yao network intruder that observes, removes,
 // delays, replays and modifies the unsigned parts of messages in transit.
 //
-// The safety experiments (E9) drive these attacks against honest
+// The package's attack tests drive these attacks against honest
 // participants and verify the paper's guarantee: no attack installs invalid
 // state at a correctly behaving party, and evidence of misbehaviour is
 // generated.

@@ -1,8 +1,8 @@
-// Package lab assembles complete B2BObjects deployments for tests,
-// experiments and examples: a set of participants (full middleware stacks)
-// over an in-memory fault-injecting network, with a shared CA and
-// time-stamping service. The experiment harness (cmd/b2bbench), the safety
-// and liveness suites and the benchmark file all build on it.
+// Package lab assembles complete B2BObjects deployments for tests and
+// examples: a set of participants (full middleware stacks) over an
+// in-memory fault-injecting network, with a shared CA and time-stamping
+// service. The paper-claim tests, the safety and liveness suites, the
+// structural bar tests and the scenario factory all build on it.
 package lab
 
 import (
@@ -100,10 +100,6 @@ type Options struct {
 	// Batching enables the reliable layer's throughput path: per-peer frame
 	// coalescing and cumulative acks (transport.WithBatching).
 	Batching bool
-	// BatchWindow overrides the batch flush window (default 200µs in the
-	// lab — short enough to keep in-memory latency sane, long enough that
-	// a protocol step's ack and reply coalesce).
-	BatchWindow time.Duration
 	// Start is the origin of the world's simulated clock (zero: 2002-06-23
 	// UTC).
 	Start time.Time
@@ -137,8 +133,8 @@ type Options struct {
 	// Transfer tunes the state-transfer plane (zero: defaults).
 	Transfer xfer.Policy
 	// PageSize sets the paged state identity's page granularity for every
-	// party (zero: the pagestate default, 4 KiB). The large-object benchmark
-	// sets it to the object size to reconstruct the flat-hash baseline.
+	// party (zero: the pagestate default, 4 KiB). Setting it to the object
+	// size reconstructs the flat-hash baseline (TestPagedIdentityIsODelta).
 	PageSize int
 	// Quotas applies per-group resource quotas and admission control to
 	// every party (zero: uncapped).
@@ -294,6 +290,11 @@ func NewWorld(opts Options, ids ...string) (*World, error) {
 	return w, nil
 }
 
+// batchWindow is the batch flush window under Options.Batching: short
+// enough to keep in-memory latency sane, long enough that a protocol step's
+// ack and reply coalesce.
+const batchWindow = 200 * time.Microsecond
+
 // buildParty assembles one organisation's full stack: endpoint, reliable
 // layer, interceptor, storage (over fs when non-nil) and participant. It is
 // the single construction path shared by NewWorld and Restart — a restarted
@@ -308,11 +309,7 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 	}
 	relOpts := []transport.ReliableOption{transport.WithRetryInterval(5 * time.Millisecond)}
 	if opts.Batching {
-		window := opts.BatchWindow
-		if window == 0 {
-			window = 200 * time.Microsecond
-		}
-		relOpts = append(relOpts, transport.WithBatching(window, 0))
+		relOpts = append(relOpts, transport.WithBatching(batchWindow, 0))
 	}
 	rel, err := transport.NewReliable(w.Net.Endpoint(id), relOpts...)
 	if err != nil {
@@ -522,7 +519,7 @@ func (w *World) BindAt(id, object string) error {
 
 // BindLazyAt is BindAt through the runtime's lazy path: the binding stays an
 // idle stub (no engines, no goroutines, near-zero memory) until traffic or
-// an accessor materializes it — the multi-tenant fast path E20 measures.
+// an accessor materializes it — the multi-tenant fast path.
 func (w *World) BindLazyAt(id, object string) error {
 	w.mu.Lock()
 	b, ok := w.binders[object]
@@ -708,8 +705,8 @@ func (w *World) Adversary(id, object string) *faults.Adversary {
 // PatchValidator returns a coord.Validator for fixed-size objects whose
 // updates are in-place patches: "[u32 BE offset][bytes]" replacing that
 // window of the state. Unlike AcceptAllValidator's append semantics the
-// state size stays constant, which is the E17 workload — a large object
-// receiving a stream of small updates.
+// state size stays constant: a large object receiving a stream of small
+// updates.
 func PatchValidator() coord.Validator { return patchAll{} }
 
 type patchAll struct{}
@@ -737,9 +734,8 @@ func (patchAll) RolledBack([]byte, tuple.State) {}
 // The paged fast path (coord.PagedValidator): a patch clones the base —
 // sharing every unchanged page copy-on-write — and rewrites only the pages
 // the patch touches, so applying a 64-byte patch to a 16 MiB object costs
-// O(delta · log S) instead of a full-state copy. This is the validator the
-// large-object benchmarks (BenchmarkLargeObjectSmallUpdate, b2bbench -exp
-// E19) measure.
+// O(delta · log S) instead of a full-state copy (TestPagedIdentityIsODelta
+// holds it to that).
 func (patchAll) ApplyUpdatePaged(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
 	if len(update) < 4 {
 		return nil, fmt.Errorf("lab: patch update too short: %d bytes", len(update))
@@ -804,68 +800,3 @@ func (acceptAll) ValidateUpdatePaged(string, *pagestate.Paged, []byte) wire.Deci
 }
 func (acceptAll) InstalledPaged(*pagestate.Paged, tuple.State)  {}
 func (acceptAll) RolledBackPaged(*pagestate.Paged, tuple.State) {}
-
-// NewPatchWorld builds the canonical large-object patch workload fixture: a
-// two-party world ("org00" proposes, "org01" receives) bound to one
-// PatchValidator object of size bytes, bootstrapped and ready to drive.
-// Shared by BenchmarkLargeObjectSmallUpdate and b2bbench -exp E19 so the
-// benchmark and the CI bar always measure the same workload.
-func NewPatchWorld(opts Options, object string, size int) (*World, error) {
-	w, err := NewWorld(opts, "org00", "org01")
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Bind(object, func(string) coord.Validator { return PatchValidator() }, nil); err != nil {
-		w.Close()
-		return nil, err
-	}
-	base := make([]byte, size)
-	for i := range base {
-		base[i] = byte(i * 31)
-	}
-	if err := w.Bootstrap(object, base, []string{"org00", "org01"}); err != nil {
-		w.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// DrivePatchRuns streams rounds pipelined update-mode coordination runs of
-// 64-byte patches (offset stride 64, wrapping) from org00 at the given
-// pipeline window, awaits every outcome in order, and waits for the
-// recipient to install the last commit. The other half of NewPatchWorld's
-// shared workload contract.
-func DrivePatchRuns(ctx context.Context, w *World, object string, size, rounds, window int) error {
-	en := w.Party("org00").Engine(object)
-	en.SetWindow(window)
-	var handles []*coord.RunHandle
-	collect := func() error {
-		h := handles[0]
-		handles = handles[1:]
-		_, err := h.Await(ctx)
-		return err
-	}
-	for i := 0; i < rounds; i++ {
-		upd := Patch((i*64)%(size-64), []byte(fmt.Sprintf("upd-%08d-%048d", i, i)))
-		for {
-			h, err := en.ProposeUpdateAsync(ctx, upd)
-			if errors.Is(err, coord.ErrRunInFlight) && len(handles) > 0 {
-				if err := collect(); err != nil {
-					return err
-				}
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			handles = append(handles, h)
-			break
-		}
-	}
-	for len(handles) > 0 {
-		if err := collect(); err != nil {
-			return err
-		}
-	}
-	return w.Party("org01").Engine(object).WaitQuiescent(ctx)
-}

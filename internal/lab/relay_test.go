@@ -9,6 +9,7 @@ import (
 
 	"b2b/internal/coord"
 	"b2b/internal/core"
+	"b2b/internal/wire"
 	"b2b/internal/xfer"
 )
 
@@ -116,6 +117,96 @@ func TestRelayOfflineMemberReconnectDrain(t *testing.T) {
 	}
 	if got := hub.Depth("d"); got != 0 {
 		t.Fatalf("mailbox not empty after convergence: depth %d", got)
+	}
+}
+
+// TestRelayDrainAmplification is the reconnect drain's byte bar: a sealed
+// backlog parks at the relay for a cut-off member, the partition heals, and
+// the member drains it. Every byte the network delivers during the drain —
+// batches, polls, transport acks and any retransmissions — counts against
+// the parked bytes, so a retransmit storm shows up as amplification. Bars:
+// every deposit is drained, the mailbox ends empty, and the drain delivers
+// at most twice the parked bytes.
+func TestRelayDrainAmplification(t *testing.T) {
+	const (
+		backlog          = 1024
+		payloadBytes     = 512
+		maxAmplification = 2.0
+	)
+	ids := []string{"a", "b", "c", "d"}
+	// The backlog fills d's mailbox to the default cap without evicting.
+	w, err := NewWorld(Options{Seed: 220, Relay: "hub"}, append(ids, "hub")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Bind(relayObj, func(string) coord.Validator { return AcceptAllValidator() }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Bootstrap(relayObj, []byte("genesis;"), ids); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	// Prekey publications ride the network like any other frame: a must
+	// know d's sealing key before d is cut off.
+	for {
+		if _, _, ok := w.Party("a").Relay.Directory().Lookup("d"); ok {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("d's prekey never reached a")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// d goes dark; a parks the backlog. Each deposit is a well-formed
+	// envelope addressed to d, whose inbound dispatch rejects the opaque
+	// payload like any unverifiable frame.
+	w.Net.Partition([]string{"a", "b", "c", "hub"}, []string{"d"})
+	pad := bytes.Repeat([]byte{0x5a}, payloadBytes)
+	for i := 0; i < backlog; i++ {
+		env := wire.Envelope{
+			MsgID:   fmt.Sprintf("backlog-%04d", i),
+			From:    "a",
+			To:      "d",
+			Object:  relayObj,
+			Kind:    wire.KindPropose,
+			Payload: pad,
+		}
+		if err := w.Party("a").Relay.Deposit(ctx, "d", env.Marshal()); err != nil {
+			t.Fatalf("deposit %d: %v", i, err)
+		}
+	}
+	// Deposits ride the reliable transport: wait until every one has landed
+	// and a holds every ack, so the drain window measures only the drain.
+	hub := w.Party("hub").RelayServer
+	for hub.Depth("d") < backlog || w.Party("a").Rel.PendingTo("hub") > 0 {
+		if ctx.Err() != nil {
+			t.Fatalf("only %d of %d deposits landed", hub.Depth("d"), backlog)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	parkedMsgs, parkedBytes := hub.TotalParked()
+
+	w.Net.Heal()
+	w.Net.ResetStats()
+	drained, err := w.Party("d").Relay.Drain(ctx)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	delivered := w.Net.Stats().DeliveredBytes
+	amp := float64(delivered) / float64(parkedBytes)
+	t.Logf("parked %d msgs (%d B), drained %d, delivered %d B: amplification %.2fx", parkedMsgs, parkedBytes, drained, delivered, amp)
+	if drained != parkedMsgs {
+		t.Errorf("drained %d of %d parked deposits", drained, parkedMsgs)
+	}
+	if depth := hub.Depth("d"); depth != 0 {
+		t.Errorf("mailbox depth %d after the drain, want 0", depth)
+	}
+	if amp > maxAmplification {
+		t.Errorf("drain delivered %.2fx the parked bytes, want <= %.0fx", amp, maxAmplification)
 	}
 }
 

@@ -49,7 +49,8 @@ const DefaultPageSize = 4 << 10
 // against incrementally (4 MiB). Snapshot-transfer chunks are page-aligned,
 // so pages must stay well under the 16 MiB transport frame cap to travel at
 // all; a group configured with larger pages (legal for the identity itself,
-// e.g. the flat-hash benchmark baseline) still transfers snapshots, but
+// e.g. the flat-hash baseline of lab's TestPagedIdentityIsODelta) still
+// transfers snapshots, but
 // under legacy whole-payload verification instead of per-chunk Merkle
 // checks. Enforced by the transfer server (which omits page hashes beyond
 // the bound) and on inbound offers.

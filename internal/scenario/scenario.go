@@ -349,7 +349,7 @@ func generate(rng *rand.Rand, seed uint64, w Workload) Scenario {
 	s.SegmentSize = []int{64 << 10, 256 << 10, 1 << 20}[rng.IntN(3)]
 	// Retention must cover every run's evidence so invariant 2 (the chain
 	// covers every agreed run) stays checkable end-to-end; evidence
-	// truncation has its own soak (E17).
+	// truncation has its own bar test (lab's TestDurabilityPlaneBars).
 	s.RetainEntries = 1 << 14
 	s.ChunkSize = []int{4 << 10, 16 << 10, 64 << 10}[rng.IntN(3)]
 	s.InlineStateCap = []int{1 << 10, 16 << 10, 1 << 20}[rng.IntN(3)]

@@ -75,10 +75,6 @@ type Policy struct {
 	// across a compaction cut (default 512). Pruned entries are archived,
 	// never destroyed, and the cut is anchored by a signed chain hash.
 	RetainEntries int
-	// SyncEveryRecord disables group commit: every append fsyncs before
-	// returning and deferred appends are not coalesced. This is the
-	// per-event-fsync baseline the E17 experiment measures against.
-	SyncEveryRecord bool
 }
 
 func (p Policy) withDefaults() Policy {
@@ -438,21 +434,6 @@ func (p *Plane) appendLocked(kind RecordKind, payload []byte) (uint64, error) {
 	act := &p.segs[len(p.segs)-1]
 	act.size += int64(len(buf))
 
-	if p.pol.SyncEveryRecord {
-		// Strict per-event fsync (the E17 baseline): one fsync per record,
-		// under the lock, with no batching or sharing of any kind.
-		if err := p.active.Sync(); err != nil {
-			return 0, p.failLocked(fmt.Errorf("store: per-record sync: %w", err))
-		}
-		p.stats.Fsyncs++
-		p.smu.Lock()
-		if p.lsn > p.synced {
-			p.synced = p.lsn
-		}
-		p.scond.Broadcast()
-		p.smu.Unlock()
-	}
-
 	if act.size >= int64(p.pol.SegmentSize) {
 		if err := p.rotateLocked(); err != nil {
 			return 0, err
@@ -678,8 +659,7 @@ func (p *Plane) Append(kind RecordKind, payload []byte) error {
 // AppendDeferred writes one record without waiting for durability. A later
 // Barrier (or any durable Append) covers it; callers must issue a Barrier
 // before acting on the record's durability (e.g. before sending a protocol
-// message whose evidence it is). With Policy.SyncEveryRecord the deferral
-// is disabled and the append is durable on return.
+// message whose evidence it is).
 func (p *Plane) AppendDeferred(kind RecordKind, payload []byte) error {
 	p.mu.Lock()
 	_, err := p.appendLocked(kind, payload)

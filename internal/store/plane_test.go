@@ -247,21 +247,6 @@ func TestPlaneGroupCommitSharesFsyncs(t *testing.T) {
 	t.Logf("appends=%d fsyncs=%d (%.1f appends/fsync)", st.Appends, st.Fsyncs, float64(st.Appends)/float64(st.Fsyncs))
 }
 
-func TestPlaneSyncEveryRecordDisablesDeferral(t *testing.T) {
-	dir := t.TempDir()
-	pl, _ := openTestPlane(t, dir, Policy{SyncEveryRecord: true})
-	defer func() { _ = pl.Close() }()
-	for i := 0; i < 10; i++ {
-		if err := pl.AppendDeferred(RecNrlogEntry, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := pl.Stats()
-	if st.Fsyncs < 10 {
-		t.Fatalf("fsyncs %d < 10: SyncEveryRecord must fsync per append", st.Fsyncs)
-	}
-}
-
 func TestPlaneClosedFails(t *testing.T) {
 	pl, _ := openTestPlane(t, t.TempDir(), Policy{})
 	if err := pl.Close(); err != nil {

@@ -61,11 +61,11 @@ type Faults struct {
 	Partitioned bool          // all messages lost while set
 }
 
-// Stats counts traffic through a Network, for the message-complexity
-// experiment (E8) and failure-injection reporting. The byte counters sum
-// the payloads of the corresponding messages (duplicated deliveries count
-// each copy), which is what the relay drain-amplification bar (E22) is
-// measured against.
+// Stats counts traffic through a Network, for datagram counting and
+// failure-injection reporting. The byte counters sum the payloads of the
+// corresponding messages (duplicated deliveries count each copy), which is
+// what the relay drain-amplification bar (lab's
+// TestRelayDrainAmplification) is measured against.
 type Stats struct {
 	Sent           uint64
 	Delivered      uint64

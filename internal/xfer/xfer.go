@@ -173,8 +173,8 @@ type Result struct {
 	State []byte
 	// Deltas is the number of delta steps folded (deltas mode).
 	Deltas int
-	// PayloadBytes is the transfer payload size — the measure the E18
-	// experiment compares against full-snapshot join.
+	// PayloadBytes is the transfer payload size: the delta suffix in
+	// deltas mode, the whole object in snapshot mode.
 	PayloadBytes int
 	Chunks       int
 }
