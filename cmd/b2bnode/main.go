@@ -250,6 +250,9 @@ func runNode(cfgPath string) error {
 	if err != nil {
 		return err
 	}
+	// Deferred first, so it runs last: the participant's Close closes the
+	// Reliable, which must stop appending before its journal closes.
+	defer func() { _ = journal.Close() }()
 	rel, err := transport.NewReliable(tcp,
 		transport.WithRetryInterval(100*time.Millisecond),
 		transport.WithJournal(journal))

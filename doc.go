@@ -168,8 +168,9 @@
 //     fault-injecting network, a TCP transport, and the Reliable wrapper
 //     providing the paper's eventual once-only delivery. Reliable optionally
 //     batches: per-peer frame coalescing into multi-frame datagrams plus
-//     cumulative acks (transport.WithBatching), with batch-aware journaling
-//     (transport.FileJournal) so crash recovery retransmits exactly the
+//     cumulative acks (transport.WithBatching). Its outbox and dedup set
+//     persist on a dedicated durability plane (transport.OpenFileJournal,
+//     transport.WithJournal) so crash recovery retransmits exactly the
 //     unacked set.
 //   - internal/wire — canonical protocol message encodings, the signed
 //     evidence envelope, and the multi-frame batch container.

@@ -2,14 +2,17 @@ package b2b_test
 
 // Cross-module integration tests: replica consistency under randomised
 // interleavings (E2), full-stack crash recovery with durable storage (E10),
-// and coordination over real TCP.
+// coordination over real TCP, and a deployed node restarted mid-pipeline.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -554,6 +557,180 @@ func TestMultiObjectConcurrentCoordination(t *testing.T) {
 			if !bytes.Equal(s, want) {
 				t.Fatalf("object %d at %s: agreed %q, want %q", k, id, s, want)
 			}
+		}
+	}
+}
+
+// deployedNode is one party assembled the way cmd/b2bnode assembles a node:
+// loopback TCP, the reliable layer journalled with OpenFileJournal and
+// WithJournal, and file storage, all under one directory.
+type deployedNode struct {
+	part  *b2b.Participant
+	ctrl  *b2b.Controller
+	obj   *valueObj
+	close func()
+}
+
+// TestDeployedNodeRestartMidPipeline: three deployed nodes; one is
+// hard-closed while the proposer's pipeline is in flight, reopened on the
+// same directories, id and address, and coordination continues. Every party
+// must converge on the same agreed state and every evidence log must verify.
+func TestDeployedNodeRestartMidPipeline(t *testing.T) {
+	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	td, err := b2b.NewTrustDomain(clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"alice", "bob", "carol"}
+	idents := make(map[string]*crypto.Identity)
+	var certs []crypto.Certificate
+	for _, id := range ids {
+		ident, err := td.Issue(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idents[id] = ident
+		certs = append(certs, ident.Certificate())
+	}
+	base := t.TempDir()
+	addrs := make(map[string]string)
+	eps := make(map[string]*transport.TCPEndpoint)
+	for _, id := range ids {
+		ep, err := transport.ListenTCP(id, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[id], addrs[id] = ep, ep.Addr()
+	}
+
+	start := func(id string, ep *transport.TCPEndpoint) *deployedNode {
+		t.Helper()
+		for _, peer := range ids {
+			if peer != id {
+				ep.AddPeer(peer, addrs[peer])
+			}
+		}
+		dir := filepath.Join(base, id)
+		journal, err := transport.OpenFileJournal(filepath.Join(dir, "reliable.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := transport.NewReliable(ep,
+			transport.WithRetryInterval(20*time.Millisecond),
+			transport.WithJournal(journal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := b2b.NewParticipant(idents[id], td, rel,
+			b2b.WithClock(clk),
+			b2b.WithPeerCertificates(certs...),
+			b2b.WithFileStorage(dir),
+			b2b.WithMode(b2b.DeferredSynchronous),
+			b2b.WithOperationTimeout(30*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := &valueObj{}
+		ctrl, err := part.Bind("doc", obj, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var once sync.Once
+		n := &deployedNode{part: part, ctrl: ctrl, obj: obj, close: func() {
+			once.Do(func() { _ = part.Close(); _ = journal.Close() })
+		}}
+		t.Cleanup(n.close)
+		return n
+	}
+	nodes := make(map[string]*deployedNode)
+	for _, id := range ids {
+		nodes[id] = start(id, eps[id])
+	}
+	for _, id := range ids {
+		if err := nodes[id].ctrl.Bootstrap(ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	alice := nodes["alice"]
+	alice.ctrl.SetPipelineWindow(4)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	propose := func(vals ...string) {
+		t.Helper()
+		for _, v := range vals {
+			alice.ctrl.Enter()
+			alice.ctrl.Overwrite()
+			alice.obj.set(v)
+			if err := alice.ctrl.Leave(); err != nil {
+				t.Fatalf("Leave %q: %v", v, err)
+			}
+		}
+	}
+	// collect gathers n outcomes in Leave order; with vetoOK a veto is an
+	// acceptable outcome.
+	collect := func(n int, vetoOK bool) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := alice.ctrl.CoordCommit(ctx); err != nil && !(vetoOK && errors.Is(err, b2b.ErrVetoed)) {
+				t.Fatalf("CoordCommit %d: %v", i, err)
+			}
+		}
+	}
+	settle := func() {
+		t.Helper()
+		for _, id := range ids {
+			if err := nodes[id].ctrl.Settle(ctx); err != nil {
+				t.Fatalf("%s: Settle: %v", id, err)
+			}
+		}
+	}
+
+	propose("v1", "v2")
+	collect(2, false)
+	settle()
+
+	// Hard-close carol with a full pipeline in flight, then reopen it on
+	// the same directories, id and address. Runs carol answered before the
+	// close are not remembered by its restored engine, so the pipeline may
+	// end in a veto; its journal redelivers everything else, and CatchUp
+	// fetches whatever the others agreed without it.
+	propose("p1", "p2", "p3", "p4")
+	nodes["carol"].close()
+	ep, err := transport.ListenTCP("carol", addrs["carol"])
+	if err != nil {
+		t.Fatalf("relisten: %v", err)
+	}
+	nodes["carol"] = start("carol", ep)
+	if err := nodes["carol"].ctrl.Restore(); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	collect(4, true)
+	settle()
+	if err := nodes["carol"].ctrl.CatchUp(ctx); err != nil {
+		t.Fatalf("CatchUp: %v", err)
+	}
+
+	propose("after-1", "after-2")
+	collect(2, false)
+	settle()
+
+	want := nodes["alice"].ctrl.AgreedSeq()
+	t.Logf("agreed seq %d after the restart", want)
+	if want < 5 {
+		t.Fatalf("agreed seq = %d after the restart, want at least 5", want)
+	}
+	for _, id := range ids {
+		n := nodes[id]
+		if seq := n.ctrl.AgreedSeq(); seq != want {
+			t.Fatalf("%s: agreed seq = %d, want %d", id, seq, want)
+		}
+		if got := string(n.ctrl.AgreedState()); got != "after-2" {
+			t.Fatalf("%s: agreed state = %q, want after-2", id, got)
+		}
+		waitVal(t, n.obj, "after-2", 10*time.Second)
+		if err := n.part.Log().Verify(); err != nil {
+			t.Fatalf("%s: evidence log: %v", id, err)
 		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 // This file implements the durability plane: one append-only, log-structured
 // segment store (WAL) shared by every persistence client a party has —
 // checkpoints and run records (store.Segmented) and non-repudiation evidence
-// (nrlog.Segmented). Records are canon-framed (length + CRC-32C,
+// (nrlog.Segmented). Two clients keep a plane of their own: the relay
+// server's mailbox (internal/relay) and the reliable transport's outbox
+// journal (internal/transport). Records are canon-framed (length + CRC-32C,
 // canon.AppendFrame) with a one-byte kind tag, segments rotate at a size
 // threshold, and a group-commit writer coalesces the durability barriers of
 // everything in flight into ~one fsync per batch. A compactor bounds disk
@@ -52,6 +54,13 @@ const (
 	// evicted. Only relay-dedicated planes carry these kinds.
 	RecRelayDeposit RecordKind = 0x08
 	RecRelayDrop    RecordKind = 0x09
+	// RecOutboxSave is one unacknowledged outgoing message of the reliable
+	// transport (internal/transport); RecOutboxAcked retires a set of them
+	// by message id; RecSeen records a set of inbound dedup keys. Only
+	// outbox-journal planes carry these kinds.
+	RecOutboxSave  RecordKind = 0x0A
+	RecOutboxAcked RecordKind = 0x0B
+	RecSeen        RecordKind = 0x0C
 )
 
 // Policy is the durability plane's retention and group-commit policy. The

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -164,8 +163,8 @@ func TestBatchingReducesDatagrams(t *testing.T) {
 	}
 }
 
-// TestSendBatchChunking: one SendBatch larger than the size cap splits into
-// several datagrams, and every payload still arrives exactly once.
+// TestSendBatchChunking: a burst of Sends larger than the size cap splits
+// into several datagrams, and every payload still arrives exactly once.
 func TestSendBatchChunking(t *testing.T) {
 	net := NewNetwork(5)
 	defer net.Close()
@@ -181,9 +180,9 @@ func TestSendBatchChunking(t *testing.T) {
 		}
 		p[0] = byte('A' + i)
 		payloads[i] = p
-	}
-	if err := a.SendBatch(context.Background(), "b", payloads); err != nil {
-		t.Fatal(err)
+		if err := a.Send(context.Background(), "b", p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitFor(t, 10*time.Second, func() bool { return a.Pending() == 0 }, "drain")
 	for i, p := range payloads {
@@ -193,14 +192,15 @@ func TestSendBatchChunking(t *testing.T) {
 	}
 }
 
-// testBatchCrashRecovery drives the crash/recover cycle with batching on:
-// some messages are acked, some are stranded mid-batch by a one-way
-// partition, both sides "crash" (close), and fresh endpoints reload from the
-// journals. The recovered sender must retransmit exactly the unacked set and
-// the recovered receiver's dedup set must suppress the duplicates it already
-// delivered.
-func testBatchCrashRecovery(t *testing.T, jA, jB Journal, reload func() (Journal, Journal)) {
-	t.Helper()
+// TestBatchCrashRecoveryFileJournal drives the crash/recover cycle with
+// batching on: some messages are acked, some are stranded mid-batch by a
+// one-way partition, both sides "crash" (close), and the same ids restart
+// from their journals. The recovered sender must retransmit exactly the
+// unacked set and the recovered receiver's dedup set must suppress the
+// duplicates it already delivered.
+func TestBatchCrashRecoveryFileJournal(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	jA, jB := openJournal(t, dirA), openJournal(t, dirB)
 	net1 := NewNetwork(11)
 	batch := WithBatching(500*time.Microsecond, 8<<10)
 	retry := WithRetryInterval(5 * time.Millisecond)
@@ -236,26 +236,26 @@ func testBatchCrashRecovery(t *testing.T, jA, jB Journal, reload func() (Journal
 		t.Fatalf("unacked outbox = %d, want 5", a1.Pending())
 	}
 
-	// Crash both sides.
+	// Crash both sides: close the journals and replay them from disk.
 	_ = a1.Close()
 	_ = b1.Close()
 	net1.Close()
+	_ = jA.Close()
+	_ = jB.Close()
 
-	// Recover on a fresh network from the journals.
-	jA2, jB2 := reload()
 	net2 := NewNetwork(12)
 	defer net2.Close()
-	b2, err := NewReliable(net2.Endpoint("b"), retry, batch, WithJournal(jB2))
+	b2, err := NewReliable(net2.Endpoint("b"), retry, batch, WithJournal(openJournal(t, dirB)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = b2.Close() }()
 	b2.SetHandler(rec.handler)
+	jA2 := openJournal(t, dirA)
 	a2, err := NewReliable(net2.Endpoint("a"), retry, batch, WithJournal(jA2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = a2.Close() }()
 	if got := a2.Pending(); got != 5 {
 		t.Fatalf("recovered outbox = %d, want exactly the 5 unacked", got)
 	}
@@ -273,48 +273,18 @@ func testBatchCrashRecovery(t *testing.T, jA, jB Journal, reload func() (Journal
 			t.Fatalf("stranded-%d delivered %d times across crash, want exactly 1", i, got)
 		}
 	}
-	out, _, err := jA2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Fatalf("journal still holds %d outgoing records after full acknowledgement", len(out))
-	}
-}
 
-func TestBatchCrashRecoveryMemJournal(t *testing.T) {
-	jA, jB := NewMemJournal(), NewMemJournal()
-	// MemJournals survive the "crash" as live objects; reload returns them.
-	testBatchCrashRecovery(t, jA, jB, func() (Journal, Journal) { return jA, jB })
-}
-
-func TestBatchCrashRecoveryFileJournal(t *testing.T) {
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.journal")
-	pathB := filepath.Join(dir, "b.journal")
-	jA, err := OpenFileJournal(pathA)
+	// The acknowledgements are durable too: a third start finds no outbox.
+	_ = a2.Close()
+	_ = jA2.Close()
+	a3, err := NewReliable(net2.Endpoint("a"), retry, batch, WithJournal(openJournal(t, dirA)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jB, err := OpenFileJournal(pathB)
-	if err != nil {
-		t.Fatal(err)
+	defer func() { _ = a3.Close() }()
+	if got := a3.Pending(); got != 0 {
+		t.Fatalf("journal still holds %d outgoing records after full acknowledgement", got)
 	}
-	testBatchCrashRecovery(t, jA, jB, func() (Journal, Journal) {
-		// A real crash: close the files and replay them from disk.
-		_ = jA.Close()
-		_ = jB.Close()
-		jA2, err := OpenFileJournal(pathA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jB2, err := OpenFileJournal(pathB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = jA2.Close(); _ = jB2.Close() })
-		return jA2, jB2
-	})
 }
 
 // TestBatchedTCP: the batched reliable layer over the real TCP transport,
@@ -352,15 +322,13 @@ func TestBatchedTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A large SendBatch that must chunk across several TCP frames.
-	var big [][]byte
+	// A burst of large frames that must chunk across several TCP frames.
 	for i := 0; i < 5; i++ {
 		p := make([]byte, 3<<10)
 		p[0] = byte('a' + i)
-		big = append(big, p)
-	}
-	if err := a.SendBatch(context.Background(), "b", big); err != nil {
-		t.Fatal(err)
+		if err := a.Send(context.Background(), "b", p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitFor(t, 15*time.Second, func() bool { return a.Pending() == 0 && rec.total() == n+5 }, "tcp drain")
 	for i := 0; i < n; i++ {

@@ -1,298 +1,120 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/base64"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sync"
+
+	"b2b/internal/canon"
+	"b2b/internal/store"
 )
 
-// closeJoin closes c with err already in hand, folding a close-time failure
-// in rather than swallowing it (closecheck: close can surface deferred
-// write-back errors exactly like fsync).
-func closeJoin(err error, c io.Closer) error {
-	if cerr := c.Close(); cerr != nil {
-		return errors.Join(err, cerr)
+// seenPerRecord bounds the dedup keys one compacted RecSeen record carries,
+// so a long-lived receiver's live set is re-emitted as many modest records
+// rather than one that grows without limit.
+const seenPerRecord = 4096
+
+// OpenFileJournal opens the durable outbox journal rooted at directory dir:
+// a store.Plane with the default policy, dedicated to one Reliable.
+// WithJournal attaches the Reliable and starts (replays) the plane; the
+// caller closes the plane after the Reliable. A file at dir — the JSON-lines
+// journal of earlier releases — is refused: there is no migration.
+func OpenFileJournal(dir string) (*store.Plane, error) {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("transport: journal %s is a file, not a plane directory (legacy JSON-lines journals are not migrated)", dir)
 	}
-	return err
+	return store.OpenPlane(dir, store.Policy{}, nil)
 }
 
-// FileJournal is a durable Journal: an append-only JSON-lines file replayed
-// on open. Records are tombstoned rather than rewritten, so appends stay
-// cheap; Compact rewrites the live set.
-type FileJournal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	out  map[string]JournalRecord
-	seen map[string]struct{}
+// journalConsumer adapts a Reliable to the plane's consumer contract: replay
+// rebuilds the outbox and dedup set, compaction re-emits them from the same
+// maps. Reset and Replay run inside NewReliable, before the Reliable is
+// shared; Compact runs under the plane's lock on whichever goroutine's append
+// triggered it and takes r.mu — which is why no path appends holding r.mu.
+type journalConsumer Reliable
+
+func (c *journalConsumer) Reset() {
+	r := (*Reliable)(c)
+	r.outbox = make(map[string]*outRec)
+	r.seen = make(map[string]struct{})
 }
 
-type journalLine struct {
-	Op      string `json:"op"` // "out" | "del" | "seen"
-	MsgID   string `json:"msg_id,omitempty"`
-	To      string `json:"to,omitempty"`
-	Payload string `json:"payload,omitempty"`
-	Key     string `json:"key,omitempty"`
-}
-
-// OpenFileJournal opens (or creates) the journal at path and replays it.
-func OpenFileJournal(path string) (*FileJournal, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("transport: journal directory: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("transport: opening journal: %w", err)
-	}
-	j := &FileJournal{
-		path: path,
-		f:    f,
-		out:  make(map[string]JournalRecord),
-		seen: make(map[string]struct{}),
-	}
-	scanner := bufio.NewScanner(f)
-	scanner.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var jl journalLine
-		if err := json.Unmarshal(line, &jl); err != nil {
-			return nil, closeJoin(fmt.Errorf("transport: corrupt journal line: %w", err), f)
-		}
-		switch jl.Op {
-		case "out":
-			payload, err := base64.StdEncoding.DecodeString(jl.Payload)
-			if err != nil {
-				return nil, closeJoin(fmt.Errorf("transport: corrupt journal payload: %w", err), f)
-			}
-			j.out[jl.MsgID] = JournalRecord{MsgID: jl.MsgID, To: jl.To, Payload: payload}
-		case "del":
-			delete(j.out, jl.MsgID)
-		case "seen":
-			j.seen[jl.Key] = struct{}{}
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, closeJoin(fmt.Errorf("transport: reading journal: %w", err), f)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		return nil, closeJoin(fmt.Errorf("transport: seeking journal: %w", err), f)
-	}
-	return j, nil
-}
-
-func (j *FileJournal) append(jl journalLine) error {
-	line, err := json.Marshal(jl)
-	if err != nil {
-		return fmt.Errorf("transport: encoding journal line: %w", err)
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("transport: writing journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("transport: syncing journal: %w", err)
-	}
-	return nil
-}
-
-// appendAll marshals several journal lines into one buffer, writes it and
-// syncs once — the durable cost of a batch is a single fsync.
-func (j *FileJournal) appendAll(lines []journalLine) error {
-	var buf []byte
-	for _, jl := range lines {
-		line, err := json.Marshal(jl)
-		if err != nil {
-			return fmt.Errorf("transport: encoding journal line: %w", err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("transport: writing journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("transport: syncing journal: %w", err)
-	}
-	return nil
-}
-
-// SaveOutgoing implements Journal.
-func (j *FileJournal) SaveOutgoing(msgID, to string, payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.append(journalLine{
-		Op:      "out",
-		MsgID:   msgID,
-		To:      to,
-		Payload: base64.StdEncoding.EncodeToString(payload),
-	}); err != nil {
-		return err
-	}
-	j.out[msgID] = JournalRecord{MsgID: msgID, To: to, Payload: append([]byte(nil), payload...)}
-	return nil
-}
-
-// SaveOutgoingBatch implements BatchJournal: all records become durable in
-// one write+fsync.
-func (j *FileJournal) SaveOutgoingBatch(recs []JournalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	lines := make([]journalLine, len(recs))
-	for i, r := range recs {
-		lines[i] = journalLine{
-			Op:      "out",
-			MsgID:   r.MsgID,
-			To:      r.To,
-			Payload: base64.StdEncoding.EncodeToString(r.Payload),
-		}
-	}
-	if err := j.appendAll(lines); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		j.out[r.MsgID] = JournalRecord{MsgID: r.MsgID, To: r.To, Payload: append([]byte(nil), r.Payload...)}
-	}
-	return nil
-}
-
-// DeleteOutgoing implements Journal.
-func (j *FileJournal) DeleteOutgoing(msgID string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.append(journalLine{Op: "del", MsgID: msgID}); err != nil {
-		return err
-	}
-	delete(j.out, msgID)
-	return nil
-}
-
-// DeleteOutgoingBatch implements BatchJournal: one tombstone write+fsync
-// retires a whole cumulative ack.
-func (j *FileJournal) DeleteOutgoingBatch(msgIDs []string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	lines := make([]journalLine, len(msgIDs))
-	for i, id := range msgIDs {
-		lines[i] = journalLine{Op: "del", MsgID: id}
-	}
-	if err := j.appendAll(lines); err != nil {
-		return err
-	}
-	for _, id := range msgIDs {
-		delete(j.out, id)
-	}
-	return nil
-}
-
-// SaveSeenBatch implements BatchJournal: one write+fsync covers every dedup
-// key of an inbound coalesced datagram.
-func (j *FileJournal) SaveSeenBatch(keys []string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	lines := make([]journalLine, len(keys))
-	for i, k := range keys {
-		lines[i] = journalLine{Op: "seen", Key: k}
-	}
-	if err := j.appendAll(lines); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		j.seen[k] = struct{}{}
-	}
-	return nil
-}
-
-// SaveSeen implements Journal.
-func (j *FileJournal) SaveSeen(key string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.append(journalLine{Op: "seen", Key: key}); err != nil {
-		return err
-	}
-	j.seen[key] = struct{}{}
-	return nil
-}
-
-// Load implements Journal.
-func (j *FileJournal) Load() ([]JournalRecord, []string, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]JournalRecord, 0, len(j.out))
-	for _, r := range j.out {
-		out = append(out, r)
-	}
-	seen := make([]string, 0, len(j.seen))
-	for k := range j.seen {
-		seen = append(seen, k)
-	}
-	return out, seen, nil
-}
-
-// Compact rewrites the journal keeping only live records, bounding file
-// growth for long-running nodes.
-func (j *FileJournal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	tmp := j.path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("transport: compacting journal: %w", err)
-	}
-	w := bufio.NewWriter(nf)
-	writeLine := func(jl journalLine) error {
-		line, err := json.Marshal(jl)
+func (c *journalConsumer) Replay(kind store.RecordKind, payload []byte) error {
+	r := (*Reliable)(c)
+	switch kind {
+	case store.RecOutboxSave:
+		msgID, to, body, err := unmarshalOutRecord(payload)
 		if err != nil {
 			return err
 		}
-		_, err = w.Write(append(line, '\n'))
-		return err
-	}
-	for _, r := range j.out {
-		if err := writeLine(journalLine{
-			Op: "out", MsgID: r.MsgID, To: r.To,
-			Payload: base64.StdEncoding.EncodeToString(r.Payload),
-		}); err != nil {
-			return closeJoin(err, nf)
+		r.outbox[msgID] = &outRec{to: to, payload: body, durable: true}
+	case store.RecOutboxAcked:
+		ids, err := decodeStrings("racked", payload)
+		if err != nil {
+			return err
 		}
-	}
-	for k := range j.seen {
-		if err := writeLine(journalLine{Op: "seen", Key: k}); err != nil {
-			return closeJoin(err, nf)
+		for _, id := range ids {
+			delete(r.outbox, id)
 		}
+	case store.RecSeen:
+		keys, err := decodeStrings("rseen", payload)
+		if err != nil {
+			return err
+		}
+		for _, k := range keys {
+			r.seen[k] = struct{}{}
+		}
+	default:
+		return fmt.Errorf("transport: journal record kind %#x is not an outbox record", kind)
 	}
-	if err := w.Flush(); err != nil {
-		return closeJoin(err, nf)
-	}
-	if err := nf.Sync(); err != nil {
-		return closeJoin(err, nf)
-	}
-	if err := nf.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return fmt.Errorf("transport: installing compacted journal: %w", err)
-	}
-	//lint:ignore closecheck superseded handle: its contents were rewritten, synced, and renamed into place above
-	_ = j.f.Close()
-	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("transport: reopening journal: %w", err)
-	}
-	j.f = f
 	return nil
 }
 
-// Close closes the journal file.
-func (j *FileJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+func (c *journalConsumer) Opened() error { return nil }
+
+// Compact re-emits the live set: every outbox record (durable or still
+// being appended — a record skipped here could lose its only copy to the
+// cut) and the dedup set in bounded chunks.
+func (c *journalConsumer) Compact(emit func(kind store.RecordKind, payload []byte) error) error {
+	r := (*Reliable)(c)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for msgID, rec := range r.outbox {
+		if err := emit(store.RecOutboxSave, marshalOutRecord(msgID, rec.to, rec.payload)); err != nil {
+			return err
+		}
+	}
+	keys := make([]string, 0, min(len(r.seen), seenPerRecord))
+	for k := range r.seen {
+		keys = append(keys, k)
+		if len(keys) == seenPerRecord {
+			if err := emit(store.RecSeen, encodeStrings("rseen", keys)); err != nil {
+				return err
+			}
+			keys = keys[:0]
+		}
+	}
+	if len(keys) > 0 {
+		return emit(store.RecSeen, encodeStrings("rseen", keys))
+	}
+	return nil
+}
+
+// marshalOutRecord encodes one outbox entry for the journal.
+func marshalOutRecord(msgID, to string, payload []byte) []byte {
+	return canon.Marshal(func(e *canon.Encoder) {
+		e.Struct("rout")
+		e.String(msgID)
+		e.String(to)
+		e.Bytes(payload)
+	})
+}
+
+func unmarshalOutRecord(buf []byte) (msgID, to string, payload []byte, err error) {
+	d := canon.NewDecoder(buf)
+	d.Struct("rout")
+	msgID = d.String()
+	to = d.String()
+	payload = d.Bytes()
+	err = d.Finish()
+	return msgID, to, payload, err
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"b2b/internal/canon"
+	"b2b/internal/store"
 	"b2b/internal/wire"
 )
 
@@ -26,117 +28,6 @@ const (
 	DefaultBatchWindow = time.Millisecond
 	DefaultBatchBytes  = 64 << 10
 )
-
-// Journal persists the reliable layer's outbox and dedup set so that a node
-// that crashes and recovers resumes retransmission and still suppresses
-// duplicates — the paper assumes nodes eventually recover and resume
-// participation (§4.2).
-type Journal interface {
-	SaveOutgoing(msgID, to string, payload []byte) error
-	DeleteOutgoing(msgID string) error
-	SaveSeen(key string) error
-	Load() (outgoing []JournalRecord, seen []string, err error)
-}
-
-// BatchJournal is an optional Journal extension: persist or delete several
-// records in one durable write. The reliable layer's batched paths (SendBatch
-// and cumulative-ack handling) use it when available, so one fsync covers a
-// whole batch; plain Journals fall back to per-record writes.
-type BatchJournal interface {
-	Journal
-	SaveOutgoingBatch(recs []JournalRecord) error
-	DeleteOutgoingBatch(msgIDs []string) error
-	SaveSeenBatch(keys []string) error
-}
-
-// JournalRecord is one persisted outgoing message.
-type JournalRecord struct {
-	MsgID   string
-	To      string
-	Payload []byte
-}
-
-// MemJournal is an in-memory Journal (no crash durability; useful for tests
-// and as a reference implementation).
-type MemJournal struct {
-	mu   sync.Mutex
-	out  map[string]JournalRecord
-	seen map[string]struct{}
-}
-
-// NewMemJournal returns an empty in-memory journal.
-func NewMemJournal() *MemJournal {
-	return &MemJournal{out: make(map[string]JournalRecord), seen: make(map[string]struct{})}
-}
-
-// SaveOutgoing records an un-acknowledged outgoing message.
-func (j *MemJournal) SaveOutgoing(msgID, to string, payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.out[msgID] = JournalRecord{MsgID: msgID, To: to, Payload: payload}
-	return nil
-}
-
-// SaveOutgoingBatch implements BatchJournal.
-func (j *MemJournal) SaveOutgoingBatch(recs []JournalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, r := range recs {
-		j.out[r.MsgID] = r
-	}
-	return nil
-}
-
-// DeleteOutgoing removes an acknowledged message.
-func (j *MemJournal) DeleteOutgoing(msgID string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.out, msgID)
-	return nil
-}
-
-// DeleteOutgoingBatch implements BatchJournal.
-func (j *MemJournal) DeleteOutgoingBatch(msgIDs []string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, id := range msgIDs {
-		delete(j.out, id)
-	}
-	return nil
-}
-
-// SaveSeen records an inbound dedup key.
-func (j *MemJournal) SaveSeen(key string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.seen[key] = struct{}{}
-	return nil
-}
-
-// SaveSeenBatch implements BatchJournal.
-func (j *MemJournal) SaveSeenBatch(keys []string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, k := range keys {
-		j.seen[k] = struct{}{}
-	}
-	return nil
-}
-
-// Load returns the journal contents.
-func (j *MemJournal) Load() ([]JournalRecord, []string, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]JournalRecord, 0, len(j.out))
-	for _, r := range j.out {
-		out = append(out, r)
-	}
-	seen := make([]string, 0, len(j.seen))
-	for k := range j.seen {
-		seen = append(seen, k)
-	}
-	return out, seen, nil
-}
 
 // ReliableOption configures a Reliable endpoint.
 type ReliableOption func(*Reliable)
@@ -160,9 +51,12 @@ func WithRetryBackoff(cap time.Duration) ReliableOption {
 	return func(r *Reliable) { r.retryCap = cap }
 }
 
-// WithJournal attaches a persistence journal; on construction the outbox and
-// dedup set are restored from it.
-func WithJournal(j Journal) ReliableOption {
+// WithJournal persists the outbox and dedup set on j, an unstarted plane
+// (OpenFileJournal) dedicated to this Reliable, so that a node that crashes
+// and recovers resumes retransmission and still suppresses duplicates — the
+// paper assumes nodes eventually recover and resume participation (§4.2).
+// NewReliable starts the plane, restoring both from it.
+func WithJournal(j *store.Plane) ReliableOption {
 	return func(r *Reliable) { r.journal = j }
 }
 
@@ -195,18 +89,16 @@ type Reliable struct {
 	ep       Endpoint
 	retry    time.Duration
 	retryCap time.Duration
-	journal  Journal
+	journal  *store.Plane
 
 	batching    bool
 	batchWindow time.Duration
 	batchBytes  int
 
 	mu      sync.Mutex
-	outbox  map[string]JournalRecord
-	sentAt  map[string]time.Time // last wire transmission per outbox record
+	outbox  map[string]*outRec // by msgID
 	seen    map[string]struct{}
 	handler Handler
-	acked   map[string]chan struct{} // per-message ack notification
 	closed  bool
 	// backoff tracks per-peer retransmission pacing: consecutive unacked
 	// sweeps and the next instant the peer's outbox is due on the wire.
@@ -222,7 +114,21 @@ type Reliable struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-	ctr  atomic.Uint64
+	// Message ids are "<incarnation>-<counter>": the incarnation, random per
+	// NewReliable, keeps a restarted Reliable's ids apart from those its
+	// peers' persisted dedup sets already hold.
+	incarnation string
+	ctr         atomic.Uint64
+}
+
+// outRec is one unacknowledged outgoing message.
+type outRec struct {
+	to      string
+	payload []byte
+	sentAt  time.Time // last wire transmission
+	// durable is false while the journal append is in flight: the record is
+	// in the outbox (so a racing compaction keeps it) but not on the wire.
+	durable bool
 }
 
 // peerBackoff is one peer's retransmission pacing state.
@@ -243,17 +149,16 @@ type peerBatch struct {
 // NewReliable wraps ep. The wrapper takes over ep's handler.
 func NewReliable(ep Endpoint, opts ...ReliableOption) (*Reliable, error) {
 	r := &Reliable{
-		ep:        ep,
-		retry:     50 * time.Millisecond,
-		retryCap:  time.Second,
-		outbox:    make(map[string]JournalRecord),
-		sentAt:    make(map[string]time.Time),
-		seen:      make(map[string]struct{}),
-		acked:     make(map[string]chan struct{}),
-		batchers:  make(map[string]*peerBatch),
-		backoff:   make(map[string]*peerBackoff),
-		ackNotify: make(chan struct{}, 1),
-		stop:      make(chan struct{}),
+		ep:          ep,
+		retry:       50 * time.Millisecond,
+		retryCap:    time.Second,
+		outbox:      make(map[string]*outRec),
+		seen:        make(map[string]struct{}),
+		batchers:    make(map[string]*peerBatch),
+		backoff:     make(map[string]*peerBackoff),
+		ackNotify:   make(chan struct{}, 1),
+		stop:        make(chan struct{}),
+		incarnation: strconv.FormatUint(rand.Uint64(), 36),
 	}
 	for _, o := range opts {
 		o(r)
@@ -262,15 +167,9 @@ func NewReliable(ep Endpoint, opts ...ReliableOption) (*Reliable, error) {
 		r.retryCap = r.retry // WithRetryInterval stays the floor
 	}
 	if r.journal != nil {
-		out, seen, err := r.journal.Load()
-		if err != nil {
+		r.journal.Attach((*journalConsumer)(r))
+		if err := r.journal.Start(); err != nil {
 			return nil, fmt.Errorf("transport: restoring journal: %w", err)
-		}
-		for _, rec := range out {
-			r.outbox[rec.MsgID] = rec
-		}
-		for _, k := range seen {
-			r.seen[k] = struct{}{}
 		}
 	}
 	ep.SetHandler(r.onRaw)
@@ -289,18 +188,21 @@ func (r *Reliable) SetHandler(h Handler) {
 	r.handler = h
 }
 
-// nextMsgID allocates a process-unique message identifier.
+// nextMsgID allocates a message identifier unique across this endpoint's
+// restarts.
 func (r *Reliable) nextMsgID() string {
-	return fmt.Sprintf("%s-%d", r.ep.ID(), r.ctr.Add(1))
+	return r.incarnation + "-" + strconv.FormatUint(r.ctr.Add(1), 10)
 }
 
 // Send queues payload for delivery to peer `to` and transmits the first
 // copy (with batching enabled, the first copy may travel inside a coalesced
 // multi-frame datagram). It returns once the message is durably queued;
 // retransmission continues in the background until the peer acknowledges.
+// If the journal append fails the message is withdrawn: it is never
+// transmitted, and Send returns the error.
 func (r *Reliable) Send(ctx context.Context, to string, payload []byte) error {
 	msgID := r.nextMsgID()
-	rec := JournalRecord{MsgID: msgID, To: to, Payload: payload}
+	rec := &outRec{to: to, payload: payload, sentAt: time.Now(), durable: r.journal == nil}
 
 	r.mu.Lock()
 	if r.closed {
@@ -308,11 +210,18 @@ func (r *Reliable) Send(ctx context.Context, to string, payload []byte) error {
 		return ErrClosed
 	}
 	r.outbox[msgID] = rec
-	r.sentAt[msgID] = time.Now()
 	r.mu.Unlock()
 
 	if r.journal != nil {
-		if err := r.journal.SaveOutgoing(msgID, to, payload); err != nil {
+		err := r.journal.Append(store.RecOutboxSave, marshalOutRecord(msgID, to, payload))
+		r.mu.Lock()
+		if err != nil {
+			delete(r.outbox, msgID)
+		} else {
+			rec.durable, rec.sentAt = true, time.Now()
+		}
+		r.mu.Unlock()
+		if err != nil {
 			return fmt.Errorf("transport: journaling outgoing: %w", err)
 		}
 	}
@@ -321,80 +230,6 @@ func (r *Reliable) Send(ctx context.Context, to string, payload []byte) error {
 	// lossy link at this layer.
 	r.transmit(ctx, to, encodeRel(relData, msgID, payload))
 	return nil
-}
-
-// SendBatch queues several payloads for one peer: one durable journal write
-// (for BatchJournals) and, with batching enabled, typically one coalesced
-// datagram. Each payload keeps its own msgID, so acknowledgement, dedup and
-// crash recovery operate per message exactly as for Send.
-func (r *Reliable) SendBatch(ctx context.Context, to string, payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	recs := make([]JournalRecord, len(payloads))
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	now := time.Now()
-	for i, p := range payloads {
-		recs[i] = JournalRecord{MsgID: r.nextMsgID(), To: to, Payload: p}
-		r.outbox[recs[i].MsgID] = recs[i]
-		r.sentAt[recs[i].MsgID] = now
-	}
-	r.mu.Unlock()
-
-	if r.journal != nil {
-		var err error
-		if bj, ok := r.journal.(BatchJournal); ok {
-			err = bj.SaveOutgoingBatch(recs)
-		} else {
-			for _, rec := range recs {
-				if err = r.journal.SaveOutgoing(rec.MsgID, rec.To, rec.Payload); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("transport: journaling outgoing batch: %w", err)
-		}
-	}
-	for _, rec := range recs {
-		r.transmit(ctx, to, encodeRel(relData, rec.MsgID, rec.Payload))
-	}
-	return nil
-}
-
-// SendAndWait sends and blocks until the peer acknowledges receipt or ctx
-// expires. The queued message keeps retransmitting after ctx expiry; only
-// the wait is abandoned.
-func (r *Reliable) SendAndWait(ctx context.Context, to string, payload []byte) error {
-	msgID := r.nextMsgID()
-	ch := make(chan struct{})
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	r.outbox[msgID] = JournalRecord{MsgID: msgID, To: to, Payload: payload}
-	r.sentAt[msgID] = time.Now()
-	r.acked[msgID] = ch
-	r.mu.Unlock()
-
-	if r.journal != nil {
-		if err := r.journal.SaveOutgoing(msgID, to, payload); err != nil {
-			return fmt.Errorf("transport: journaling outgoing: %w", err)
-		}
-	}
-	r.transmit(ctx, to, encodeRel(relData, msgID, payload))
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // transmit hands one encoded rel frame to the wire: directly without
@@ -470,7 +305,7 @@ func (r *Reliable) flushAll() {
 // as the size cap allows and transmits them.
 func (r *Reliable) sendCoalesced(to string, frames [][]byte, ackIDs []string) {
 	if len(ackIDs) > 0 {
-		frames = append(frames, encodeRel(relAckN, "", encodeAckSet(ackIDs)))
+		frames = append(frames, encodeRel(relAckN, "", encodeStrings("relacks", ackIDs)))
 	}
 	if len(frames) == 0 {
 		return
@@ -523,7 +358,7 @@ func (r *Reliable) PendingTo(to string) int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, rec := range r.outbox {
-		if rec.To == to {
+		if rec.to == to {
 			n++
 		}
 	}
@@ -594,19 +429,22 @@ func (r *Reliable) retransmitLoop() {
 			now := time.Now()
 			r.mu.Lock()
 			byPeer := make(map[string][][]byte)
-			for _, rec := range r.outbox {
-				if pb := r.backoff[rec.To]; pb != nil && now.Before(pb.next) {
+			for msgID, rec := range r.outbox {
+				if !rec.durable {
+					continue // journal append in flight: not on the wire yet
+				}
+				if pb := r.backoff[rec.to]; pb != nil && now.Before(pb.next) {
 					continue // peer not due yet
 				}
 				// A frame younger than the floor is not due either: its
 				// first copy (or its ack) may still be in flight, and
 				// resending it on the next sweep tick would double the
 				// wire cost of every large frame sent to a healthy peer.
-				if now.Sub(r.sentAt[rec.MsgID]) < r.retry {
+				if now.Sub(rec.sentAt) < r.retry {
 					continue
 				}
-				r.sentAt[rec.MsgID] = now
-				byPeer[rec.To] = append(byPeer[rec.To], encodeRel(relData, rec.MsgID, rec.Payload))
+				rec.sentAt = now
+				byPeer[rec.to] = append(byPeer[rec.to], encodeRel(relData, msgID, rec.payload))
 			}
 			for to := range byPeer {
 				pb := r.backoff[to]
@@ -668,7 +506,7 @@ func (r *Reliable) onRaw(from string, raw []byte) {
 	case relAck:
 		r.handleAcks([]string{msgID})
 	case relAckN:
-		ids, err := decodeAckSet(body)
+		ids, err := decodeStrings("relacks", body)
 		if err != nil {
 			return
 		}
@@ -686,7 +524,7 @@ func (r *Reliable) onRaw(from string, raw []byte) {
 			return
 		}
 		if r.journal != nil {
-			_ = r.journal.SaveSeen(key)
+			_ = r.journal.Append(store.RecSeen, encodeStrings("rseen", []string{key}))
 		}
 		r.mu.Lock()
 		h := r.handler
@@ -719,8 +557,7 @@ func (r *Reliable) ackAndMark(from, msgID string) (key string, isNew bool) {
 
 // handleBatch processes one coalesced datagram as a unit: acknowledgements
 // retire together, every fresh data frame's dedup key persists in a single
-// journal write (the receive-side mirror of the sender's one-fsync batch),
-// and only then do the application handlers run.
+// journal record, and only then do the application handlers run.
 func (r *Reliable) handleBatch(from string, subs [][]byte) {
 	type fresh struct {
 		key  string
@@ -737,7 +574,7 @@ func (r *Reliable) handleBatch(from string, subs [][]byte) {
 		case relAck:
 			ackIDs = append(ackIDs, msgID)
 		case relAckN:
-			if ids, err := decodeAckSet(body); err == nil {
+			if ids, err := decodeStrings("relacks", body); err == nil {
 				ackIDs = append(ackIDs, ids...)
 			}
 		case relData:
@@ -754,13 +591,7 @@ func (r *Reliable) handleBatch(from string, subs [][]byte) {
 		for i, d := range deliveries {
 			keys[i] = d.key
 		}
-		if bj, ok := r.journal.(BatchJournal); ok {
-			_ = bj.SaveSeenBatch(keys)
-		} else {
-			for _, k := range keys {
-				_ = r.journal.SaveSeen(k)
-			}
-		}
+		_ = r.journal.Append(store.RecSeen, encodeStrings("rseen", keys))
 	}
 	r.mu.Lock()
 	h := r.handler
@@ -772,7 +603,8 @@ func (r *Reliable) handleBatch(from string, subs [][]byte) {
 	}
 }
 
-// handleAcks retires acknowledged messages: outbox, waiters and journal.
+// handleAcks retires acknowledged messages: outbox, then one journal
+// tombstone for the whole set.
 func (r *Reliable) handleAcks(msgIDs []string) {
 	r.mu.Lock()
 	acked := msgIDs[:0:0]
@@ -781,14 +613,9 @@ func (r *Reliable) handleAcks(msgIDs []string) {
 		if !ok {
 			continue
 		}
-		delete(r.backoff, rec.To) // progress: drop the peer back to the floor
+		delete(r.backoff, rec.to) // progress: drop the peer back to the floor
 		delete(r.outbox, id)
-		delete(r.sentAt, id)
 		acked = append(acked, id)
-		if ch, ok := r.acked[id]; ok {
-			close(ch)
-			delete(r.acked, id)
-		}
 	}
 	r.mu.Unlock()
 	if len(acked) > 0 {
@@ -797,15 +624,8 @@ func (r *Reliable) handleAcks(msgIDs []string) {
 		default:
 		}
 	}
-	if r.journal == nil || len(acked) == 0 {
-		return
-	}
-	if bj, ok := r.journal.(BatchJournal); ok && len(acked) > 1 {
-		_ = bj.DeleteOutgoingBatch(acked)
-		return
-	}
-	for _, id := range acked {
-		_ = r.journal.DeleteOutgoing(id)
+	if r.journal != nil && len(acked) > 0 {
+		_ = r.journal.Append(store.RecOutboxAcked, encodeStrings("racked", acked))
 	}
 }
 
@@ -830,19 +650,22 @@ func decodeRel(raw []byte) (kind byte, msgID string, body []byte, err error) {
 	return byte(k), msgID, body, nil
 }
 
-func encodeAckSet(msgIDs []string) []byte {
+// encodeStrings encodes a named canon list of strings: the wire's
+// cumulative ack set ("relacks") and the journal's tombstone and dedup-key
+// records ("racked", "rseen").
+func encodeStrings(name string, ss []string) []byte {
 	e := canon.NewEncoder()
-	e.Struct("relacks")
-	e.Strings(msgIDs)
+	e.Struct(name)
+	e.Strings(ss)
 	return e.Out()
 }
 
-func decodeAckSet(raw []byte) ([]string, error) {
+func decodeStrings(name string, raw []byte) ([]string, error) {
 	d := canon.NewDecoder(raw)
-	d.Struct("relacks")
-	ids := d.Strings()
+	d.Struct(name)
+	ss := d.Strings()
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	return ids, nil
+	return ss, nil
 }

@@ -3,9 +3,12 @@ package transport
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"b2b/internal/store"
 )
 
 // collector accumulates received messages behind a lock and lets tests wait
@@ -239,6 +242,7 @@ func TestReliableOnceOnlyUnderLossAndDuplication(t *testing.T) {
 		}
 	}
 	got.waitFor(t, n, 10*time.Second)
+	waitFor(t, 10*time.Second, func() bool { return ra.Pending() == 0 }, "acks under loss")
 	time.Sleep(50 * time.Millisecond) // allow duplicates to surface, if any
 
 	msgs := got.snapshot()
@@ -256,74 +260,69 @@ func TestReliableOnceOnlyUnderLossAndDuplication(t *testing.T) {
 	}
 }
 
-func TestReliableSendAndWait(t *testing.T) {
-	nw := NewNetwork(5)
-	defer nw.Close()
-	nw.SetDefaultFaults(Faults{DropProb: 0.5})
-	ra, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(2*time.Millisecond))
+// openJournal opens the file journal at dir and closes it when the test ends
+// (Close is idempotent, so a test that crashes a party may close it early).
+func openJournal(t testing.TB, dir string) *store.Plane {
+	t.Helper()
+	j, err := OpenFileJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = ra.Close() }()
-	rb, err := NewReliable(nw.Endpoint("b"), WithRetryInterval(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = rb.Close() }()
-	rb.SetHandler(func(string, []byte) {})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ra.SendAndWait(ctx, "b", []byte("important")); err != nil {
-		t.Fatalf("SendAndWait: %v", err)
-	}
+	t.Cleanup(func() { _ = j.Close() })
+	return j
 }
 
 func TestReliableCrashRecoveryResumesRetransmission(t *testing.T) {
-	// A sender crashes after queueing (receiver partitioned); a new sender
-	// restored from the same journal must deliver after the partition heals.
+	// A sender crashes after queueing (receiver partitioned); the sender
+	// restarted under the same id from the same journal must deliver every
+	// queued message exactly once after the partition heals.
+	dir := t.TempDir()
 	nw := NewNetwork(9)
 	defer nw.Close()
-	journal := NewMemJournal()
 
 	nw.Partition([]string{"a"}, []string{"b"})
-	ra, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(2*time.Millisecond), WithJournal(journal))
+	j1 := openJournal(t, dir)
+	ra, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(2*time.Millisecond), WithJournal(j1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ra.Send(context.Background(), "b", []byte("survives-crash")); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if err := ra.Send(context.Background(), "b", []byte(fmt.Sprintf("survives-crash-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_ = ra.Close() // crash
+	_ = j1.Close()
 
 	rb, err := NewReliable(nw.Endpoint("b"), WithRetryInterval(2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = rb.Close() }()
-	var got collector
-	rb.SetHandler(got.handler)
+	rec := newRecorder()
+	rb.SetHandler(rec.handler)
 
 	nw.Heal()
-	// Recover the sender on a fresh endpoint id binding (same id).
-	ra2, err := NewReliable(nw.Endpoint("a2"), WithRetryInterval(2*time.Millisecond), WithJournal(journal))
+	ra2, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(2*time.Millisecond), WithJournal(openJournal(t, dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = ra2.Close() }()
 
-	got.waitFor(t, 1, 5*time.Second)
-	if got.snapshot()[0] != "survives-crash" {
-		t.Fatalf("got %q", got.snapshot()[0])
+	waitFor(t, 5*time.Second, func() bool { return ra2.Pending() == 0 && rec.total() == 3 }, "recovered drain")
+	for i := 0; i < 3; i++ {
+		if got := rec.count(fmt.Sprintf("survives-crash-%d", i)); got != 1 {
+			t.Fatalf("survives-crash-%d delivered %d times, want 1", i, got)
+		}
 	}
 }
 
 func TestReliableDedupSurvivesRestart(t *testing.T) {
 	// Receiver restarts from its journal: a retransmitted message it already
 	// delivered must not be delivered again.
+	dir := t.TempDir()
 	nw := NewNetwork(11)
 	defer nw.Close()
-	journal := NewMemJournal()
 
 	ra, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(time.Hour)) // manual retransmit only
 	if err != nil {
@@ -331,7 +330,8 @@ func TestReliableDedupSurvivesRestart(t *testing.T) {
 	}
 	defer func() { _ = ra.Close() }()
 
-	rb, err := NewReliable(nw.Endpoint("b"), WithRetryInterval(time.Hour), WithJournal(journal))
+	j1 := openJournal(t, dir)
+	rb, err := NewReliable(nw.Endpoint("b"), WithRetryInterval(time.Hour), WithJournal(j1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,9 +341,16 @@ func TestReliableDedupSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.waitFor(t, 1, time.Second)
+	var msgID string
+	rb.mu.Lock()
+	for key := range rb.seen {
+		msgID = strings.TrimPrefix(key, "a/")
+	}
+	rb.mu.Unlock()
 	_ = rb.Close() // restart receiver
+	_ = j1.Close()
 
-	rb2, err := NewReliable(nw.Endpoint("b2"), WithRetryInterval(time.Hour), WithJournal(journal))
+	rb2, err := NewReliable(nw.Endpoint("b"), WithRetryInterval(time.Hour), WithJournal(openJournal(t, dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +360,7 @@ func TestReliableDedupSurvivesRestart(t *testing.T) {
 
 	// Simulate the sender retransmitting the same message id to the revived
 	// receiver: dedup state restored from the journal must suppress it.
-	rb2.onRaw("a", encodeRel(relData, "a-1", []byte("m")))
+	rb2.onRaw("a", encodeRel(relData, msgID, []byte("m")))
 	time.Sleep(10 * time.Millisecond)
 	if got2.count() != 0 {
 		t.Fatal("duplicate delivered after receiver restart")
@@ -504,138 +511,6 @@ func TestReliableOverTCP(t *testing.T) {
 			t.Fatalf("duplicate %q", m)
 		}
 		seen[m] = true
-	}
-}
-
-func TestFileJournalPersistence(t *testing.T) {
-	path := t.TempDir() + "/j.journal"
-	j, err := OpenFileJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SaveOutgoing("m1", "bob", []byte("payload-1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SaveOutgoing("m2", "carol", []byte("payload-2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.DeleteOutgoing("m1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SaveSeen("bob/x-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenFileJournal(path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer func() { _ = j2.Close() }()
-	out, seen, err := j2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].MsgID != "m2" || out[0].To != "carol" {
-		t.Fatalf("out = %+v", out)
-	}
-	if string(out[0].Payload) != "payload-2" {
-		t.Fatalf("payload = %q", out[0].Payload)
-	}
-	if len(seen) != 1 || seen[0] != "bob/x-1" {
-		t.Fatalf("seen = %v", seen)
-	}
-}
-
-func TestFileJournalCompact(t *testing.T) {
-	path := t.TempDir() + "/j.journal"
-	j, err := OpenFileJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("m%d", i)
-		if err := j.SaveOutgoing(id, "peer", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			if err := j.DeleteOutgoing(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Journal still writable after compaction.
-	if err := j.SaveSeen("k"); err != nil {
-		t.Fatal(err)
-	}
-	_ = j.Close()
-
-	j2, err := OpenFileJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j2.Close() }()
-	out, seen, err := j2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 10 {
-		t.Fatalf("live records after compact = %d, want 10", len(out))
-	}
-	if len(seen) != 1 {
-		t.Fatalf("seen after compact = %d", len(seen))
-	}
-}
-
-func TestReliableWithFileJournalCrashRecovery(t *testing.T) {
-	// Like the MemJournal recovery test, but across a real file.
-	path := t.TempDir() + "/rel.journal"
-	nw := NewNetwork(17)
-	defer nw.Close()
-	nw.Partition([]string{"a"}, []string{"b"})
-
-	j1, err := OpenFileJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(2*time.Millisecond), WithJournal(j1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ra.Send(context.Background(), "b", []byte("durable")); err != nil {
-		t.Fatal(err)
-	}
-	_ = ra.Close()
-	_ = j1.Close()
-
-	rb, err := NewReliable(nw.Endpoint("b"), WithRetryInterval(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = rb.Close() }()
-	var got collector
-	rb.SetHandler(got.handler)
-
-	nw.Heal()
-	j2, err := OpenFileJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j2.Close() }()
-	ra2, err := NewReliable(nw.Endpoint("a2"), WithRetryInterval(2*time.Millisecond), WithJournal(j2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ra2.Close() }()
-
-	got.waitFor(t, 1, 5*time.Second)
-	if got.snapshot()[0] != "durable" {
-		t.Fatalf("got %q", got.snapshot()[0])
 	}
 }
 
