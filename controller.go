@@ -394,14 +394,31 @@ func (c *Controller) ReplicaErr() error {
 // Resync re-installs the currently agreed state into the application object,
 // clearing a replica divergence once the object can install again (e.g.
 // after a transient storage failure). Unlike Restore it leaves the engine's
-// in-memory and persistent state untouched. Resync is purely local: when the
-// engine's own agreed copy is stale — this party missed commits while
-// partitioned or down — use CatchUp, which fetches the missing state from a
-// live peer first.
+// in-memory and persistent state untouched. It may wait briefly, until the
+// engine publishes the state it last installed, so it must not be called
+// from the Callback: that publication follows the callback's return.
+// Resync is purely local: when the engine's own agreed copy is stale — this
+// party missed commits while partitioned or down — use CatchUp, which
+// fetches the missing state from a live peer first.
 func (c *Controller) Resync() error {
-	return c.adapter.applyLatest(func() []byte {
-		_, state := c.engine.Agreed()
-		return state
+	return c.adapter.applyLatest(func(installed uint64) []byte {
+		// The engine publishes an installed state's tuple only after the
+		// install upcall returns: wait for that (bounded by the operation
+		// timeout), so Resync never re-installs an older agreed state over
+		// the one the object was just handed.
+		ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout)
+		defer cancel()
+		for {
+			ch := c.engine.Watch()
+			if c.engine.AgreedTuple().Seq >= installed || ctx.Err() != nil {
+				_, state := c.engine.Agreed()
+				return state
+			}
+			select {
+			case <-ch:
+			case <-ctx.Done():
+			}
+		}
 	})
 }
 

@@ -8,5 +8,5 @@ import (
 )
 
 func TestBarrierdiscipline(t *testing.T) {
-	analysistest.Run(t, "testdata", barrierdiscipline.Analyzer, "coord")
+	analysistest.Run(t, "testdata", barrierdiscipline.Analyzer, "coord", "install/coord", "publish/coord")
 }

@@ -15,17 +15,24 @@ import (
 func TestEveryAnalyzerFiresOnBrokenFixture(t *testing.T) {
 	cases := []struct {
 		name     string
+		rule     string // a rule with its own broken fixture ("": the analyzer's first)
 		testdata string
 		patterns []string
 	}{
-		{"barrierdiscipline", "../barrierdiscipline/testdata/src", []string{"coord"}},
-		{"canondeterminism", "../canondeterminism/testdata/src", []string{"canon"}},
-		{"closecheck", "../closecheck/testdata/src", []string{"store"}},
-		{"cowaliasing", "../cowaliasing/testdata/src", []string{"pagestate", "replica"}},
-		{"verifybeforetrust", "../verifybeforetrust/testdata/src", []string{"handlers"}},
+		{"barrierdiscipline", "", "../barrierdiscipline/testdata/src", []string{"coord"}},
+		{"barrierdiscipline", "install", "../barrierdiscipline/testdata/src", []string{"install/coord"}},
+		{"barrierdiscipline", "publish", "../barrierdiscipline/testdata/src", []string{"publish/coord"}},
+		{"canondeterminism", "", "../canondeterminism/testdata/src", []string{"canon"}},
+		{"closecheck", "", "../closecheck/testdata/src", []string{"store"}},
+		{"cowaliasing", "", "../cowaliasing/testdata/src", []string{"pagestate", "replica"}},
+		{"verifybeforetrust", "", "../verifybeforetrust/testdata/src", []string{"handlers"}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+		label := tc.name
+		if tc.rule != "" {
+			label += "-" + tc.rule
+		}
+		t.Run(label, func(t *testing.T) {
 			a := suite.ByName(tc.name)
 			if a == nil {
 				t.Fatalf("analyzer %s missing from suite", tc.name)

@@ -45,8 +45,10 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"b2b/internal/clock"
@@ -105,7 +107,7 @@ func (c *contest) has(d [32]byte) bool {
 func (c *contest) insert(e contestEntry) bool {
 	i := 0
 	for i < len(c.entries) {
-		cmp := compare32(c.entries[i].digest, e.digest)
+		cmp := bytes.Compare(c.entries[i].digest[:], e.digest[:])
 		if cmp == 0 {
 			return false
 		}
@@ -141,18 +143,6 @@ func (c *contest) entryFor(t tuple.State) *contestEntry {
 		}
 	}
 	return nil
-}
-
-func compare32(a, b [32]byte) int {
-	for i := 0; i < 32; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }
 
 // installRecord remembers a recent commit install: the predecessor it
@@ -289,62 +279,20 @@ func (en *Engine) verifyGossipCommit(raw []byte) (wire.Propose, []byte, error) {
 	en.mu.Lock()
 	members := append([]string(nil), en.members...)
 	group := en.group
-	termination := en.cfg.Termination
 	en.mu.Unlock()
 
 	if prop.Group != group {
 		return wire.Propose{}, nil, errGossip("inconsistent group identifier")
 	}
-	if !contains(members, prop.Proposer) {
+	if !slices.Contains(members, prop.Proposer) {
 		return wire.Propose{}, nil, errGossip("proposer is not a group member")
 	}
-
-	seen := make(map[string]bool, len(commit.Responds))
-	accepts := 1 // proposer
-	consistent := true
-	wantHash := prop.Proposed.HashState
-	if prop.Mode == wire.ModeUpdate {
-		wantHash = prop.UpdateHash
+	seen, valid, _, err := en.tallyResponds(commit, prop, members)
+	if err != nil {
+		return wire.Propose{}, nil, errGossip("%v", err)
 	}
-	for _, s := range commit.Responds {
-		if err := en.verifySigned(s); err != nil {
-			return wire.Propose{}, nil, errGossip("embedded response fails verification: %v", err)
-		}
-		resp, err := wire.UnmarshalRespond(s.Body)
-		if err != nil {
-			return wire.Propose{}, nil, errGossip("embedded response malformed")
-		}
-		if resp.Responder != s.Signer() {
-			return wire.Propose{}, nil, errGossip("embedded response signer mismatch")
-		}
-		if resp.RunID != commit.RunID || resp.Proposed != prop.Proposed {
-			return wire.Propose{}, nil, errGossip("embedded response belongs to another run")
-		}
-		if seen[resp.Responder] {
-			return wire.Propose{}, nil, errGossip("duplicate responder")
-		}
-		if !contains(members, resp.Responder) || resp.Responder == prop.Proposer {
-			return wire.Propose{}, nil, errGossip("response from non-recipient")
-		}
-		seen[resp.Responder] = true
-		if resp.Decision.Accept {
-			accepts++
-		}
-		if resp.ReceivedStateHash != wantHash {
-			consistent = false
-		}
-	}
-	for _, m := range members {
-		if m != prop.Proposer && !seen[m] {
-			return wire.Propose{}, nil, errGossip("missing response from %s", m)
-		}
-	}
-	var valid bool
-	switch termination {
-	case Majority:
-		valid = consistent && accepts*2 > len(members)
-	default:
-		valid = consistent && accepts == len(members)
+	if m := missingResponder(members, prop.Proposer, seen); m != "" {
+		return wire.Propose{}, nil, errGossip("missing response from %s", m)
 	}
 	if !valid {
 		return wire.Propose{}, nil, errGossip("not vote-valid")
@@ -465,7 +413,7 @@ func (en *Engine) handleGossipDigest(from string, payload []byte) {
 		return
 	}
 	en.mu.Lock()
-	if !en.bootstrapped || !contains(en.members, from) {
+	if !en.bootstrapped || !slices.Contains(en.members, from) {
 		en.mu.Unlock()
 		return
 	}
@@ -520,7 +468,7 @@ func (en *Engine) handleGossipDelta(from string, payload []byte) {
 		return
 	}
 	en.mu.Lock()
-	member := en.bootstrapped && contains(en.members, from)
+	member := en.bootstrapped && slices.Contains(en.members, from)
 	en.mu.Unlock()
 	if !member {
 		return
@@ -635,50 +583,44 @@ func (en *Engine) resolveContest(pred tuple.State) {
 		}
 	}
 
-	prevTup, prevState := en.agreed, en.agreedState
-	basePred := prevState
+	prev := agreedView{en.agreed, en.agreedState}
+	basePred := prev.state
 	if onLoser {
 		if rec := en.recentForLocked(pred); rec != nil {
 			basePred = rec.base
 		}
 	}
-	en.agreed = winTup
-	en.agreedState = st
-	en.seen.ObserveRecovered(winTup)
-	en.recordInstallLocked(pred, winTup, win.raw, basePred)
-	if rr != nil {
-		delete(en.responded, rr.runID)
-		delete(en.propWaited, rr.runID)
-	}
-	en.completeLocked(win.prop.RunID, Outcome{RunID: win.prop.RunID, Valid: true,
-		Diagnostic: "contested predecessor: won deterministic tie-break"})
-	var rolled []recipientRollback
-	var wakeProps []pendingMsg
-	if onLoser {
-		rolled, wakeProps = en.cascadeLocked(prevTup, "contested commit lost deterministic tie-break")
-	}
-	wakeProps = append(wakeProps, takeWaitingLocked(en.waitProps, winTup)...)
-	wakeCommits := takeWaitingLocked(en.waitCommits, winTup)
-	en.syncCurrentLocked()
 	// A full snapshot re-anchors the checkpoint chain: the branch switch
 	// invalidates any delta chained through the losing tuple.
-	cpErr := en.checkpointLocked()
+	fx := en.stageLocked(&agreedView{winTup, st}, wire.ModeOverwrite, nil, tuple.State{})
+	if fx.err == nil {
+		const won = "contested predecessor: won deterministic tie-break"
+		en.seen.ObserveRecovered(winTup)
+		en.recordInstallLocked(pred, winTup, win.raw, basePred)
+		if rr != nil {
+			delete(en.responded, rr.runID)
+			delete(en.propWaited, rr.runID)
+			fx.run, fx.seq, fx.verdict = rr.runID, winTup.Seq, "valid=true "+won
+		}
+		en.completeLocked(win.prop.RunID, Outcome{RunID: win.prop.RunID, Valid: true, Diagnostic: won})
+		if onLoser {
+			fx.rolled, fx.wakeProps = en.cascadeLocked(prev.t, "contested commit lost deterministic tie-break")
+			fx.rollback = prev
+		}
+		fx.wakeProps = append(fx.wakeProps, takeWaitingLocked(en.waitProps, winTup)...)
+		fx.wakeCommits = takeWaitingLocked(en.waitCommits, winTup)
+		en.syncCurrentLocked()
+		fx.install = fx.publish
+	}
 	en.mu.Unlock()
 
-	_ = en.logEvidenceSeq(win.prop.RunID, winTup.Seq, "tie-break-install", nrlog.DirLocal,
-		[]byte(fmt.Sprintf("winner %v over contested predecessor %v (was %v)", winTup, pred, prevTup)))
-	if rr != nil {
-		_ = en.cfg.Store.DeleteRun(rr.runID)
+	if fx.err == nil {
+		fx.err = en.logEvidenceStaged(win.prop.RunID, winTup.Seq, "tie-break-install", nrlog.DirLocal,
+			[]byte(fmt.Sprintf("winner %v over contested predecessor %v (was %v)", winTup, pred, prev.t)))
 	}
-	if cpErr == nil {
-		if onLoser {
-			en.notifyRolledBack(prevState, prevTup)
-		}
-		en.notifyInstalled(st, winTup)
-	}
-	en.finishRollbacks(rolled)
-	en.dispatchProps(wakeProps)
-	en.dispatchCommits(wakeCommits)
+	// As for a recipient commit: a failure externalized nothing and has no
+	// caller to tell.
+	_ = en.apply(context.Background(), fx)
 }
 
 // --- proposer lease -------------------------------------------------------
@@ -786,39 +728,6 @@ func (en *Engine) rivalProposeLocked(pred tuple.State, proposer string) {
 			en.markContentionLocked()
 			return
 		}
-	}
-}
-
-// voteTallyLocked re-derives whether this proposer run's complete response
-// set is vote-valid under the configured termination policy (the same
-// tally finalizeRun's default arm applies) — used by the contested arm to
-// decide whether the run's commit is genuine competing evidence.
-func (en *Engine) voteTallyLocked(run *proposerRun) bool {
-	if len(run.responses) < len(run.recips) {
-		return false
-	}
-	accepts := 1 // proposer
-	consistent := true
-	wantHash := run.propose.Proposed.HashState
-	if run.propose.Mode == wire.ModeUpdate {
-		wantHash = run.propose.UpdateHash
-	}
-	for _, resp := range run.parsed {
-		if resp.Decision.Accept {
-			accepts++
-		}
-		if resp.ReceivedStateHash != wantHash {
-			consistent = false
-		}
-		if resp.Group != run.propose.Group {
-			consistent = false
-		}
-	}
-	switch en.cfg.Termination {
-	case Majority:
-		return consistent && accepts*2 > len(en.members)
-	default:
-		return consistent && accepts == len(en.members)
 	}
 }
 

@@ -24,10 +24,12 @@
 package coord
 
 import (
+	"cmp"
 	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,6 +82,9 @@ type Validator interface {
 	// ApplyUpdate computes the state resulting from applying update.
 	ApplyUpdate(current, update []byte) ([]byte, error)
 	// Installed notifies that a newly validated state has been installed.
+	// It runs on the engine's commit executor before t is published, so
+	// it must not wait for the engine to settle (WaitQuiescent, a
+	// synchronous Propose).
 	Installed(state []byte, t tuple.State)
 	// RolledBack notifies the proposer that its proposal was invalidated and
 	// the replica reverted to the agreed state.
@@ -146,6 +151,10 @@ const defaultSnapshotEvery = 32
 
 // completedCap bounds the completed-outcome cache (see Engine.completed).
 const completedCap = 4096
+
+// earlyCap bounds the commits held for proposals not yet answered (see
+// Engine.early), so a forger cannot grow the set.
+const earlyCap = 16
 
 // Outcome is the result of a coordination run as established by the
 // authenticated decision of the group.
@@ -227,6 +236,37 @@ type respondedRun struct {
 	durable bool
 }
 
+// agreedView is an agreed tuple with the paged state it names.
+type agreedView struct {
+	t     tuple.State
+	state *pagestate.Paged
+}
+
+// effects is one staged commit application (stageLocked): what the
+// executor (apply) does outside en.mu. The contract, after §4.2's reading
+// that a party's agreed tuple names the state its object holds, is stage →
+// barrier → install → publish.
+type effects struct {
+	ticket  uint64
+	err     error      // staging failed: externalize nothing
+	publish agreedView // the staged agreed tuple
+
+	to     []string // commit recipients
+	commit []byte
+
+	rollback, install agreedView // upcalls to make (nil state: none)
+
+	run     string // finished run: record deleted, verdict logged
+	seq     uint64
+	verdict string
+
+	rolled      []recipientRollback
+	contest     *tuple.State // lost predecessor race to converge (proposer)
+	contested   []byte       // refused vote-valid commit for the contest plane
+	wakeProps   []pendingMsg
+	wakeCommits []pendingMsg
+}
+
 // pendingMsg is an inbound protocol message buffered until the state it
 // chains to is known (reliable delivery is unordered).
 type pendingMsg struct {
@@ -256,8 +296,13 @@ type Engine struct {
 	bootstrapped bool
 	members      []string // join-ordered, including self
 	group        tuple.Group
+	// agreed is the staged chain tip that validation, pipelining and
+	// checkpoints build on; published is what observers read. Only the
+	// commit executor (apply) moves published to a staged tuple, after its
+	// barrier and install.
 	agreed       tuple.State
 	agreedState  *pagestate.Paged // immutable once stored; clones share pages
+	published    agreedView
 	current      tuple.State
 	currentState *pagestate.Paged
 	seen         *tuple.Seen
@@ -286,15 +331,21 @@ type Engine struct {
 	// their merits).
 	waitProps    map[tuple.State][]pendingMsg
 	waitCommits  map[tuple.State][]pendingMsg
-	propBuffered map[string]bool // runID currently buffered in waitProps
-	propWaited   map[string]bool // runID already waited once: evaluate regardless
+	propBuffered map[string]bool       // runID currently buffered in waitProps
+	propWaited   map[string]bool       // runID already waited once: evaluate regardless
+	early        map[string]pendingMsg // by runID: commits that overtook their proposal
 
 	// changed is closed and replaced on every externally observable
-	// coordination transition (agreed tuple change, responded-run
-	// resolution): the event-driven wait primitive behind Watch,
-	// WaitQuiescent and the lab's WaitAgreed — randomized harness runs
-	// must not rely on padded sleeps or polling loops.
+	// coordination transition (publication, responded-run resolution): the
+	// event-driven wait primitive behind Watch, WaitQuiescent and the lab's
+	// WaitAgreed — randomized harness runs must not rely on padded sleeps
+	// or polling loops.
 	changed chan struct{}
+
+	// The executor's turn: staged is the next ticket stageLocked hands out,
+	// applied the ticket apply runs next; turn (on mu) wakes the waiters.
+	staged, applied uint64
+	turn            *sync.Cond
 
 	// Contest plane (contest.go): convergent evidence sets for contested
 	// predecessor tuples, the recent-install records that let a late
@@ -329,9 +380,11 @@ func New(cfg Config) (*Engine, error) {
 		waitCommits:  make(map[tuple.State][]pendingMsg),
 		propBuffered: make(map[string]bool),
 		propWaited:   make(map[string]bool),
+		early:        make(map[string]pendingMsg),
 		contests:     make(map[tuple.State]*contest),
 		changed:      make(chan struct{}),
 	}
+	en.turn = sync.NewCond(&en.mu)
 	en.blog, _ = cfg.Log.(nrlog.Batched)
 	en.bstore, _ = cfg.Store.(store.Batched)
 	en.pv, _ = cfg.Validator.(PagedValidator)
@@ -375,13 +428,14 @@ func (en *Engine) Bootstrap(initialState []byte, members []string) error {
 	if en.bootstrapped {
 		return ErrAlreadySetup
 	}
-	if !contains(members, en.cfg.Ident.ID()) {
+	if !slices.Contains(members, en.cfg.Ident.ID()) {
 		return fmt.Errorf("coord: self %q not in member list", en.cfg.Ident.ID())
 	}
 	en.members = append([]string(nil), members...)
 	en.group = tuple.InitialGroup(members)
 	en.agreedState = en.pageState(initialState)
 	en.agreed = tuple.InitialRoot(en.agreedState.Root())
+	en.published = agreedView{en.agreed, en.agreedState}
 	en.current = en.agreed
 	en.currentState = en.agreedState
 	en.bootstrapped = true
@@ -433,6 +487,7 @@ func (en *Engine) Restore() error {
 	en.group = last.Group
 	en.agreed = last.Tuple
 	en.agreedState = state
+	en.published = agreedView{en.agreed, en.agreedState}
 	en.current = en.agreed
 	en.currentState = en.agreedState
 	en.deltaRuns = len(chain) - 1
@@ -461,6 +516,7 @@ func (en *Engine) AdoptMembership(g tuple.Group, members []string, agreed tuple.
 	en.group = g
 	en.agreed = agreed
 	en.agreedState = paged
+	en.published = agreedView{agreed, paged}
 	en.current = agreed
 	en.currentState = en.agreedState
 	en.seen.ObserveRecovered(agreed)
@@ -508,13 +564,14 @@ func (en *Engine) Agreed() (tuple.State, []byte) {
 	return t, p.Bytes()
 }
 
-// AgreedPaged returns the agreed tuple and the paged agreed state itself.
-// The returned Paged is shared and immutable: readers may hash, page-walk or
+// AgreedPaged returns the agreed tuple and the paged agreed state itself:
+// the published pair, durable and installed in the application. The
+// returned Paged is shared and immutable: readers may hash, page-walk or
 // Bytes() it freely, but must mutate only a Clone.
 func (en *Engine) AgreedPaged() (tuple.State, *pagestate.Paged) {
 	en.mu.Lock()
 	defer en.mu.Unlock()
-	return en.agreed, en.agreedState
+	return en.published.t, en.published.state
 }
 
 // AgreedTuple returns just the agreed tuple — the accessor for callers that
@@ -522,11 +579,11 @@ func (en *Engine) AgreedPaged() (tuple.State, *pagestate.Paged) {
 func (en *Engine) AgreedTuple() tuple.State {
 	en.mu.Lock()
 	defer en.mu.Unlock()
-	return en.agreed
+	return en.published.t
 }
 
 // Watch returns a channel that is closed at the engine's next observable
-// coordination transition (agreed tuple change or resolution of an
+// coordination transition (agreed tuple publication or resolution of an
 // answered-but-uncommitted run). Callers wanting to wait for a condition
 // grab the channel FIRST, then read the state they care about, then select
 // on the channel: a transition between the read and the select has already
@@ -612,15 +669,6 @@ func (en *Engine) ID() string { return en.cfg.Ident.ID() }
 // Object returns the coordinated object's name.
 func (en *Engine) Object() string { return en.cfg.Object }
 
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 func (en *Engine) recipientsLocked() []string {
 	out := make([]string, 0, len(en.members)-1)
 	for _, m := range en.members {
@@ -659,14 +707,14 @@ func (en *Engine) snapshotEvery() int {
 	return defaultSnapshotEvery
 }
 
-// commitCheckpointLocked persists the checkpoint of a just-committed run,
-// staged for the caller's durability barrier. On a batched store (the
-// durability plane) update-mode runs persist a delta — the update bytes
-// plus the predecessor tuple — so the write cost tracks the change, not
-// the object; every SnapshotEvery deltas (and for every overwrite) a full
-// snapshot bounds the recovery chain. Non-batched stores keep the original
-// full-snapshot-per-commit behaviour. en.mu must be held: holding it
-// across the staging keeps the on-disk chain in agreed order.
+// commitCheckpointLocked stages stageLocked's checkpoint of a newly agreed
+// tuple for the executor's barrier. On a batched store (the durability
+// plane) update-mode runs persist a delta — the update bytes plus the
+// predecessor tuple — so the write cost tracks the change, not the object;
+// every SnapshotEvery deltas (and for every overwrite, tie-break or
+// catch-up) a full snapshot bounds the recovery chain. Non-batched stores
+// keep the original full-snapshot-per-commit behaviour. en.mu must be held:
+// holding it across the staging keeps the on-disk chain in agreed order.
 func (en *Engine) commitCheckpointLocked(mode wire.Mode, update []byte, pred tuple.State) error {
 	if mode == wire.ModeUpdate && en.bstore != nil && en.deltaRuns < en.snapshotEvery() {
 		en.deltaRuns++
@@ -703,6 +751,92 @@ func (en *Engine) barrier() error {
 		}
 	}
 	return nil
+}
+
+// stageLocked is the one place a protocol run moves the agreed tuple:
+// proposer finalisation, recipient commit, tie-break install and catch-up
+// all call it under en.mu (Bootstrap, Restore, AdoptMembership and Reset
+// initialise agreed directly). With next non-nil it advances agreed to next
+// and stages next's checkpoint; a staging failure reverts the advance, so a
+// checkpoint that never reached the store never moves agreed. Every call
+// takes the executor's next ticket and records the tuple to publish; the
+// caller fills in the remaining effects and hands the record to apply.
+func (en *Engine) stageLocked(next *agreedView, mode wire.Mode, update []byte, pred tuple.State) *effects {
+	fx := &effects{ticket: en.staged}
+	en.staged++
+	if next != nil {
+		prev := agreedView{en.agreed, en.agreedState}
+		en.agreed = next.t
+		en.agreedState = next.state
+		if fx.err = en.commitCheckpointLocked(mode, update, pred); fx.err != nil {
+			en.agreed = prev.t
+			en.agreedState = prev.state
+		}
+	}
+	fx.publish = agreedView{en.agreed, en.agreedState}
+	return fx
+}
+
+// apply is the commit executor. Outside en.mu it performs a staged record's
+// effects in contract order — barrier, commit sends, rollback/install
+// upcalls, publication — then the trailing run-record delete and verdict,
+// the cascade cleanup, contest follow-up and re-dispatch of buffered
+// successors. Records apply in ticket (staging) order, so run k+1 is never
+// installed or published before run k; the turn passes at publication,
+// before anything that can re-enter the engine. A failed staging or barrier
+// externalizes nothing: no send, no upcall, no publication.
+func (en *Engine) apply(ctx context.Context, fx *effects) error {
+	en.mu.Lock()
+	for en.applied != fx.ticket {
+		en.turn.Wait()
+	}
+	en.mu.Unlock()
+
+	err := fx.err
+	if err == nil {
+		err = en.barrier()
+	}
+	durable := err == nil
+	if durable {
+		for _, r := range fx.to {
+			if err = en.send(ctx, r, wire.KindCommit, fx.commit); err != nil {
+				err = fmt.Errorf("coord: sending commit to %s: %w", r, err)
+				break
+			}
+		}
+		if fx.rollback.state != nil {
+			en.notifyRolledBack(fx.rollback.state, fx.rollback.t)
+		}
+		if fx.install.state != nil {
+			en.notifyInstalled(fx.install.state, fx.install.t)
+		}
+	}
+	en.mu.Lock()
+	if durable {
+		en.published = fx.publish
+		en.notifyChangedLocked()
+	}
+	en.applied++
+	en.turn.Broadcast()
+	en.mu.Unlock()
+
+	// The trailing records ride the next batch (or Close): a crash before
+	// they sync re-enters a completed run on recovery, which resolves as a
+	// stale sequence and is dropped.
+	if durable && fx.run != "" {
+		err = cmp.Or(err, en.deleteRun(fx.run),
+			en.logEvidenceStaged(fx.run, fx.seq, "verdict", nrlog.DirLocal, []byte(fx.verdict)))
+	}
+	en.finishRollbacks(fx.rolled)
+	if fx.contest != nil {
+		en.afterContest(*fx.contest)
+	}
+	if fx.contested != nil {
+		en.noteContestedCommit(fx.contested)
+	}
+	en.dispatchProps(fx.wakeProps)
+	en.dispatchCommits(fx.wakeCommits)
+	return err
 }
 
 // saveRun persists a run record, staged when the store supports deferral.
@@ -765,6 +899,31 @@ func (en *Engine) tailLocked() *proposerRun {
 	return en.pipeline[len(en.pipeline)-1]
 }
 
+// enterRunLocked registers a proposer run at the pipeline tail, chained to
+// pred (nil: it builds on the agreed state), its §7 deadline starting now.
+func (en *Engine) enterRunLocked(prop wire.Propose, signed wire.Signed, raw, auth []byte,
+	state *pagestate.Paged, recips []string, pred *proposerRun) *proposerRun {
+	run := &proposerRun{
+		runID:     prop.RunID,
+		propose:   prop,
+		signed:    signed,
+		raw:       raw,
+		auth:      auth,
+		newState:  state,
+		responses: make(map[string]wire.Signed, len(recips)),
+		parsed:    make(map[string]wire.Respond, len(recips)),
+		recips:    recips,
+		started:   time.Now(),
+		done:      make(chan struct{}),
+		pred:      pred,
+		predTuple: prop.Predecessor(),
+		finalized: make(chan struct{}),
+	}
+	en.runs[run.runID] = run
+	en.pipeline = append(en.pipeline, run)
+	return run
+}
+
 // removePipelineLocked drops a run from the pipeline (finalization).
 func (en *Engine) removePipelineLocked(run *proposerRun) {
 	for i, r := range en.pipeline {
@@ -815,9 +974,9 @@ func (en *Engine) completeLocked(runID string, out Outcome) {
 		delete(en.completed, en.completedQ[0])
 		en.completedQ = en.completedQ[1:]
 	}
-	// Every run resolution is an observable transition: agreed advances
-	// (finalize/commit-install) and responded-run removals (cascade, abort
-	// cert) all pass through here inside the same critical section.
+	// Every run resolution is an observable transition (responded-run
+	// removals release WaitQuiescent); the agreed tuple's own transition is
+	// the executor's publication.
 	en.notifyChangedLocked()
 }
 
@@ -903,13 +1062,14 @@ var (
 
 // InstallCatchUp installs a verified newer agreed state fetched over the
 // state-transfer plane (anti-entropy after a partition): the engine's agreed
-// and current state advance to t, a full snapshot checkpoint is persisted,
-// and the application is notified through Validator.Installed — clearing any
-// recorded replica divergence exactly as a coordinated install does. The
-// caller (internal/xfer) has already verified state against t's hash and
-// walked the delta chain; this method re-checks the hash binding and
-// refuses to move backwards or to interleave with an in-flight proposal
-// pipeline.
+// and current state advance to t with a full snapshot checkpoint, and once
+// that checkpoint is durable the application is notified through
+// Validator.Installed — clearing any recorded replica divergence exactly as
+// a coordinated install does — and t is published. A checkpoint that fails
+// publishes nothing and installs nothing. The caller (internal/xfer) has
+// already verified state against t's hash and walked the delta chain; this
+// method re-checks the hash binding and refuses to move backwards or to
+// interleave with an in-flight proposal pipeline.
 func (en *Engine) InstallCatchUp(t tuple.State, state []byte) error {
 	en.mu.Lock()
 	if !en.bootstrapped {
@@ -929,19 +1089,12 @@ func (en *Engine) InstallCatchUp(t tuple.State, state []byte) error {
 		en.mu.Unlock()
 		return ErrRunInFlight
 	}
-	en.agreed = t
-	en.agreedState = paged
 	en.seen.ObserveRecovered(t)
+	fx := en.stageLocked(&agreedView{t, paged}, wire.ModeOverwrite, nil, tuple.State{})
 	en.syncCurrentLocked()
-	en.notifyChangedLocked()
-	err := en.checkpointLocked()
-	installed := en.agreedState
+	fx.install = fx.publish
 	en.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	en.notifyInstalled(installed, t)
-	return nil
+	return en.apply(context.Background(), fx)
 }
 
 // Reset returns a departed member's engine to the unbootstrapped state so
@@ -956,6 +1109,7 @@ func (en *Engine) Reset() {
 	en.group = tuple.Group{}
 	en.agreed = tuple.State{}
 	en.agreedState = nil
+	en.published = agreedView{}
 	en.current = tuple.State{}
 	en.currentState = nil
 	en.frozen = false
@@ -966,6 +1120,7 @@ func (en *Engine) Reset() {
 	en.waitCommits = make(map[tuple.State][]pendingMsg)
 	en.propBuffered = make(map[string]bool)
 	en.propWaited = make(map[string]bool)
+	en.early = make(map[string]pendingMsg)
 	en.contests = make(map[tuple.State]*contest)
 	en.contestQ = nil
 	en.recent = nil

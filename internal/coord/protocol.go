@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -208,24 +209,7 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 		return nil, err
 	}
 
-	run := &proposerRun{
-		runID:     runID,
-		propose:   prop,
-		signed:    signed,
-		raw:       raw,
-		auth:      auth,
-		newState:  newPaged,
-		responses: make(map[string]wire.Signed, len(recips)),
-		parsed:    make(map[string]wire.Respond, len(recips)),
-		recips:    recips,
-		started:   time.Now(),
-		done:      make(chan struct{}),
-		pred:      pred,
-		predTuple: predTuple,
-		finalized: make(chan struct{}),
-	}
-	en.runs[runID] = run
-	en.pipeline = append(en.pipeline, run)
+	run := en.enterRunLocked(prop, signed, raw, auth, newPaged, recips, pred)
 	en.stats.RunsProposed++
 	en.mu.Unlock()
 
@@ -414,41 +398,10 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 		// winner, so the race no longer splits the group.
 		out.Valid = false
 		out.Diagnostic = "predecessor state no longer agreed"
-		for responder, resp := range run.parsed {
-			out.Decisions[responder] = resp.Decision
-		}
-		selfContested = en.voteTallyLocked(run)
+		valid, _ := en.tallyLocked(run, out.Decisions)
+		selfContested = valid && len(run.responses) == len(run.recips)
 	default:
-		accepts := 1 // proposer is committed to acceptance by definition
-		consistent := true
-		var diag string
-		wantHash := run.propose.Proposed.HashState
-		if run.propose.Mode == wire.ModeUpdate {
-			wantHash = run.propose.UpdateHash
-		}
-		for responder, resp := range run.parsed {
-			out.Decisions[responder] = resp.Decision
-			if resp.Decision.Accept {
-				accepts++
-			} else if diag == "" {
-				diag = fmt.Sprintf("vetoed by %s: %s", responder, resp.Decision.Diagnostic)
-			}
-			if resp.ReceivedStateHash != wantHash {
-				consistent = false
-				diag = fmt.Sprintf("%s asserts state integrity failure", responder)
-			}
-			if resp.Group != run.propose.Group {
-				consistent = false
-				diag = fmt.Sprintf("%s holds inconsistent group identifier", responder)
-			}
-		}
-		switch en.cfg.Termination {
-		case Majority:
-			out.Valid = consistent && accepts*2 > len(en.members)
-		default:
-			out.Valid = consistent && accepts == len(en.members)
-		}
-		out.Diagnostic = diag
+		out.Valid, out.Diagnostic = en.tallyLocked(run, out.Decisions)
 	}
 
 	commit := wire.Commit{
@@ -464,129 +417,75 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 		}
 	}
 	payload := commit.Marshal()
-	recips := run.recips
-	if !sendCommit {
-		recips = nil
-	}
 
-	var cpErr error
+	// Stage under en.mu: checkpoints must reach the store in agreed order or
+	// a delta would not chain. If even staging fails the run must NOT count
+	// as valid: nothing has been externalized, and advancing agreed without
+	// a persisted checkpoint would let successors commit on top of a state
+	// no recipient ever received the commit for.
+	var next *agreedView
 	if out.Valid {
-		// Stage the checkpoint while still holding en.mu: checkpoints must
-		// reach the store in agreed order or a delta would not chain. It
-		// becomes durable at the barrier below, before the commit leaves.
-		// If even staging fails, the run must NOT count as valid: nothing
-		// has been externalized yet, and advancing agreed without a
-		// persisted checkpoint would let successors commit on top of a
-		// state no recipient ever received the commit for.
-		prevAgreed, prevAgreedState := en.agreed, en.agreedState
-		en.agreed = run.propose.Proposed
-		en.agreedState = run.newState
-		cpErr = en.commitCheckpointLocked(run.propose.Mode, run.propose.Update, run.predTuple)
-		if cpErr != nil {
-			en.agreed, en.agreedState = prevAgreed, prevAgreedState
-			out.Valid = false
-			out.Diagnostic = "checkpoint persistence failed: " + cpErr.Error()
-			sendCommit = false
-			recips = nil
-		} else {
-			en.stats.RunsValid++
-			// Remember the install: a late vote-valid rival for the same
-			// predecessor reopens this window through the contest plane.
-			en.recordInstallLocked(run.predTuple, run.propose.Proposed, payload, prevAgreedState)
-		}
+		next = &agreedView{run.propose.Proposed, run.newState}
 	}
-	if selfContested {
-		// Our vote-valid commit lost the predecessor race locally: enter it
-		// into the contest set now (the gossip fan-out happens after the
-		// commit broadcast below).
-		selfContested = en.contestAddLocked(run.predTuple, payload, run.propose)
+	base := en.agreedState
+	fx := en.stageLocked(next, run.propose.Mode, run.propose.Update, run.predTuple)
+	if fx.err != nil {
+		out.Valid = false
+		out.Diagnostic = "checkpoint persistence failed: " + fx.err.Error()
+		sendCommit = false
+	} else if out.Valid {
+		en.stats.RunsValid++
+		// Remember the install: a late vote-valid rival for the same
+		// predecessor reopens this window through the contest plane.
+		en.recordInstallLocked(run.predTuple, run.propose.Proposed, payload, base)
 	}
-	contestPred := run.predTuple
+	if selfContested && en.contestAddLocked(run.predTuple, payload, run.propose) {
+		// Our vote-valid commit lost the predecessor race locally: once the
+		// commit (competing evidence) is out, converge the group on one
+		// winner for the contested predecessor.
+		fx.contest = &run.predTuple
+	}
 	if !out.Valid {
 		en.stats.RunsInvalid++
 		// Force the suffix down with this run; successors finalize (in
 		// order) to "predecessor rolled back" outcomes.
 		en.forceSuffixLocked(run)
+		fx.rollback = fx.publish
 	}
 	en.removePipelineLocked(run)
 	delete(en.runs, run.runID)
 	en.completeLocked(run.runID, out)
-	en.stats.CommitsSent += uint64(len(recips))
 	en.syncCurrentLocked()
-	pipelineEmpty := len(en.pipeline) == 0
-	installedTuple := run.propose.Proposed
-	installedState := run.newState
-	rolledTuple := en.agreed
-	rolledState := en.agreedState
+	if sendCommit {
+		fx.to, fx.commit = run.recips, payload
+		en.stats.CommitsSent += uint64(len(run.recips))
+	}
+	if out.Valid && len(en.pipeline) == 0 {
+		// Install into the application only when the burst has drained:
+		// mid-pipeline the application object already holds the newer
+		// speculative state, and re-installing run k's would regress it.
+		// With window 1 the pipeline is always empty here: the paper's
+		// per-run install.
+		fx.install = fx.publish
+	}
+	seq := run.propose.Proposed.Seq
+	fx.run, fx.seq, fx.verdict = run.runID, seq, fmt.Sprintf("valid=%t %s", out.Valid, out.Diagnostic)
 	en.mu.Unlock()
 
 	run.outcome = out
-	if cpErr != nil {
-		// The checkpoint could not even be staged: do not broadcast a
-		// commit whose outcome this party failed to persist.
-		run.outErr = cpErr
-		return
+	if fx.err == nil {
+		// The executor's one barrier makes the checkpoint and the commit
+		// evidence durable together before the commit is externalized.
+		fx.err = en.logEvidenceStaged(run.runID, seq, wire.KindCommit.String(), nrlog.DirSent, payload)
 	}
-	seq := run.propose.Proposed.Seq
-	if err := en.logEvidenceStaged(run.runID, seq, wire.KindCommit.String(), nrlog.DirSent, payload); err != nil {
-		run.outErr = err
-		return
-	}
-	// One barrier makes the checkpoint and the commit evidence durable
-	// together before the commit is externalized.
-	if err := en.barrier(); err != nil {
-		run.outErr = err
-		return
-	}
-	for _, r := range recips {
-		if err := en.send(ctx, r, wire.KindCommit, payload); err != nil {
-			run.outErr = fmt.Errorf("coord: sending commit to %s: %w", r, err)
-			return
-		}
-	}
-	if out.Valid {
-		// Install into the application only when the burst has drained:
-		// mid-pipeline the application object already holds the newer
-		// speculative state, and re-installing run k's state would regress
-		// it. With window 1 the pipeline is always empty here, preserving
-		// the paper's per-run install.
-		if pipelineEmpty {
-			en.notifyInstalled(installedState, installedTuple)
-		}
-	} else {
-		en.notifyRolledBack(rolledState, rolledTuple)
-	}
-	if selfContested {
-		// The commit (competing evidence) is broadcast and durable, and the
-		// local rollback has been surfaced; now converge the group on one
-		// winner for the contested predecessor.
-		en.afterContest(contestPred)
-	}
-	// The trailing records ride the next batch (or Close): a crash before
-	// they sync re-enters a completed run on recovery, which resolves as a
-	// stale sequence and is dropped.
-	if err := en.deleteRun(run.runID); err != nil {
-		run.outErr = err
-		return
-	}
-	if err := en.logEvidenceStaged(run.runID, seq, "verdict", nrlog.DirLocal,
-		[]byte(fmt.Sprintf("valid=%t %s", out.Valid, out.Diagnostic))); err != nil {
-		run.outErr = err
-		return
-	}
-	if !out.Valid {
+	run.outErr = en.apply(ctx, fx)
+	if run.outErr == nil && !out.Valid {
 		if run.aborted {
 			run.outErr = ErrAborted
-			return
+		} else {
+			run.outErr = fmt.Errorf("%w: %s", ErrVetoed, out.Diagnostic)
 		}
-		run.outErr = fmt.Errorf("%w: %s", ErrVetoed, out.Diagnostic)
 	}
-}
-
-func (en *Engine) withLock(f func() error) error {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	return f()
 }
 
 // HandleEnvelope dispatches an inbound protocol message. Unknown or
@@ -755,12 +654,18 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 	delete(en.propWaited, prop.RunID)
 	en.stats.RespondsSent++
 	// The proposal is answered: successors buffered on its tuple can now be
-	// validated against the speculative chain.
+	// validated against the speculative chain, and a commit that overtook
+	// the proposal can now be verified.
 	wake := takeWaitingLocked(en.waitProps, prop.Proposed)
+	early, held := en.early[prop.RunID]
+	delete(en.early, prop.RunID)
 	en.mu.Unlock()
 
 	en.persistAndSendResponse(from, prop, rr)
 	en.dispatchProps(wake)
+	if held {
+		en.handleCommit(early.from, early.payload)
+	}
 }
 
 // persistAndSendResponse stages a recipient's run record and response
@@ -846,7 +751,7 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 	en.mu.Lock()
 	defer en.mu.Unlock()
 
-	if !contains(en.members, prop.Proposer) {
+	if !slices.Contains(en.members, prop.Proposer) {
 		return wire.Rejected("proposer is not a group member"), nil
 	}
 	if en.frozen {
@@ -984,13 +889,13 @@ func (en *Engine) handleRespond(from string, payload []byte) {
 	if !ok {
 		return
 	}
-	if !contains(run.recips, resp.Responder) {
+	if !slices.Contains(run.recips, resp.Responder) {
 		return
 	}
 	if resp.Proposed != run.propose.Proposed {
 		// Response to something we did not propose: inconsistent, keep as
 		// evidence; it does not fill the responder's slot.
-		_ = appendEvidenceLocked(en, resp.RunID, "respond-tuple-mismatch", payload)
+		_, _ = en.cfg.Log.Append(resp.RunID, en.cfg.Object, "respond-tuple-mismatch", en.cfg.Ident.ID(), nrlog.DirLocal, payload)
 		return
 	}
 	if _, dup := run.responses[resp.Responder]; dup {
@@ -1001,11 +906,6 @@ func (en *Engine) handleRespond(from string, payload []byte) {
 	if len(run.responses) == len(run.recips) {
 		en.closeDoneLocked(run)
 	}
-}
-
-func appendEvidenceLocked(en *Engine, runID, kind string, payload []byte) error {
-	_, err := en.cfg.Log.Append(runID, en.cfg.Object, kind, en.cfg.Ident.ID(), nrlog.DirLocal, payload)
-	return err
 }
 
 // recipientRollback records a run rolled back at a recipient by the suffix
@@ -1071,6 +971,18 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 		return // idempotent
 	}
 	rr, responded := en.responded[commit.RunID]
+	if !responded {
+		// The commit may have overtaken its proposal: keep a copy to
+		// re-dispatch once the proposal is answered. Until then it is
+		// refused below, as a commit this party never answered.
+		for id := range en.early {
+			if len(en.early) < earlyCap {
+				break
+			}
+			delete(en.early, id)
+		}
+		en.early[commit.RunID] = pendingMsg{from: from, payload: payload, runID: commit.RunID}
+	}
 	if responded && rr.pred != en.agreed {
 		if en.respondedByTupleLocked(rr.pred) != nil {
 			// The predecessor is answered but unresolved: hold this commit
@@ -1142,59 +1054,41 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 	}
 	out := Outcome{RunID: commit.RunID, Valid: verdict == commitValid, Diagnostic: diag,
 		Decisions: decisionsOf(commit)}
-	var rolled []recipientRollback
-	var wakeProps, wakeCommits []pendingMsg
-	var cpErr error
+	var next *agreedView
+	var prop wire.Propose
 	if verdict == commitValid {
-		prop, _ := wire.UnmarshalPropose(commit.Propose.Body)
+		prop, _ = wire.UnmarshalPropose(commit.Propose.Body)
 		// Remember the install (with the pre-install base): a late
 		// vote-valid rival for the same predecessor reopens this window
 		// through the contest plane.
 		en.recordInstallLocked(rr.pred, prop.Proposed, payload, en.agreedState)
-		en.agreed = prop.Proposed
-		en.agreedState = rr.newState
-		if len(en.pipeline) == 0 {
-			en.current = en.agreed
-			en.currentState = en.agreedState
-		}
-		en.stats.RunsCommitted++
-		// Stage the checkpoint under en.mu so the on-disk chain follows
-		// agreed order; it becomes durable at the barrier below, before
-		// the application sees the installed state. Update-mode commits
-		// persist only the update (delta checkpoint).
-		cpErr = en.commitCheckpointLocked(prop.Mode, prop.Update, rr.pred)
-		wakeProps = takeWaitingLocked(en.waitProps, prop.Proposed)
-		wakeCommits = takeWaitingLocked(en.waitCommits, prop.Proposed)
+		next = &agreedView{prop.Proposed, rr.newState}
 	}
+	// Update-mode commits persist only the update (delta checkpoint).
+	fx := en.stageLocked(next, prop.Mode, prop.Update, rr.pred)
 	delete(en.responded, commit.RunID)
 	delete(en.propWaited, commit.RunID)
 	en.completeLocked(commit.RunID, out)
-	if verdict != commitValid {
-		rolled, wakeProps = en.cascadeLocked(rr.proposed, out.Diagnostic)
-	}
-	installedState := en.agreedState
-	installedTuple := en.agreed
-	en.mu.Unlock()
-
-	_ = en.deleteRun(commit.RunID)
 	if verdict == commitValid {
-		// A checkpoint-staging or barrier failure must not swallow the
-		// buffered successors drained above — they were already removed
-		// from the reorder buffers and a commit is sent only once. Skip
-		// only the install (the group's decision stands; local durability
-		// failed, and the plane is fail-stop on real disk errors).
-		if cpErr == nil && en.barrier() == nil {
-			en.notifyInstalled(installedState, installedTuple)
-		}
+		en.stats.RunsCommitted++
+		en.syncCurrentLocked()
+		fx.install = fx.publish
+		// A staging or barrier failure skips only the install: the buffered
+		// successors drained here must still be re-dispatched, since a
+		// commit is sent only once.
+		fx.wakeProps = takeWaitingLocked(en.waitProps, prop.Proposed)
+		fx.wakeCommits = takeWaitingLocked(en.waitCommits, prop.Proposed)
+	} else {
+		fx.rolled, fx.wakeProps = en.cascadeLocked(rr.proposed, out.Diagnostic)
 	}
-	_ = en.logEvidenceStaged(commit.RunID, seq, "verdict", nrlog.DirLocal,
-		[]byte(fmt.Sprintf("valid=%t %s", out.Valid, out.Diagnostic)))
-	en.finishRollbacks(rolled)
 	if contested {
-		en.noteContestedCommit(payload)
+		fx.contested = payload
 	}
-	en.dispatchProps(wakeProps)
-	en.dispatchCommits(wakeCommits)
+	fx.run, fx.seq, fx.verdict = commit.RunID, seq, fmt.Sprintf("valid=%t %s", out.Valid, out.Diagnostic)
+	en.mu.Unlock()
+	// A failure here externalized nothing and has no caller to tell: the
+	// plane is fail-stop, and the staged tuple stays unpublished.
+	_ = en.apply(context.Background(), fx)
 }
 
 type commitVerdict uint8
@@ -1232,83 +1126,126 @@ func (en *Engine) verifyCommit(from string, commit wire.Commit, rr *respondedRun
 
 	en.mu.Lock()
 	members := append([]string(nil), en.members...)
-	termination := en.cfg.Termination
 	en.mu.Unlock()
 
-	seen := make(map[string]wire.Respond)
-	accepts := 1 // proposer
-	consistent := true
-	var diag string
-	wantHash := prop.Proposed.HashState
-	if prop.Mode == wire.ModeUpdate {
-		wantHash = prop.UpdateHash
-	}
-	for _, s := range commit.Responds {
-		// Responds this party verified at receipt — and its own signed
-		// respond, seeded at signing time — hit the memo; only evidence
-		// seen for the first time pays the two ed25519 operations.
-		if err := en.verifySigned(s); err != nil {
-			return commitInvalidSilent, fmt.Sprintf("embedded response fails verification: %v", err)
-		}
-		resp, err := wire.UnmarshalRespond(s.Body)
-		if err != nil {
-			return commitInvalidSilent, "embedded response malformed"
-		}
-		if resp.Responder != s.Signer() {
-			return commitInvalidSilent, "embedded response signer mismatch"
-		}
-		if resp.RunID != commit.RunID || resp.Proposed != prop.Proposed {
-			return commitInvalidSilent, "embedded response belongs to another run"
-		}
-		if _, dup := seen[resp.Responder]; dup {
-			return commitInvalidSilent, "duplicate responder in commit"
-		}
-		if !contains(members, resp.Responder) || resp.Responder == prop.Proposer {
-			return commitInvalidSilent, "response from non-recipient"
-		}
-		seen[resp.Responder] = resp
-		if resp.Decision.Accept {
-			accepts++
-		} else if diag == "" {
-			diag = fmt.Sprintf("vetoed by %s: %s", resp.Responder, resp.Decision.Diagnostic)
-		}
-		if resp.ReceivedStateHash != wantHash {
-			consistent = false
-			diag = fmt.Sprintf("%s asserts state integrity failure", resp.Responder)
-		}
+	seen, valid, diag, err := en.tallyResponds(commit, prop, members)
+	if err != nil {
+		return commitInvalidSilent, err.Error()
 	}
 	// Completeness: one response per recipient, and this party's own
 	// response unmodified. Under the §7 majority extension a commit
 	// legitimately omits stragglers — including this party, if its answer
 	// came after the proposer's deadline — so both checks relax to the
-	// vote below, which still demands a strict verified majority. A
-	// *tampered* response can never reach here in either mode: every
-	// embedded response already passed signature verification above.
-	if termination != Majority {
-		for _, m := range members {
-			if m == prop.Proposer {
-				continue
-			}
-			if _, ok := seen[m]; !ok {
-				return commitInvalidSilent, fmt.Sprintf("commit missing response from %s", m)
-			}
+	// vote, which still demands a strict verified majority. A *tampered*
+	// response can never reach here in either mode: every embedded
+	// response already passed signature verification.
+	if en.cfg.Termination != Majority {
+		if m := missingResponder(members, prop.Proposer, seen); m != "" {
+			return commitInvalidSilent, fmt.Sprintf("commit missing response from %s", m)
 		}
 		if _, ok := commitContains(commit.Responds, rr.respond); !ok {
 			return commitInvalidSilent, "commit misrepresents this party's response"
 		}
 	}
-
-	var valid bool
-	switch termination {
-	case Majority:
-		valid = consistent && accepts*2 > len(members)
-	default:
-		valid = consistent && accepts == len(members)
-	}
 	if valid {
 		return commitValid, diag
 	}
 	return commitInvalid, diag
+}
+
+// tallyResponds verifies a commit's embedded responds for prop — each must
+// pass signature verification (responds verified at receipt, and this
+// party's own, hit the memo), be signed by its responder, belong to this
+// run, and come once from a non-proposer member — and applies the vote. It
+// returns the responders seen, the verdict and its diagnostic.
+func (en *Engine) tallyResponds(commit wire.Commit, prop wire.Propose, members []string) (map[string]bool, bool, string, error) {
+	seen := make(map[string]bool, len(commit.Responds))
+	accepts := 1 // proposer
+	consistent := true
+	var diag string
+	for _, s := range commit.Responds {
+		if err := en.verifySigned(s); err != nil {
+			return nil, false, "", fmt.Errorf("embedded response fails verification: %v", err)
+		}
+		resp, err := wire.UnmarshalRespond(s.Body)
+		switch {
+		case err != nil:
+			return nil, false, "", errors.New("embedded response malformed")
+		case resp.Responder != s.Signer():
+			return nil, false, "", errors.New("embedded response signer mismatch")
+		case resp.RunID != commit.RunID || resp.Proposed != prop.Proposed:
+			return nil, false, "", errors.New("embedded response belongs to another run")
+		case seen[resp.Responder]:
+			return nil, false, "", errors.New("duplicate responder in commit")
+		case !slices.Contains(members, resp.Responder) || resp.Responder == prop.Proposer:
+			return nil, false, "", errors.New("response from non-recipient")
+		}
+		seen[resp.Responder] = true
+		if resp.Decision.Accept {
+			accepts++
+		} else if diag == "" {
+			diag = fmt.Sprintf("vetoed by %s: %s", resp.Responder, resp.Decision.Diagnostic)
+		}
+		if resp.ReceivedStateHash != assertedHash(prop) {
+			consistent = false
+			diag = fmt.Sprintf("%s asserts state integrity failure", resp.Responder)
+		}
+	}
+	return seen, en.voteValid(consistent, accepts, len(members)), diag, nil
+}
+
+// tallyLocked applies the vote to a proposer run's collected responses,
+// recording each responder's decision in decisions.
+func (en *Engine) tallyLocked(run *proposerRun, decisions map[string]wire.Decision) (bool, string) {
+	accepts := 1 // proposer is committed to acceptance by definition
+	consistent := true
+	var diag string
+	for responder, resp := range run.parsed {
+		decisions[responder] = resp.Decision
+		if resp.Decision.Accept {
+			accepts++
+		} else if diag == "" {
+			diag = fmt.Sprintf("vetoed by %s: %s", responder, resp.Decision.Diagnostic)
+		}
+		if resp.ReceivedStateHash != assertedHash(run.propose) {
+			consistent = false
+			diag = fmt.Sprintf("%s asserts state integrity failure", responder)
+		}
+		if resp.Group != run.propose.Group {
+			consistent = false
+			diag = fmt.Sprintf("%s holds inconsistent group identifier", responder)
+		}
+	}
+	return en.voteValid(consistent, accepts, len(en.members)), diag
+}
+
+// voteValid is the termination policy: every member accepts, or under
+// Majority a strict majority of the group (proposer included) does.
+// Consistency failures invalidate unconditionally.
+func (en *Engine) voteValid(consistent bool, accepts, members int) bool {
+	if en.cfg.Termination == Majority {
+		return consistent && accepts*2 > members
+	}
+	return consistent && accepts == members
+}
+
+// assertedHash is the integrity hash a respond must assert for prop (§4.3:
+// h(s'), or the update's hash in the §4.3.1 variant).
+func assertedHash(prop wire.Propose) [32]byte {
+	if prop.Mode == wire.ModeUpdate {
+		return prop.UpdateHash
+	}
+	return prop.Proposed.HashState
+}
+
+// missingResponder names a member other than proposer absent from seen.
+func missingResponder(members []string, proposer string, seen map[string]bool) string {
+	for _, m := range members {
+		if m != proposer && !seen[m] {
+			return m
+		}
+	}
+	return ""
 }
 
 //b2b:unverified byte-equality membership probe only: want's fields are compared, never trusted; every embedded respond is verified in verifyCommit before use
@@ -1416,7 +1353,8 @@ func (en *Engine) pendingGrace() time.Duration {
 }
 
 // waitNoPending blocks until this party holds no answered-but-uncommitted
-// runs, or ctx expires.
+// runs and every staged agreed tuple is published (installed), or ctx
+// expires.
 func (en *Engine) waitNoPending(ctx context.Context) error {
 	for {
 		// Grab the change channel before reading state: a transition that
@@ -1425,22 +1363,25 @@ func (en *Engine) waitNoPending(ctx context.Context) error {
 		en.mu.Lock()
 		ch := en.changed
 		n := len(en.responded)
+		settled := n == 0 && en.published.t == en.agreed
 		en.mu.Unlock()
-		if n == 0 {
+		if settled {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("%w: %d uncommitted runs pending: %v", ErrBlocked, n, ctx.Err())
+			return fmt.Errorf("%w: %d uncommitted runs pending or an agreed state not yet installed: %v", ErrBlocked, n, ctx.Err())
 		case <-ch:
 		}
 	}
 }
 
 // WaitQuiescent blocks until this party holds no answered-but-uncommitted
-// runs (all validated changes have been installed or discarded), or ctx
-// expires. Applications call this (via the controller's Settle) before
-// acting on the replica when another party has just coordinated a change.
+// runs and every decided change is installed in the application and
+// published (or discarded), or ctx expires. Applications call this (via the
+// controller's Settle) before acting on the replica when another party has
+// just coordinated a change. The install upcall must not wait on it: the
+// publication it waits for follows that upcall.
 func (en *Engine) WaitQuiescent(ctx context.Context) error {
 	return en.waitNoPending(ctx)
 }
@@ -1536,24 +1477,9 @@ func (en *Engine) RecoverPendingRuns(ctx context.Context) ([]Outcome, error) {
 			continue
 		}
 		en.seen.ObserveRecovered(r.prop.Proposed)
-		run := &proposerRun{
-			runID:     r.rec.RunID,
-			propose:   r.prop,
-			signed:    r.signed,
-			raw:       append([]byte(nil), r.rec.Raw...),
-			auth:      append([]byte(nil), r.rec.Auth...),
-			newState:  newState,
-			responses: make(map[string]wire.Signed),
-			parsed:    make(map[string]wire.Respond),
-			recips:    recipients,
-			started:   time.Now(), // recovered: deadline restarts post-crash
-			done:      make(chan struct{}),
-			pred:      prev,
-			predTuple: pred,
-			finalized: make(chan struct{}),
-		}
-		en.runs[r.rec.RunID] = run
-		en.pipeline = append(en.pipeline, run)
+		// The §7 deadline restarts post-crash: started is now.
+		run := en.enterRunLocked(r.prop, r.signed, append([]byte(nil), r.rec.Raw...),
+			append([]byte(nil), r.rec.Auth...), newState, recipients, prev)
 		chain = append(chain, run)
 		prev = run
 		expected = r.prop.Proposed

@@ -152,6 +152,7 @@ func run(ctx context.Context, cfg Config, s Scenario) (*Report, error) {
 		restarted: make(map[string]bool),
 		offline:   make(map[string]bool),
 		expected:  rt.initial,
+		samplers:  make(map[string]chan struct{}, len(ids)),
 	}
 	defer ex.abort()
 	for _, id := range ids {
@@ -177,6 +178,9 @@ func run(ctx context.Context, cfg Config, s Scenario) (*Report, error) {
 	}
 	if s.Workload == PatchStorm {
 		w.Party(ex.writer()).Engine(scenarioObject).SetWindow(s.Window)
+	}
+	for _, id := range ids {
+		ex.watch(id)
 	}
 
 	if err := ex.drive(ctx); err != nil {
@@ -221,6 +225,9 @@ type executor struct {
 	expected []byte
 	handles  []*coord.RunHandle
 	routers  map[string]*router
+
+	samplers map[string]chan struct{} // per party: stops its invariant-8 sampler
+	swg      sync.WaitGroup           // running samplers
 }
 
 type recordedRun struct {
@@ -287,11 +294,68 @@ func (ex *executor) logf(format string, args ...any) {
 
 // abort marks the run finished so fault-revert timers that fire after Run
 // returns (failed scenarios do not wait for them) become no-ops instead of
-// touching a closed world.
+// touching a closed world, and stops the invariant-8 samplers.
 func (ex *executor) abort() {
 	ex.mu.Lock()
 	ex.aborted = true
+	for id, stop := range ex.samplers {
+		close(stop)
+		delete(ex.samplers, id)
+	}
 	ex.mu.Unlock()
+	ex.swg.Wait()
+}
+
+// watch samples invariant 8 at a party's current incarnation on every
+// engine transition (coord.Engine.Watch), replacing any earlier sampler.
+// Call it once the party's application holds the agreed state: after
+// bootstrap, a restart's resync, a rejoin.
+func (ex *executor) watch(id string) {
+	ex.unwatch(id)
+	p := ex.w.Party(id)
+	en := p.Engine(scenarioObject)
+	stop := make(chan struct{})
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.aborted {
+		return
+	}
+	ex.samplers[id] = stop
+	ex.swg.Add(1)
+	go func() {
+		defer ex.swg.Done()
+		for {
+			ch := en.Watch()
+			if err := ex.checkPublication(p, en); err != nil {
+				ex.fail(err)
+				return
+			}
+			select {
+			case <-ch:
+			case <-stop:
+				return
+			}
+		}
+	}()
+}
+
+// unwatch stops a party's sampler before its engine is torn down or reset.
+func (ex *executor) unwatch(id string) {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if stop := ex.samplers[id]; stop != nil {
+		close(stop)
+		delete(ex.samplers, id)
+	}
+}
+
+// resynced records that id's application was re-aligned with the agreed
+// state outside the protocol (restart, rejoin) and resumes sampling it.
+func (ex *executor) resynced(id string) {
+	t, agreed := ex.w.Party(id).Engine(scenarioObject).Agreed()
+	ex.rt.resync(id, agreed)
+	ex.rt.installed[id].note(t.Seq)
+	ex.watch(id)
 }
 
 // after schedules a fault revert; endPhase waits for all of them.
@@ -732,6 +796,7 @@ func (ex *executor) applyFault(ctx context.Context, f Fault) {
 }
 
 func (ex *executor) crash(id string) {
+	ex.unwatch(id)
 	ex.w.Crash(id)
 	ex.mu.Lock()
 	ex.crashed[id] = true
@@ -754,8 +819,7 @@ func (ex *executor) restart(id string) {
 	ex.rep.Restarts++
 	ex.mu.Unlock()
 	ex.attachRouter(p)
-	_, agreed := p.Engine(scenarioObject).Agreed()
-	ex.rt.resync(id, agreed)
+	ex.resynced(id)
 	rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_, _ = p.Engine(scenarioObject).RecoverPendingRuns(rctx)
@@ -889,6 +953,7 @@ func (ex *executor) endPhase(ctx context.Context) error {
 	ex.mu.Unlock()
 	for _, id := range out {
 		p := ex.w.Party(id)
+		ex.unwatch(id)
 		p.Engine(scenarioObject).Reset()
 		jctx, cancel := context.WithTimeout(ctx, 20*time.Second)
 		err := p.Manager(scenarioObject).Join(jctx, ex.writer())
@@ -896,8 +961,7 @@ func (ex *executor) endPhase(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("evicted party %s could not rejoin: %w", id, err)
 		}
-		_, agreed := p.Engine(scenarioObject).Agreed()
-		ex.rt.resync(id, agreed)
+		ex.resynced(id)
 		ex.mu.Lock()
 		ex.restarted[id] = true
 		ex.mu.Unlock()

@@ -4,11 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+
+	"b2b/internal/coord"
+	"b2b/internal/lab"
+	"b2b/internal/store"
+	"b2b/internal/tuple"
 )
 
-// checkInvariants verifies the seven global invariants after the end phase
-// has healed and quiesced the world. They hold for EVERY generated
-// scenario — the checker knows nothing about which faults fired:
+// checkInvariants verifies the eight global invariants after the end phase
+// has healed and quiesced the world (invariant 8 is also sampled during the
+// run). They hold for EVERY generated scenario — the checker knows nothing
+// about which faults fired:
 //
 //  1. Convergence: every live party holds the identical agreed tuple and
 //     state (the end phase waited for this; re-asserted here).
@@ -28,6 +35,11 @@ import (
 //     caps plus durability slack, and after convergence every member's
 //     mailbox drained empty — parked traffic neither accumulates without
 //     bound nor outlives the member it was parked for.
+//  8. Publication (§4.2: a party's agreed tuple names the state its object
+//     holds): at every engine transition, each party's published agreed
+//     tuple is in its checkpoint chain, and is no newer than the last state
+//     its application received through Installed — except at a pipelining
+//     proposer, whose object already holds its own speculative successor.
 func (ex *executor) checkInvariants() error {
 	var errs []error
 
@@ -155,5 +167,49 @@ func (ex *executor) checkInvariants() error {
 		}
 	}
 
+	// Invariant 8, sampled throughout the run (executor.watch), once more at
+	// rest.
+	for _, id := range ex.ids {
+		p := ex.w.Party(id)
+		if err := ex.checkPublication(p, p.Engine(scenarioObject)); err != nil {
+			errs = append(errs, err)
+		}
+	}
+
 	return errors.Join(errs...)
+}
+
+// checkPublication samples invariant 8 at one party. A violating sample is
+// re-taken between two reads of the engine's current tuple and counts only
+// if the engine was settled — current equal to the published tuple at both
+// reads: mid-application the staged tuple legitimately leads the published
+// one. A party whose plane has failed (fail-stop) or whose engine was reset
+// is not sampled.
+func (ex *executor) checkPublication(p *lab.Party, en *coord.Engine) error {
+	if _, err := ex.publicationViolation(p, en); err == nil {
+		return nil
+	}
+	c1, _ := en.Current()
+	t, err := ex.publicationViolation(p, en)
+	c2, _ := en.Current()
+	if err == nil || c1 != t || c2 != t || t == (tuple.State{}) || (p.Disk != nil && p.Disk.Crashed()) {
+		return nil
+	}
+	return err
+}
+
+func (ex *executor) publicationViolation(p *lab.Party, en *coord.Engine) (tuple.State, error) {
+	t := en.AgreedTuple()
+	chain, err := p.Store.Chain(scenarioObject)
+	installed := ex.rt.installed[p.ID].seq.Load()
+	if err != nil {
+		return t, nil
+	}
+	if !slices.ContainsFunc(chain, func(cp store.Checkpoint) bool { return cp.Tuple == t }) {
+		return t, fmt.Errorf("invariant 8 (publication): %s published seq %d, which is not in its checkpoint chain", p.ID, t.Seq)
+	}
+	if t.Seq > installed && en.Window() == 1 {
+		return t, fmt.Errorf("invariant 8 (publication): %s published seq %d while its application holds seq %d", p.ID, t.Seq, installed)
+	}
+	return t, nil
 }

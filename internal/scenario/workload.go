@@ -3,10 +3,12 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"b2b/internal/apps"
 	"b2b/internal/coord"
 	"b2b/internal/lab"
+	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
@@ -43,6 +45,39 @@ type runtime struct {
 	// resync re-aligns one party's application replica with an agreed state
 	// (after restarts, rejoins and vetoed proposals). No-op for PatchStorm.
 	resync func(id string, agreed []byte)
+	// installed records, per party, the newest state its application received
+	// (invariant 8).
+	installed map[string]*installMark
+}
+
+// installMark is the newest agreed sequence a party's application has
+// received — through Installed, or a resync after restart or rejoin.
+type installMark struct{ seq atomic.Uint64 }
+
+func (m *installMark) note(seq uint64) {
+	for {
+		cur := m.seq.Load()
+		if seq <= cur || m.seq.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
+}
+
+// installRecorder wraps a lab validator, keeping its paged surface (the one
+// the engine calls), so its installs feed an installMark.
+type installRecorder struct {
+	coord.Validator
+	coord.PagedValidator
+	mark *installMark
+}
+
+func recordInstalls(v coord.Validator, mark *installMark) coord.Validator {
+	return installRecorder{Validator: v, PagedValidator: v.(coord.PagedValidator), mark: mark}
+}
+
+func (r installRecorder) InstalledPaged(state *pagestate.Paged, t tuple.State) {
+	r.mark.note(t.Seq)
+	r.PagedValidator.InstalledPaged(state, t)
 }
 
 // appObject is the b2b.Object surface shared by the three paper apps.
@@ -53,9 +88,11 @@ type appObject interface {
 }
 
 // appValidator adapts an application object to coord.Validator (overwrite
-// mode only), exactly like the Fig 5/Fig 7 scenario drivers.
+// mode only), exactly like the Fig 5/Fig 7 scenario drivers, recording
+// installs in mark.
 type appValidator struct {
-	obj appObject
+	obj  appObject
+	mark *installMark
 }
 
 func (v *appValidator) ValidateState(proposer string, _, proposed []byte) wire.Decision {
@@ -73,11 +110,19 @@ func (v *appValidator) ApplyUpdate([]byte, []byte) ([]byte, error) {
 	return nil, errors.New("updates not used by this workload")
 }
 
-func (v *appValidator) Installed(state []byte, _ tuple.State)  { _ = v.obj.ApplyState(state) }
+func (v *appValidator) Installed(state []byte, t tuple.State) {
+	_ = v.obj.ApplyState(state)
+	v.mark.note(t.Seq)
+}
+
 func (v *appValidator) RolledBack(state []byte, _ tuple.State) { _ = v.obj.ApplyState(state) }
 
 // buildRuntime materialises the workload for the given party ids.
 func buildRuntime(s Scenario, ids []string) (*runtime, error) {
+	installed := make(map[string]*installMark, len(ids))
+	for _, id := range ids {
+		installed[id] = new(installMark)
+	}
 	switch s.Workload {
 	case PatchStorm:
 		// wrapMutation is identity in honest builds; under -tags mutation it
@@ -88,13 +133,14 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 			initial: deterministicBytes(s.ObjectSize, s.Seed),
 			actors:  ids[:1],
 			mkV: func(id string) coord.Validator {
-				v := lab.PatchValidator()
+				v := recordInstalls(lab.PatchValidator(), installed[id])
 				if id == last {
 					return wrapMutation(v)
 				}
 				return v
 			},
-			resync: func(string, []byte) {},
+			resync:    func(string, []byte) {},
+			installed: installed,
 		}, nil
 
 	case TicTacToe:
@@ -112,7 +158,7 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 			initial: initial,
 			actors:  []string{ids[0], ids[1]},
 			mkV: func(id string) coord.Validator {
-				return &appValidator{obj: games[id]}
+				return &appValidator{obj: games[id], mark: installed[id]}
 			},
 			propose: func(actor string, i int, st Step, agreed []byte) ([]byte, error) {
 				g := games[actor]
@@ -124,7 +170,8 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 				}
 				return g.GetState()
 			},
-			resync: func(id string, agreed []byte) { _ = games[id].ApplyState(agreed) },
+			resync:    func(id string, agreed []byte) { _ = games[id].ApplyState(agreed) },
+			installed: installed,
 		}, nil
 
 	case Auction:
@@ -140,7 +187,7 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 			initial: initial,
 			actors:  []string{ids[0], ids[1]},
 			mkV: func(id string) coord.Validator {
-				return &appValidator{obj: auctions[id]}
+				return &appValidator{obj: auctions[id], mark: installed[id]}
 			},
 			propose: func(actor string, _ int, st Step, agreed []byte) ([]byte, error) {
 				a := auctions[actor]
@@ -153,7 +200,8 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 				}
 				return a.GetState()
 			},
-			resync: func(id string, agreed []byte) { _ = auctions[id].ApplyState(agreed) },
+			resync:    func(id string, agreed []byte) { _ = auctions[id].ApplyState(agreed) },
+			installed: installed,
 		}, nil
 
 	case Contention:
@@ -165,10 +213,11 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 		return &runtime{
 			initial: deterministicBytes(256, s.Seed),
 			actors:  append([]string(nil), ids...),
-			mkV: func(string) coord.Validator {
-				return lab.AcceptAllValidator()
+			mkV: func(id string) coord.Validator {
+				return recordInstalls(lab.AcceptAllValidator(), installed[id])
 			},
-			resync: func(string, []byte) {},
+			resync:    func(string, []byte) {},
+			installed: installed,
 		}, nil
 
 	case OrderProcessing:
@@ -185,7 +234,7 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 			initial: initial,
 			actors:  []string{ids[0], ids[1]},
 			mkV: func(id string) coord.Validator {
-				return &appValidator{obj: orders[id]}
+				return &appValidator{obj: orders[id], mark: installed[id]}
 			},
 			propose: func(actor string, i int, st Step, agreed []byte) ([]byte, error) {
 				o := orders[actor]
@@ -200,7 +249,8 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 				}
 				return o.GetState()
 			},
-			resync: func(id string, agreed []byte) { _ = orders[id].ApplyState(agreed) },
+			resync:    func(id string, agreed []byte) { _ = orders[id].ApplyState(agreed) },
+			installed: installed,
 		}, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown workload %d", s.Workload)

@@ -84,6 +84,9 @@ type Event struct {
 
 // Callback receives protocol progress events (the paper's coordCallback).
 // Callbacks run on middleware goroutines and must not block.
+// EventInstalled arrives before the installed state is published: AgreedSeq
+// and AgreedState report it once the callback has returned (Settle waits
+// for that).
 type Callback func(Event)
 
 // objectAdapter adapts an application Object to the internal coordination
@@ -98,7 +101,11 @@ type objectAdapter struct {
 	// applyMu serialises all installs into the application object, so a
 	// Resync racing a concurrent coordinated install cannot overwrite a
 	// newer state with a stale one (or clear a divergence it shouldn't).
-	applyMu sync.Mutex
+	// installed is the sequence of the last coordinated install: the engine
+	// publishes its tuple only after the upcall returns, so Resync waits for
+	// that publication before reading the agreed state.
+	applyMu   sync.Mutex
+	installed uint64
 
 	mu        sync.Mutex
 	divergent error
@@ -114,11 +121,12 @@ func (a *objectAdapter) apply(state []byte) error {
 }
 
 // applyLatest installs whatever `agreed` reports once the install lock is
-// held, so the state read cannot go stale between read and install.
-func (a *objectAdapter) applyLatest(agreed func() []byte) error {
+// held, so the state read cannot go stale between read and install. agreed
+// receives the sequence of the last coordinated install.
+func (a *objectAdapter) applyLatest(agreed func(installed uint64) []byte) error {
 	a.applyMu.Lock()
 	defer a.applyMu.Unlock()
-	return a.applyLocked(agreed())
+	return a.applyLocked(agreed(a.installed))
 }
 
 func (a *objectAdapter) applyLocked(state []byte) error {
@@ -167,8 +175,11 @@ func (a *objectAdapter) ApplyUpdate(current, update []byte) ([]byte, error) {
 	return uo.ApplyUpdate(current, update)
 }
 
-func (a *objectAdapter) Installed(state []byte, _ tuple.State) {
-	err := a.apply(state)
+func (a *objectAdapter) Installed(state []byte, t tuple.State) {
+	a.applyMu.Lock()
+	a.installed = t.Seq
+	err := a.applyLocked(state)
+	a.applyMu.Unlock()
 	if a.cb != nil {
 		a.cb(Event{Type: EventInstalled, Object: a.object, Valid: err == nil, Err: err})
 	}
