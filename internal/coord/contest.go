@@ -565,7 +565,7 @@ func (en *Engine) resolveContest(pred tuple.State) {
 		}
 		switch win.prop.Mode {
 		case wire.ModeOverwrite:
-			st = en.pageState(win.prop.NewState)
+			st = base.Rebase(win.prop.NewState)
 		case wire.ModeUpdate:
 			s, err := en.applyUpdateOn(base, win.prop.Update)
 			if err != nil {

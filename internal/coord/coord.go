@@ -1076,11 +1076,6 @@ func (en *Engine) InstallCatchUp(t tuple.State, state []byte) error {
 		en.mu.Unlock()
 		return ErrNotBootstrapd
 	}
-	paged := en.pageState(state)
-	if !t.MatchesRoot(paged.Root()) {
-		en.mu.Unlock()
-		return fmt.Errorf("coord: catch-up state does not match its tuple")
-	}
 	if t.Seq <= en.agreed.Seq {
 		en.mu.Unlock()
 		return fmt.Errorf("%w: have seq %d, offered seq %d", ErrStaleCatchUp, en.agreed.Seq, t.Seq)
@@ -1088,6 +1083,13 @@ func (en *Engine) InstallCatchUp(t tuple.State, state []byte) error {
 	if len(en.pipeline) > 0 {
 		en.mu.Unlock()
 		return ErrRunInFlight
+	}
+	// Only an offer that could be installed is paged: a refused one costs
+	// nothing under the lock every handler waits on.
+	paged := en.agreedState.Rebase(state)
+	if !t.MatchesRoot(paged.Root()) {
+		en.mu.Unlock()
+		return fmt.Errorf("coord: catch-up state does not match its tuple")
 	}
 	en.seen.ObserveRecovered(t)
 	fx := en.stageLocked(&agreedView{t, paged}, wire.ModeOverwrite, nil, tuple.State{})

@@ -12,7 +12,8 @@ import (
 // small update on a large object costs O(delta · log S) — no materialized
 // full-state copies. Validators that only implement Validator keep working
 // unchanged: the engine shims between the two forms by materializing flat
-// copies, which is correct but O(S) per call.
+// copies (O(S) copying per call) and rebasing each flat result onto its base's
+// pages, which compares O(S) bytes but hashes only the pages that changed.
 //
 // Contract: a *pagestate.Paged received through this interface is shared and
 // immutable — implementations must mutate only a Clone (pagestate's
@@ -45,14 +46,17 @@ func (en *Engine) pageSize() int {
 func (en *Engine) PageSize() int { return en.pageSize() }
 
 // pageState builds a paged view of flat state bytes under the engine's page
-// size (O(S): the boundary where flat bytes enter the paged world).
+// size: O(S) copying and hashing. It is for flat bytes with no base state to
+// rebase onto (Bootstrap, Restore's snapshot, AdoptMembership); everywhere
+// else a flat state enters the paged world through Paged.Rebase.
 func (en *Engine) pageState(b []byte) *pagestate.Paged {
 	return pagestate.FromBytes(b, en.pageSize())
 }
 
 // applyUpdateOn folds an update into a paged base: through the validator's
 // paged path when available (O(delta)), else through the flat ApplyUpdate
-// compatibility shim (O(S) materialize + repage, semantics identical).
+// compatibility shim (O(S) materialize and compare, O(delta) hashing: the
+// result is rebased onto base's pages; semantics identical).
 func (en *Engine) applyUpdateOn(base *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
 	if en.pv != nil {
 		return en.pv.ApplyUpdatePaged(base, update)
@@ -61,7 +65,7 @@ func (en *Engine) applyUpdateOn(base *pagestate.Paged, update []byte) (*pagestat
 	if err != nil {
 		return nil, err
 	}
-	return en.pageState(flat), nil
+	return base.Rebase(flat), nil
 }
 
 // ApplyUpdatePagedFn exposes the paged update fold for the transfer plane,

@@ -96,3 +96,19 @@ func TestSigMemoSkipsCommitReverification(t *testing.T) {
 		t.Fatalf("bob's real verifies = %d, want >= %d", st.SigVerifies, runs)
 	}
 }
+
+// TestStaleCatchUpPagesNothing: InstallCatchUp refuses an offer that is not
+// newer than the agreed state before it pages the offered bytes, so a stale
+// offer costs no hashing or copying under the lock every handler waits on.
+func TestStaleCatchUpPagesNothing(t *testing.T) {
+	c := newCluster(t, []string{"alice", "bob"}, make([]byte, 1<<20))
+	en := c.node("bob").engine
+	agreed, state := en.Agreed()
+	hashed0, copied0 := pagestate.Stats()
+	if err := en.InstallCatchUp(agreed, state); !errors.Is(err, ErrStaleCatchUp) {
+		t.Fatalf("stale catch-up: err = %v, want ErrStaleCatchUp", err)
+	}
+	if hashed, copied := pagestate.Stats(); hashed != hashed0 || copied != copied0 {
+		t.Fatalf("refused offer hashed %d and copied %d bytes, want 0", hashed-hashed0, copied-copied0)
+	}
+}

@@ -133,8 +133,8 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 	// The proposed state lives as a copy-on-write paged value: an update
 	// clones the base (sharing unchanged pages) and rewrites only the touched
 	// ones, and the Merkle root that becomes HashState rebinds in
-	// O(delta · log S). An overwrite pays the one unavoidable O(S) paging of
-	// the caller's flat bytes.
+	// O(delta · log S). An overwrite rebases the caller's flat bytes onto the
+	// base: an O(S) comparison that copies and rehashes only changed pages.
 	var newPaged *pagestate.Paged
 	if mode == wire.ModeUpdate {
 		s, err := en.applyUpdateOn(baseState, update)
@@ -144,7 +144,7 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 		}
 		newPaged = s
 	} else {
-		newPaged = en.pageState(newState)
+		newPaged = baseState.Rebase(newState)
 	}
 
 	recips := en.recipientsLocked()
@@ -607,7 +607,9 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 	// The integrity assertion over the received content is computed once and
 	// serves both the respond message and evaluatePropose's tuple check (for
 	// overwrite mode it is the paged Merkle root of the received state — the
-	// only O(S) hash a recipient pays, and only when a full state travelled).
+	// only O(S) hash a recipient pays, and only when a full state travelled:
+	// the state it would install is rebased onto its base's pages, which
+	// rehashes only the pages that changed).
 	recvHash := en.receivedHash(prop)
 	decision, newState := en.evaluatePropose(from, signed, prop, recvHash)
 
@@ -806,7 +808,7 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 		if !prop.Proposed.MatchesRoot(recvHash) {
 			return wire.Rejected("proposed state does not match its tuple hash"), nil
 		}
-		newState = en.pageState(prop.NewState)
+		newState = base.Rebase(prop.NewState)
 	case wire.ModeUpdate:
 		if crypto.Hash(prop.Update) != prop.UpdateHash {
 			return wire.Rejected("update does not match its hash"), nil
@@ -1460,7 +1462,7 @@ func (en *Engine) RecoverPendingRuns(ctx context.Context) ([]Outcome, error) {
 		var newState *pagestate.Paged
 		switch r.prop.Mode {
 		case wire.ModeOverwrite:
-			newState = en.pageState(r.prop.NewState)
+			newState = prevState.Rebase(r.prop.NewState)
 		case wire.ModeUpdate:
 			s, err := en.applyUpdateOn(prevState, r.prop.Update)
 			if err != nil {

@@ -23,9 +23,11 @@
 // hash copies (no state bytes move), WriteAt copies only the touched pages
 // and rehashes them plus the root path (O(delta · log S)), and unchanged
 // pages stay physically shared between every clone that descends from the
-// same build. The coordination engine stores its agreed/current/speculative
-// replica states as Paged values, so a 64-byte update on a 16 MiB object no
-// longer costs 16 MiB of hashing and copying per run at every member.
+// same build; Rebase brings flat bytes derived from a Paged back into paged
+// form at the hashing cost of the pages that differ. The coordination engine
+// stores its agreed/current/speculative replica states as Paged values, so a
+// 64-byte update on a 16 MiB object no longer costs 16 MiB of hashing and
+// copying per run at every member.
 //
 // A Paged that has been shared (stored in an engine field, passed to another
 // component) is immutable by convention: all mutation happens on a fresh
@@ -33,6 +35,7 @@
 package pagestate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -387,6 +390,27 @@ func (p *Paged) Resize(n int) error {
 	p.levels = buildLevels(leaves)
 	p.root = wrapRoot(p.mth(), p.size, p.pageSize)
 	return nil
+}
+
+// Rebase returns the paged form of flat, sharing every page of p whose
+// content flat repeats: the result equals FromBytes(flat, p.PageSize()) in
+// bytes and root, but only pages that differ from p's are copied and
+// rehashed — an O(S) comparison with O(delta · log S) hashing where FromBytes
+// hashes all of S (a length change adds Resize's O(pages) interior rebuild).
+// It is how a flat state produced from p (a flat ApplyUpdate result, an
+// overwrite of p) re-enters the paged world. Neither p nor flat is mutated,
+// and the result never aliases flat.
+func (p *Paged) Rebase(flat []byte) *Paged {
+	q := p.Clone()
+	_ = q.Resize(len(flat)) // only a negative length fails
+	for i, page := range q.pages {
+		lo := i * q.pageSize
+		chunk := flat[lo : lo+len(page)]
+		if !bytes.Equal(page, chunk) {
+			_ = q.WriteAt(lo, chunk) // in bounds: chunk is page i of len(flat) bytes
+		}
+	}
+	return q
 }
 
 // Append extends the state with data (the update-append idiom).

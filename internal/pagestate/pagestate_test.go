@@ -2,6 +2,7 @@ package pagestate
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -227,4 +228,110 @@ func TestStatsCounters(t *testing.T) {
 	if hashed > 64<<10 || copied > 64<<10 {
 		t.Fatalf("64 B write cost hashed=%d copied=%d bytes — not O(delta)", hashed, copied)
 	}
+}
+
+// checkRebase rebases base onto flat and asserts the Rebase contract: the
+// result is FromBytes(flat) in bytes and root, base is untouched, the result
+// does not alias flat, and a page is shared with base exactly when flat
+// repeats its content.
+func checkRebase(t *testing.T, base *Paged, flat []byte) *Paged {
+	t.Helper()
+	baseBytes, baseRoot := base.Bytes(), base.Root()
+	mine := append([]byte(nil), flat...)
+	got := base.Rebase(mine)
+	want := FromBytes(flat, base.PageSize())
+	if got.Root() != want.Root() || !bytes.Equal(got.Bytes(), flat) {
+		t.Fatalf("Rebase(%d bytes) differs from FromBytes", len(flat))
+	}
+	if base.Root() != baseRoot || !bytes.Equal(base.Bytes(), baseBytes) {
+		t.Fatal("Rebase mutated its base")
+	}
+	for i := 0; i < got.Pages(); i++ {
+		shared := i < base.Pages() && &base.Page(i)[0] == &got.Page(i)[0]
+		equal := i < base.Pages() && bytes.Equal(base.Page(i), got.Page(i))
+		if shared != equal {
+			t.Fatalf("page %d/%d: shared=%v but content equal=%v", i, got.Pages(), shared, equal)
+		}
+	}
+	for i := range mine {
+		mine[i] ^= 0xff
+	}
+	if !bytes.Equal(got.Bytes(), flat) {
+		t.Fatal("Rebase result aliases its flat input")
+	}
+	return got
+}
+
+// TestRebaseMatchesFromBytes: across page sizes, state shapes and edits,
+// rebasing an edited flat copy onto its base yields exactly the FromBytes
+// state while sharing every unchanged page, and a one-page edit hashes one
+// page plus its root path.
+func TestRebaseMatchesFromBytes(t *testing.T) {
+	type edit struct {
+		name    string
+		onePage bool // the edit changes exactly one page and not the size
+		apply   func(flat []byte, ps int) []byte
+	}
+	edits := []edit{
+		{"none", false, func(f []byte, _ int) []byte { return f }},
+		{"one byte", true, func(f []byte, _ int) []byte {
+			if len(f) > 0 {
+				f[len(f)/2] ^= 0x5a
+			}
+			return f
+		}},
+		{"two-page span", false, func(f []byte, ps int) []byte {
+			if len(f) >= ps+3 {
+				copy(f[ps-3:], "spans!")
+			}
+			return f
+		}},
+		{"every page", false, func(f []byte, ps int) []byte {
+			for off := 0; off < len(f); off += ps {
+				f[off] ^= 1
+			}
+			return f
+		}},
+		{"grow", false, func(f []byte, ps int) []byte { return append(f, bytes.Repeat([]byte{7}, ps+7)...) }},
+		{"shrink", false, func(f []byte, _ int) []byte { return f[:len(f)*2/3] }},
+	}
+	rng := rand.New(rand.NewSource(27))
+	for _, ps := range []int{64, 256, 4096} {
+		for _, size := range []int{0, ps / 2, 4 * ps, 4*ps + ps/3} {
+			state := make([]byte, size)
+			rng.Read(state)
+			base := FromBytes(state, ps)
+			for _, e := range edits {
+				t.Run(fmt.Sprintf("page%d/size%d/%s", ps, size, e.name), func(t *testing.T) {
+					flat := e.apply(append([]byte(nil), state...), ps)
+					checkRebase(t, base, flat)
+					if !e.onePage || size == 0 {
+						return
+					}
+					before, _ := Stats()
+					got := base.Rebase(flat)
+					after, _ := Stats()
+					// One leaf, its path to the top, the wrapped root.
+					limit := uint64(ps+1) + 65*uint64(len(got.levels)-1) + uint64(len(rootTag)+48)
+					if hashed := after - before; hashed > limit {
+						t.Errorf("one-page edit hashed %d bytes, want <= %d", hashed, limit)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzRebase checks the Rebase contract on arbitrary base/flat pairs at small
+// page sizes, where every page boundary case is a few bytes away.
+func FuzzRebase(f *testing.F) {
+	f.Add([]byte("abcdefgh"), []byte("abcdefgh"), uint8(3))
+	f.Add([]byte("abcdefgh"), []byte("abXdefgh"), uint8(3))
+	f.Add([]byte("abcdefgh"), []byte("abcdefghijk"), uint8(4))
+	f.Add([]byte("abcdefghijk"), []byte("abcde"), uint8(4))
+	f.Add([]byte{}, []byte("new"), uint8(1))
+	f.Add([]byte("gone"), []byte{}, uint8(64))
+	f.Fuzz(func(t *testing.T, state, flat []byte, ps uint8) {
+		checkRebase(t, FromBytes(state, int(ps%64)+1), flat)
+	})
 }

@@ -465,10 +465,12 @@ func (m *Manager) verify(s *clientSession, have, want tuple.State, basePaged *pa
 			return nil, fmt.Errorf("%w: delta payload without a base state", ErrBadPayload)
 		}
 		// The fold runs paged from the engine's shared (immutable) agreed
-		// state: each step clones copy-on-write and its tuple check is a
-		// Merkle-root comparison, so verifying a chain of small deltas over
-		// a large object costs O(deltas · log S), not O(deltas · S) — the
-		// same economics as live coordination.
+		// state, through the same apply path as live coordination, and each
+		// step's tuple check is a Merkle-root comparison. With a
+		// PagedValidator, verifying a chain of small deltas over a large
+		// object costs O(deltas · log S), not O(deltas · S); a flat
+		// Validator's step copies and compares O(S) bytes but still hashes
+		// only the pages that changed.
 		st := basePaged
 		prev := have
 		for i, d := range deltas {

@@ -2,6 +2,7 @@ package b2b_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	b2b "b2b"
 	"b2b/internal/clock"
 	"b2b/internal/crypto"
+	"b2b/internal/pagestate"
 )
 
 // ledger is an UpdatableObject: an append-only list of postings where the
@@ -169,6 +171,154 @@ func TestPublicAPIUpdateOnNonUpdatable(t *testing.T) {
 	d.docs["a"].Set("k", "v")
 	if err := ctrl.Leave(); !errors.Is(err, b2b.ErrNotUpdatable) {
 		t.Fatalf("err = %v, want ErrNotUpdatable", err)
+	}
+}
+
+// patchBlob is a plain flat UpdatableObject over opaque bytes: its update
+// is a 64 B patch, an 8-byte big-endian offset followed by the bytes to
+// write there. It knows nothing of pages.
+type patchBlob struct {
+	mu      sync.Mutex
+	state   []byte
+	pending []byte
+}
+
+const patchBody = 64
+
+func (o *patchBlob) Patch(off int, body []byte) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	copy(o.state[off:], body)
+	o.pending = binary.BigEndian.AppendUint64(nil, uint64(off))
+	o.pending = append(o.pending, body...)
+}
+
+func (o *patchBlob) GetState() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]byte(nil), o.state...), nil
+}
+
+func (o *patchBlob) ApplyState(state []byte) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.state = append(o.state[:0], state...)
+	return nil
+}
+
+func (o *patchBlob) ValidateState(string, []byte) error    { return nil }
+func (o *patchBlob) ValidateConnect(string) error          { return nil }
+func (o *patchBlob) ValidateDisconnect(string, bool) error { return nil }
+
+func (o *patchBlob) GetUpdate() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.pending == nil {
+		return nil, errors.New("no pending patch")
+	}
+	u := o.pending
+	o.pending = nil
+	return u, nil
+}
+
+func decodePatch(current, update []byte) (int, []byte, error) {
+	if len(update) != 8+patchBody {
+		return 0, nil, fmt.Errorf("patch is %d bytes", len(update))
+	}
+	off := binary.BigEndian.Uint64(update)
+	if off > uint64(len(current)-patchBody) {
+		return 0, nil, fmt.Errorf("patch offset %d outside %d-byte state", off, len(current))
+	}
+	return int(off), update[8:], nil
+}
+
+func (o *patchBlob) ApplyUpdate(current, update []byte) ([]byte, error) {
+	off, body, err := decodePatch(current, update)
+	if err != nil {
+		return nil, err
+	}
+	next := append([]byte(nil), current...)
+	copy(next[off:], body)
+	return next, nil
+}
+
+func (o *patchBlob) ValidateUpdate(_ string, current, update []byte) error {
+	_, _, err := decodePatch(current, update)
+	return err
+}
+
+// TestFlatUpdateHashesODelta is the update path's bar at the public API: a
+// flat UpdatableObject that knows nothing of pages still pays O(delta)
+// hashing per 64 B update, because the engine rebases each flat ApplyUpdate
+// result onto its base's pages instead of re-paging it. The bars are on the
+// pagestate hash counter, summed over both members (it is process-global).
+func TestFlatUpdateHashesODelta(t *testing.T) {
+	const runs = 12
+	measure := func(size int) (hashed, copied float64) {
+		t.Run(fmt.Sprintf("%dMiB", size>>20), func(t *testing.T) {
+			ids := []string{"a", "b"}
+			clk, td, net, idents, certs := updateFixture(t, ids)
+			objs := make(map[string]*patchBlob)
+			ctrls := make(map[string]*b2b.Controller)
+			for _, id := range ids {
+				conn, err := net.Endpoint(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := b2b.NewParticipant(idents[id], td, conn,
+					b2b.WithClock(clk),
+					b2b.WithPeerCertificates(certs...),
+					b2b.WithOperationTimeout(time.Minute))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = p.Close() })
+				state := make([]byte, size)
+				for i := range state {
+					state[i] = byte(i * 31)
+				}
+				objs[id] = &patchBlob{state: state}
+				if ctrls[id], err = p.Bind("blob", objs[id], nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range ids {
+				if err := ctrls[id].Bootstrap(ids); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			pagestate.ResetStats()
+			for i := 0; i < runs; i++ {
+				ctrls["a"].Enter()
+				ctrls["a"].Update()
+				objs["a"].Patch((i*40961)%(size-patchBody), []byte(fmt.Sprintf("patch-%058d", i)))
+				if err := ctrls["a"].Leave(); err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+			}
+			for _, id := range ids {
+				if err := ctrls[id].Settle(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h, c := pagestate.Stats()
+			hashed, copied = float64(h)/runs, float64(c)/runs
+			if got := ctrls["b"].AgreedSeq(); got != ctrls["a"].AgreedSeq() {
+				t.Fatalf("b agreed seq %d, a %d", got, ctrls["a"].AgreedSeq())
+			}
+		})
+		return hashed, copied
+	}
+	hashed1, copied1 := measure(1 << 20)
+	hashed16, copied16 := measure(16 << 20)
+	t.Logf("hashed B/run %.0f -> %.0f, copied B/run %.0f -> %.0f (1 -> 16 MiB)", hashed1, hashed16, copied1, copied16)
+	if hashed16 > 64<<10 {
+		t.Errorf("at 16 MiB a 64 B update hashed %.0f B/run, want <= 64 KiB", hashed16)
+	}
+	if g := hashed16 / hashed1; g > 2 {
+		t.Errorf("hashed bytes per run grew %.2fx from 1 to 16 MiB, want <= 2x", g)
 	}
 }
 
