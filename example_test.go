@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	b2b "b2b"
@@ -13,21 +14,44 @@ import (
 )
 
 // contract is a tiny application object for the documentation examples: a
-// shared counter that only ever increases.
+// shared counter that only ever increases. The middleware installs agreed
+// states through ApplyState on its own goroutines, so the counter is
+// guarded, and the examples read and write it through count and set.
 type contract struct {
+	mu    sync.Mutex
 	Count int `json:"count"`
 }
 
-func (c *contract) GetState() ([]byte, error) { return json.Marshal(c) }
+func (c *contract) set(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Count = n
+}
 
-func (c *contract) ApplyState(state []byte) error { return json.Unmarshal(state, c) }
+func (c *contract) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Count
+}
+
+func (c *contract) GetState() ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return json.Marshal(c)
+}
+
+func (c *contract) ApplyState(state []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return json.Unmarshal(state, c)
+}
 
 func (c *contract) ValidateState(proposer string, state []byte) error {
 	var next contract
 	if err := json.Unmarshal(state, &next); err != nil {
 		return err
 	}
-	if next.Count < c.Count {
+	if next.Count < c.count() {
 		return errors.New("the counter may not decrease")
 	}
 	return nil
@@ -85,7 +109,7 @@ func Example() {
 	// A valid change: coordinated at Leave, validated by org-b.
 	ctrlA.Enter()
 	ctrlA.Overwrite()
-	objA.Count = 5
+	objA.set(5)
 	if err := ctrlA.Leave(); err != nil {
 		panic(err)
 	}
@@ -94,10 +118,10 @@ func Example() {
 	// An invalid change: vetoed by org-b, rolled back at org-a.
 	ctrlA.Enter()
 	ctrlA.Overwrite()
-	objA.Count = 1
+	objA.set(1)
 	err = ctrlA.Leave()
 	fmt.Println("decrease vetoed:", errors.Is(err, b2b.ErrVetoed))
-	fmt.Println("org-a rolled back to:", objA.Count)
+	fmt.Println("org-a rolled back to:", objA.count())
 
 	// Output:
 	// count 5 agreed by both organisations
@@ -156,7 +180,7 @@ func ExampleController_SetPipelineWindow() {
 	for i := 1; i <= 3; i++ {
 		ctrlA.Enter()
 		ctrlA.Overwrite()
-		objA.Count = i * 10
+		objA.set(i * 10)
 		if err := ctrlA.Leave(); err != nil { // returns immediately: run i is in flight
 			panic(err)
 		}
@@ -168,7 +192,7 @@ func ExampleController_SetPipelineWindow() {
 			panic(err)
 		}
 	}
-	fmt.Println("org-a agreed count:", objA.Count)
+	fmt.Println("org-a agreed count:", objA.count())
 	for ctrlB.AgreedSeq() != 3 { // org-b installs the chain commit by commit
 		time.Sleep(time.Millisecond)
 	}
@@ -227,7 +251,7 @@ func ExampleBatchedDelivery() {
 
 	ctrlA.Enter()
 	ctrlA.Overwrite()
-	objA.Count = 7
+	objA.set(7)
 	if err := ctrlA.Leave(); err != nil {
 		panic(err)
 	}
@@ -329,7 +353,7 @@ func ExampleController_CatchUp() {
 	a := ctrls["org-a"]
 	a.Enter()
 	a.Overwrite()
-	objA.Count = 5
+	objA.set(5)
 	panicIf(a.Leave())
 	for ctrls["org-b"].AgreedSeq() != 1 {
 		time.Sleep(time.Millisecond)

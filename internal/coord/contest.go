@@ -150,23 +150,22 @@ func (c *contest) entryFor(t tuple.State) *contestEntry {
 // pre-install base state (shared COW, never mutated). When a late competing
 // vote-valid commit for pred arrives, the record supplies the already
 // installed rival as a contest entry and the base to rebuild the winner
-// state from.
+// state from. The evidence's digest is taken only then: installs far
+// outnumber contests, and the raw commit carries the whole proposed state.
 type installRecord struct {
-	pred   tuple.State
-	tup    tuple.State
-	digest [32]byte
-	raw    []byte
-	base   *pagestate.Paged
+	pred tuple.State
+	tup  tuple.State
+	raw  []byte
+	base *pagestate.Paged
 }
 
 // recordInstallLocked appends an install record (FIFO, bounded).
 func (en *Engine) recordInstallLocked(pred, tup tuple.State, raw []byte, base *pagestate.Paged) {
 	en.recent = append(en.recent, installRecord{
-		pred:   pred,
-		tup:    tup,
-		digest: crypto.Hash(raw),
-		raw:    append([]byte(nil), raw...),
-		base:   base,
+		pred: pred,
+		tup:  tup,
+		raw:  append([]byte(nil), raw...),
+		base: base,
 	})
 	if len(en.recent) > recentInstallCap {
 		en.recent = en.recent[1:]
@@ -213,9 +212,11 @@ func (en *Engine) contestAddLocked(pred tuple.State, raw []byte, prop wire.Propo
 	}
 	c := en.contestForLocked(pred)
 	added := c.insert(contestEntry{digest: crypto.Hash(raw), raw: raw, prop: prop})
-	if rec != nil && !c.has(rec.digest) {
-		if rp, err := en.rivalProposeOf(rec.raw); err == nil {
-			c.insert(contestEntry{digest: rec.digest, raw: rec.raw, prop: rp})
+	if rec != nil {
+		if d := crypto.Hash(rec.raw); !c.has(d) {
+			if rp, err := en.rivalProposeOf(rec.raw); err == nil {
+				c.insert(contestEntry{digest: d, raw: rec.raw, prop: rp})
+			}
 		}
 	}
 	if added {

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"b2b/internal/canon"
 	"b2b/internal/crypto"
 )
 
@@ -55,10 +56,23 @@ type Entry struct {
 // than being silently misread, and migrating historical evidence across
 // layouts is an explicit operator action, not something the log does
 // implicitly.
+//
+// The metadata is framed canonically (every string length-prefixed), so no
+// two entries whose fields differ can share a hash input by moving bytes
+// from one field into its neighbour.
 func entryHash(e *Entry) [32]byte {
-	meta := fmt.Sprintf("%d|%d|%s|%s|%s|%s|%s|%d",
-		e.Seq, e.RunSeq, e.RunID, e.Object, e.Kind, e.Party, e.Direction, e.Time.UTC().UnixNano())
-	return crypto.Hash(e.PrevHash[:], []byte(meta), e.Payload)
+	meta := canon.Marshal(func(enc *canon.Encoder) {
+		enc.Struct("nrlog-entry")
+		enc.Uint64(e.Seq)
+		enc.Uint64(e.RunSeq)
+		enc.String(e.RunID)
+		enc.String(e.Object)
+		enc.String(e.Kind)
+		enc.String(e.Party)
+		enc.String(string(e.Direction))
+		enc.Int64(e.Time.UTC().UnixNano())
+	})
+	return crypto.Hash(e.PrevHash[:], meta, e.Payload)
 }
 
 // Errors reported by logs.

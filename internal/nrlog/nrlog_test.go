@@ -150,3 +150,26 @@ func TestAppendSeqChainsEvidencePerSequence(t *testing.T) {
 		t.Fatal("RunSeq tamper went undetected")
 	}
 }
+
+// TestEntryHashFramesFields: the chain hash frames each metadata field, so
+// moving a separator-like byte from one field into its neighbour — which
+// re-attributes the evidence — changes the hash.
+func TestEntryHashFramesFields(t *testing.T) {
+	at := time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC)
+	mk := func(runID, object, kind, party string) Entry {
+		return Entry{Seq: 3, RunSeq: 1, Time: at, RunID: runID, Object: object,
+			Kind: kind, Party: party, Direction: DirSent, Payload: []byte("evidence")}
+	}
+	pairs := [][2]Entry{
+		{mk("r", "o|x", "k", "alice"), mk("r", "o", "x|k", "alice")},
+		{mk("r|o", "bj", "k", "alice"), mk("r", "o|bj", "k", "alice")},
+		{mk("r", "o", "k", "a|b"), mk("r", "o", "k|a", "b")},
+	}
+	for _, p := range pairs {
+		if entryHash(&p[0]) == entryHash(&p[1]) {
+			a, b := p[0], p[1]
+			t.Errorf("(%q %q %q %q) and (%q %q %q %q) share a chain hash",
+				a.RunID, a.Object, a.Kind, a.Party, b.RunID, b.Object, b.Kind, b.Party)
+		}
+	}
+}

@@ -157,36 +157,60 @@ type Stamper interface {
 	Stamp(h [32]byte) crypto.Timestamp
 }
 
-// Sign produces a Signed message: sig over (kind || body), timestamp over
-// h(body || sig) so the stamp covers both content and attribution.
+// Sign produces a Signed message. The body is hashed once: the signature
+// covers (kind, len(body), h(body)) and the timestamp covers h(h(body) || sig),
+// so the stamp binds both content and attribution (docs/PROTOCOL.md §2.1).
 func Sign(kind Kind, body []byte, ident *crypto.Identity, tsa Stamper) Signed {
-	sig := ident.Sign(signInput(kind, body))
+	d := crypto.Hash(body)
+	sig := ident.Sign(signInput(kind, len(body), d))
 	s := Signed{Kind: kind, Body: body, Sig: sig}
 	if tsa != nil {
-		s.TS = tsa.Stamp(crypto.Hash(body, sig.Sig))
+		s.TS = tsa.Stamp(stampInput(d, sig.Sig))
 	}
 	return s
 }
 
-func signInput(kind Kind, body []byte) []byte {
+// signInput is the signed byte string: a fixed-size record whatever the
+// body's size, since the body enters only through its digest.
+func signInput(kind Kind, bodyLen int, d [32]byte) []byte {
 	return canon.Marshal(func(e *canon.Encoder) {
 		e.Struct("signed-input")
 		e.Uint64(uint64(kind))
-		e.Bytes(body)
+		e.Uint64(uint64(bodyLen))
+		e.Bytes32(d)
 	})
 }
+
+// stampInput is the hash the TSA stamps: the body digest and the signature.
+func stampInput(d [32]byte, sig []byte) [32]byte {
+	return crypto.Hash(d[:], sig)
+}
+
+// BodyDigest returns h(Body), the digest the signature and timestamp bind.
+// It is recomputed on every call: a Signed never caches it, because Body
+// may be altered after signing.
+func (s Signed) BodyDigest() [32]byte { return crypto.Hash(s.Body) }
 
 // Verify checks the signature (and timestamp, when present) against v. The
 // signature is validated as of the timestamp's instant, so evidence signed
 // with since-expired certificates remains verifiable at its generation time.
 func (s Signed) Verify(v *crypto.Verifier) error {
-	if err := v.VerifySignature(signInput(s.Kind, s.Body), s.Sig, s.TS.Time); err != nil {
+	return s.VerifyDigest(v, s.BodyDigest())
+}
+
+// VerifyDigest is Verify with the body digest d supplied by the caller, for
+// a caller that needs the digest for something else as well (the
+// coordinator's signature memo key). d must be s.BodyDigest() computed in
+// the same call; the only callers are Verify and coord's verifySigned
+// (enforced by TestVerifyDigestCallers).
+func (s Signed) VerifyDigest(v *crypto.Verifier, d [32]byte) error {
+	if err := v.VerifySignature(signInput(s.Kind, len(s.Body), d), s.Sig, s.TS.Time); err != nil {
 		return fmt.Errorf("wire: %s from %s: %w", s.Kind, s.Sig.Signer, err)
 	}
 	if s.TS.Authority == "" {
 		return fmt.Errorf("%w: %s from %s", ErrNoTimestamp, s.Kind, s.Sig.Signer)
 	}
-	if err := v.VerifyTimestamp(s.TS, crypto.Hash(s.Body, s.Sig.Sig)); err != nil {
+	if err := v.VerifyTimestamp(s.TS, stampInput(d, s.Sig.Sig)); err != nil {
 		return fmt.Errorf("wire: %s from %s: %w", s.Kind, s.Sig.Signer, err)
 	}
 	return nil

@@ -22,7 +22,7 @@ type fixture struct {
 	bob   *crypto.Identity
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
 	ca, err := crypto.NewCA("ca", clk, 24*time.Hour)
