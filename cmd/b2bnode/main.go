@@ -47,6 +47,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -187,13 +188,22 @@ func seed32(b []byte) []byte {
 // blobObject is the node's generic shared object: an opaque JSON document;
 // every syntactically valid change is accepted (policy plugs in here in a
 // real application).
+// Its state is written by the control interface's set handler and by the
+// commit executor's install upcall, and read at every Leave, so mu guards it.
 type blobObject struct {
+	mu    sync.Mutex
 	state []byte
 }
 
-func (o *blobObject) GetState() ([]byte, error) { return append([]byte(nil), o.state...), nil }
+func (o *blobObject) GetState() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]byte(nil), o.state...), nil
+}
 
 func (o *blobObject) ApplyState(state []byte) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	o.state = append([]byte(nil), state...)
 	return nil
 }

@@ -16,43 +16,22 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/lab"
 	"b2b/internal/ttp"
-	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
 
-// gameValidator adapts the TicTacToe object to the internal validator used
-// by the player-side engines in this wiring.
-type gameValidator struct {
-	game *apps.TicTacToe
-}
-
-func (v *gameValidator) ValidateState(proposer string, _, proposed []byte) wire.Decision {
-	// Moves arrive via the trusted third party (Fig 6): the TTP has already
-	// attributed the move to a player; this replica checks rule consistency
-	// for whichever player's turn it is.
-	if proposer == "ttp" {
-		if err := v.game.ValidateStateByTurn(proposed); err != nil {
-			return wire.Rejected(err.Error())
+// gameValidator adapts a player's TicTacToe object to the internal
+// validator used by the player-side engines in this wiring. Moves arrive via
+// the trusted third party (Fig 6): the TTP has already attributed the move
+// to a player, so this replica checks rule consistency for whichever
+// player's turn it is.
+func gameValidator(game *apps.TicTacToe) coord.Validator {
+	return lab.ObjectValidator(func(proposer string, proposed []byte) error {
+		if proposer == "ttp" {
+			return game.ValidateStateByTurn(proposed)
 		}
-		return wire.Accepted
-	}
-	if err := v.game.ValidateState(proposer, proposed); err != nil {
-		return wire.Rejected(err.Error())
-	}
-	return wire.Accepted
+		return game.ValidateState(proposer, proposed)
+	}, game.ApplyState)
 }
-
-func (v *gameValidator) ValidateUpdate(string, []byte, []byte) wire.Decision {
-	return wire.Rejected("updates not used")
-}
-
-func (v *gameValidator) ApplyUpdate([]byte, []byte) ([]byte, error) {
-	return nil, fmt.Errorf("updates not used")
-}
-
-func (v *gameValidator) Installed(state []byte, _ tuple.State) { _ = v.game.ApplyState(state) }
-
-func (v *gameValidator) RolledBack(state []byte, _ tuple.State) { _ = v.game.ApplyState(state) }
 
 func main() {
 	if err := run(); err != nil {
@@ -87,7 +66,7 @@ func run() error {
 		return wire.Accepted
 	})
 
-	if _, _, err := w.Party("cross").Part.Bind("side-x", &gameValidator{game: gameX}, nil); err != nil {
+	if _, _, err := w.Party("cross").Part.Bind("side-x", gameValidator(gameX), nil); err != nil {
 		return err
 	}
 	enL, _, err := w.Party("ttp").Part.Bind("side-x", relay.ValidatorFor(0), nil)
@@ -98,7 +77,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := w.Party("nought").Part.Bind("side-o", &gameValidator{game: gameO}, nil); err != nil {
+	if _, _, err := w.Party("nought").Part.Bind("side-o", gameValidator(gameO), nil); err != nil {
 		return err
 	}
 	relay.Bind(0, enL)
@@ -197,5 +176,3 @@ func countMoves(state []byte) int {
 	}
 	return s.Moves
 }
-
-var _ coord.Validator = (*gameValidator)(nil)

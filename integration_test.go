@@ -39,7 +39,13 @@ func TestReplicaConsistencyRandomised(t *testing.T) {
 	// Each party vetoes states containing its own id (arbitrary policy that
 	// creates a mix of valid and vetoed runs).
 	mkValidator := func(id string) coord.Validator {
-		return vetoSubstring{needle: []byte("veto-" + id)}
+		needle := []byte("veto-" + id)
+		return lab.ObjectValidator(func(_ string, proposed []byte) error {
+			if bytes.Contains(proposed, needle) {
+				return fmt.Errorf("contains %s", needle)
+			}
+			return nil
+		}, func([]byte) error { return nil })
 	}
 	if err := w.Bind("obj", mkValidator, nil); err != nil {
 		t.Fatal(err)
@@ -94,29 +100,6 @@ func TestReplicaConsistencyRandomised(t *testing.T) {
 		t.Fatalf("test did not exercise both outcomes: valid=%d vetoed=%d", valid, vetoed)
 	}
 }
-
-// vetoSubstring vetoes any state containing needle.
-type vetoSubstring struct {
-	needle []byte
-}
-
-func (v vetoSubstring) ValidateState(_ string, _, proposed []byte) (d b2b.Decision) {
-	if bytes.Contains(proposed, v.needle) {
-		return b2b.Decision{Accept: false, Diagnostic: "contains " + string(v.needle)}
-	}
-	return b2b.Decision{Accept: true}
-}
-
-func (v vetoSubstring) ValidateUpdate(_ string, _, update []byte) b2b.Decision {
-	return v.ValidateState("", nil, update)
-}
-
-func (v vetoSubstring) ApplyUpdate(current, update []byte) ([]byte, error) {
-	return append(append([]byte(nil), current...), update...), nil
-}
-
-func (vetoSubstring) Installed([]byte, b2b.StateTuple)  {}
-func (vetoSubstring) RolledBack([]byte, b2b.StateTuple) {}
 
 // TestFullStackCrashRecovery (E10): a participant with durable storage
 // crashes after agreeing state, restarts from disk, and resumes

@@ -568,7 +568,7 @@ func (en *Engine) resolveContest(pred tuple.State) {
 		case wire.ModeOverwrite:
 			st = base.Rebase(win.prop.NewState)
 		case wire.ModeUpdate:
-			s, err := en.applyUpdateOn(base, win.prop.Update)
+			s, err := en.cfg.Validator.ApplyUpdate(base, win.prop.Update)
 			if err != nil {
 				en.mu.Unlock()
 				return
@@ -730,12 +730,4 @@ func (en *Engine) rivalProposeLocked(pred tuple.State, proposer string) {
 			return
 		}
 	}
-}
-
-// ContestedTuples reports the predecessor tuples currently under contest
-// (diagnostics and tests).
-func (en *Engine) ContestedTuples() []tuple.State {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	return append([]tuple.State(nil), en.contestQ...)
 }

@@ -71,24 +71,35 @@ const (
 )
 
 // Validator is the application-side validation upcall interface (the
-// B2BObject validateState/validateUpdate operations of §5).
+// B2BObject validateState/validateUpdate operations of §5). The engine's
+// replica is a copy-on-write paged state, so applying and validating a small
+// update on a large object costs O(delta · log S); adapters for flat
+// application objects (the root package's Object) materialize bytes only
+// where the application asks for them.
+//
+// Contract: a *pagestate.Paged received through this interface is shared and
+// immutable — implementations must mutate only a Clone (pagestate's
+// copy-on-write makes that cheap) and must return a value the engine may in
+// turn share.
 type Validator interface {
-	// ValidateState judges a full-state overwrite proposed by proposer.
+	// ValidateState judges a full-state overwrite proposed by proposer
+	// (proposed is the flat proposed state — it travelled on the wire).
 	// Asymmetric sharing rules (e.g. the paper's order processing, §5.2)
 	// depend on who proposed the change.
-	ValidateState(proposer string, current, proposed []byte) wire.Decision
+	ValidateState(proposer string, current *pagestate.Paged, proposed []byte) wire.Decision
 	// ValidateUpdate judges an update (delta) proposed by proposer.
-	ValidateUpdate(proposer string, current, update []byte) wire.Decision
-	// ApplyUpdate computes the state resulting from applying update.
-	ApplyUpdate(current, update []byte) ([]byte, error)
+	ValidateUpdate(proposer string, current *pagestate.Paged, update []byte) wire.Decision
+	// ApplyUpdate computes the state resulting from applying update,
+	// without mutating current.
+	ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error)
 	// Installed notifies that a newly validated state has been installed.
 	// It runs on the engine's commit executor before t is published, so
 	// it must not wait for the engine to settle (WaitQuiescent, a
 	// synchronous Propose).
-	Installed(state []byte, t tuple.State)
+	Installed(state *pagestate.Paged, t tuple.State)
 	// RolledBack notifies the proposer that its proposal was invalidated and
 	// the replica reverted to the agreed state.
-	RolledBack(state []byte, t tuple.State)
+	RolledBack(state *pagestate.Paged, t tuple.State)
 }
 
 // Conn is the outbound message channel (satisfied by transport.Reliable and
@@ -279,9 +290,7 @@ type pendingMsg struct {
 type Engine struct {
 	cfg Config
 
-	// pv is the validator's optional paged fast path (nil: flat shim), and
-	// memo the bounded verified-signature cache.
-	pv   PagedValidator
+	// memo is the bounded verified-signature cache.
 	memo *sigMemo
 
 	// blog/bstore are the optional batched-durability surfaces of the log
@@ -387,7 +396,6 @@ func New(cfg Config) (*Engine, error) {
 	en.turn = sync.NewCond(&en.mu)
 	en.blog, _ = cfg.Log.(nrlog.Batched)
 	en.bstore, _ = cfg.Store.(store.Batched)
-	en.pv, _ = cfg.Validator.(PagedValidator)
 	return en, nil
 }
 
@@ -474,7 +482,7 @@ func (en *Engine) Restore() error {
 		if !cp.Delta {
 			return fmt.Errorf("coord: restoring %s: full snapshot mid-chain", en.cfg.Object)
 		}
-		state, err = en.applyUpdateOn(state, cp.Update)
+		state, err = en.cfg.Validator.ApplyUpdate(state, cp.Update)
 		if err != nil {
 			return fmt.Errorf("coord: restoring %s: replaying delta seq %d: %w", en.cfg.Object, cp.Tuple.Seq, err)
 		}
@@ -1039,19 +1047,6 @@ func (en *Engine) send(ctx context.Context, to string, kind wire.Kind, payload [
 // material — see internal/xfer).
 func (en *Engine) CatchUpChain() ([]store.Checkpoint, error) {
 	return en.cfg.Store.Chain(en.cfg.Object)
-}
-
-// DeltaRange reports the closed sequence interval (from, to] of agreed runs
-// this party can serve as catch-up deltas: a peer whose agreed sequence is
-// at least `from` can sync with O(missing runs · delta) bytes instead of a
-// full snapshot. ok is false when no delta chain is available (fresh engine,
-// overwrite-mode history, or a chain compacted down to its snapshot).
-func (en *Engine) DeltaRange() (from, to uint64, ok bool) {
-	chain, err := en.cfg.Store.Chain(en.cfg.Object)
-	if err != nil || len(chain) < 2 {
-		return 0, 0, false
-	}
-	return chain[0].Tuple.Seq, chain[len(chain)-1].Tuple.Seq, true
 }
 
 // Errors of the catch-up path.

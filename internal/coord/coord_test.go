@@ -12,6 +12,7 @@ import (
 	"b2b/internal/clock"
 	"b2b/internal/crypto"
 	"b2b/internal/nrlog"
+	"b2b/internal/pagestate"
 	"b2b/internal/store"
 	"b2b/internal/transport"
 	"b2b/internal/tuple"
@@ -30,47 +31,51 @@ type appValidator struct {
 	lastRolled []byte
 }
 
-func (v *appValidator) ValidateState(_ string, current, proposed []byte) wire.Decision {
+func (v *appValidator) ValidateState(_ string, current *pagestate.Paged, proposed []byte) wire.Decision {
 	v.mu.Lock()
 	f := v.validate
 	v.mu.Unlock()
 	if f != nil {
-		return f(current, proposed)
+		return f(current.Bytes(), proposed)
 	}
 	return wire.Accepted
 }
 
-func (v *appValidator) ValidateUpdate(_ string, current, update []byte) wire.Decision {
+func (v *appValidator) ValidateUpdate(_ string, current *pagestate.Paged, update []byte) wire.Decision {
 	v.mu.Lock()
 	f := v.validate
 	v.mu.Unlock()
 	if f != nil {
-		applied := append(append([]byte(nil), current...), update...)
-		return f(current, applied)
+		flat := current.Bytes()
+		return f(flat, append(flat, update...))
 	}
 	return wire.Accepted
 }
 
-func (v *appValidator) ApplyUpdate(current, update []byte) ([]byte, error) {
+func (v *appValidator) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
 	if bytes.HasPrefix(update, []byte("BAD")) {
 		return nil, errors.New("inapplicable update")
 	}
-	return append(append([]byte(nil), current...), update...), nil
+	out := current.Clone()
+	if err := out.Append(update); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func (v *appValidator) Installed(state []byte, t tuple.State) {
+func (v *appValidator) Installed(state *pagestate.Paged, t tuple.State) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.installs++
-	v.lastState = append([]byte(nil), state...)
+	v.lastState = state.Bytes()
 	v.lastTuple = t
 }
 
-func (v *appValidator) RolledBack(state []byte, t tuple.State) {
+func (v *appValidator) RolledBack(state *pagestate.Paged, t tuple.State) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.rollbacks++
-	v.lastRolled = append([]byte(nil), state...)
+	v.lastRolled = state.Bytes()
 }
 
 func (v *appValidator) counts() (installs, rollbacks int) {

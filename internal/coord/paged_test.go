@@ -3,12 +3,61 @@ package coord
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/types"
 	"testing"
 	"time"
 
+	"b2b/internal/analysis"
 	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
 )
+
+// TestBytesMaterialisationSites keeps flat round trips out of the engine:
+// the replica is paged end to end, the Validator receives pages, and a flat
+// copy of a state ((*pagestate.Paged).Bytes, O(S)) is made only where a
+// caller asks for flat bytes — the Agreed and Current accessors and the full
+// snapshot checkpoint. The scan type-checks the package's non-test files, so
+// a Bytes method of any other type does not count.
+func TestBytesMaterialisationSites(t *testing.T) {
+	l, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./internal/coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgs[0]
+	allowed := map[string]bool{"Agreed": true, "Current": true, "snapshotLocked": true}
+	found := map[string]bool{}
+	analysis.InspectFuncs(pkg.Files, func(fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := analysis.CalleeFunc(pkg.Info, call)
+			if fn == nil || fn.Name() != "Bytes" {
+				return true
+			}
+			recv := fn.Type().(*types.Signature).Recv()
+			if recv == nil || !analysis.IsNamed(recv.Type(), "Paged", "pagestate") {
+				return true
+			}
+			if !allowed[fd.Name.Name] {
+				t.Errorf("%s: %s materialises a paged state; only %v may", pkg.Fset.Position(call.Pos()), fd.Name.Name, allowed)
+			}
+			found[fd.Name.Name] = true
+			return true
+		})
+	})
+	for site := range allowed {
+		if !found[site] {
+			t.Errorf("expected a Paged.Bytes call in %s, found none (scan broken?)", site)
+		}
+	}
+}
 
 // TestUpdateOverwriteEquivalence: coordinating an update and overwriting
 // with the state it produces must yield the same HashState — the paged

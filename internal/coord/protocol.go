@@ -137,7 +137,7 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 	// base: an O(S) comparison that copies and rehashes only changed pages.
 	var newPaged *pagestate.Paged
 	if mode == wire.ModeUpdate {
-		s, err := en.applyUpdateOn(baseState, update)
+		s, err := en.cfg.Validator.ApplyUpdate(baseState, update)
 		if err != nil {
 			en.mu.Unlock()
 			return nil, fmt.Errorf("coord: applying own update: %w", err)
@@ -813,7 +813,7 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 		if crypto.Hash(prop.Update) != prop.UpdateHash {
 			return wire.Rejected("update does not match its hash"), nil
 		}
-		applied, err := en.applyUpdateOn(base, prop.Update)
+		applied, err := en.cfg.Validator.ApplyUpdate(base, prop.Update)
 		if err != nil {
 			return wire.Rejected(fmt.Sprintf("update not applicable: %v", err)), nil
 		}
@@ -830,9 +830,9 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 
 	var decision wire.Decision
 	if prop.Mode == wire.ModeUpdate {
-		decision = en.validateUpdateOn(prop.Proposer, base, prop.Update)
+		decision = en.cfg.Validator.ValidateUpdate(prop.Proposer, base, prop.Update)
 	} else {
-		decision = en.validateStateOn(prop.Proposer, base, prop.NewState)
+		decision = en.cfg.Validator.ValidateState(prop.Proposer, base, prop.NewState)
 	}
 	// The candidate state is retained even on an application-level veto:
 	// under majority termination (§7) a vetoing minority member still
@@ -1464,7 +1464,7 @@ func (en *Engine) RecoverPendingRuns(ctx context.Context) ([]Outcome, error) {
 		case wire.ModeOverwrite:
 			newState = prevState.Rebase(r.prop.NewState)
 		case wire.ModeUpdate:
-			s, err := en.applyUpdateOn(prevState, r.prop.Update)
+			s, err := en.cfg.Validator.ApplyUpdate(prevState, r.prop.Update)
 			if err != nil {
 				dropped = append(dropped, r)
 				continue

@@ -15,19 +15,8 @@ import (
 	"b2b/internal/nrlog"
 	"b2b/internal/store"
 	"b2b/internal/transport"
-	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
-
-type acceptAll struct{}
-
-func (acceptAll) ValidateState(string, []byte, []byte) wire.Decision  { return wire.Accepted }
-func (acceptAll) ValidateUpdate(string, []byte, []byte) wire.Decision { return wire.Accepted }
-func (acceptAll) ApplyUpdate(current, update []byte) ([]byte, error) {
-	return append(append([]byte(nil), current...), update...), nil
-}
-func (acceptAll) Installed([]byte, tuple.State)  {}
-func (acceptAll) RolledBack([]byte, tuple.State) {}
 
 func newParticipant(t *testing.T, nw *transport.Network, clk *clock.Sim,
 	ca *crypto.CA, tsa *crypto.TSA, id string, certs []crypto.Certificate) *core.Participant {
@@ -80,10 +69,10 @@ func TestParticipantBindErrors(t *testing.T) {
 	t.Cleanup(nw.Close)
 
 	p := newParticipant(t, nw, clk, ca, tsa, "solo", nil)
-	if _, _, err := p.Bind("obj", acceptAll{}, nil); err != nil {
+	if _, _, err := p.Bind("obj", lab.AcceptAllValidator(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Bind("obj", acceptAll{}, nil); !errors.Is(err, core.ErrObjectBound) {
+	if _, _, err := p.Bind("obj", lab.AcceptAllValidator(), nil); !errors.Is(err, core.ErrObjectBound) {
 		t.Fatalf("double bind: %v", err)
 	}
 	if _, err := p.Engine("ghost"); !errors.Is(err, core.ErrObjectUnknown) {

@@ -305,18 +305,6 @@ func NewVerifier(ca *CA, tsa *TSA) *Verifier {
 	}
 }
 
-// NewVerifierFromKeys creates a verifier from raw trusted root keys, for
-// processes that do not hold the CA/TSA objects themselves.
-func NewVerifierFromKeys(caID string, caPub ed25519.PublicKey, tsaID string, tsaPub ed25519.PublicKey) *Verifier {
-	return &Verifier{
-		caID:   caID,
-		caPub:  caPub,
-		tsaID:  tsaID,
-		tsaPub: tsaPub,
-		certs:  make(map[string]Certificate),
-	}
-}
-
 // AddCertificate verifies cert against the trusted CA and, if valid,
 // registers the subject's public key for signature verification.
 func (v *Verifier) AddCertificate(cert Certificate) error {
@@ -337,15 +325,6 @@ func (v *Verifier) AddCertificate(cert Certificate) error {
 func (v *Verifier) Certificate(subject string) (Certificate, bool) {
 	c, ok := v.certs[subject]
 	return c, ok
-}
-
-// Subjects returns the set of registered subjects.
-func (v *Verifier) Subjects() []string {
-	out := make([]string, 0, len(v.certs))
-	for s := range v.certs {
-		out = append(out, s)
-	}
-	return out
 }
 
 // VerifySignature checks that sig is a valid signature over data by a

@@ -13,6 +13,7 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/crypto"
 	"b2b/internal/nrlog"
+	"b2b/internal/pagestate"
 	"b2b/internal/store"
 	"b2b/internal/transport"
 	"b2b/internal/tuple"
@@ -22,13 +23,21 @@ import (
 // acceptValidator accepts every state change (coordination side).
 type acceptValidator struct{}
 
-func (acceptValidator) ValidateState(_ string, _, _ []byte) wire.Decision  { return wire.Accepted }
-func (acceptValidator) ValidateUpdate(_ string, _, _ []byte) wire.Decision { return wire.Accepted }
-func (acceptValidator) ApplyUpdate(current, update []byte) ([]byte, error) {
-	return append(append([]byte(nil), current...), update...), nil
+func (acceptValidator) ValidateState(string, *pagestate.Paged, []byte) wire.Decision {
+	return wire.Accepted
 }
-func (acceptValidator) Installed([]byte, tuple.State)  {}
-func (acceptValidator) RolledBack([]byte, tuple.State) {}
+func (acceptValidator) ValidateUpdate(string, *pagestate.Paged, []byte) wire.Decision {
+	return wire.Accepted
+}
+func (acceptValidator) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
+	out := current.Clone()
+	if err := out.Append(update); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+func (acceptValidator) Installed(*pagestate.Paged, tuple.State)  {}
+func (acceptValidator) RolledBack(*pagestate.Paged, tuple.State) {}
 
 // memberValidator is a configurable membership validator.
 type memberValidator struct {

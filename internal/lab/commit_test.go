@@ -9,6 +9,7 @@ import (
 
 	"b2b/internal/coord"
 	"b2b/internal/faults"
+	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
@@ -16,23 +17,17 @@ import (
 // installLog is an accept-all application that records what reached it
 // through the install upcall.
 type installLog struct {
+	coord.Validator
 	mu    sync.Mutex
 	t     tuple.State
 	state []byte
 	n     int
 }
 
-func (l *installLog) ValidateState(string, []byte, []byte) wire.Decision  { return wire.Accepted }
-func (l *installLog) ValidateUpdate(string, []byte, []byte) wire.Decision { return wire.Accepted }
-func (l *installLog) ApplyUpdate(cur, upd []byte) ([]byte, error) {
-	return append(append([]byte(nil), cur...), upd...), nil
-}
-func (l *installLog) RolledBack([]byte, tuple.State) {}
-
-func (l *installLog) Installed(state []byte, t tuple.State) {
+func (l *installLog) Installed(state *pagestate.Paged, t tuple.State) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.t, l.state = t, append([]byte(nil), state...)
+	l.t, l.state = t, state.Bytes()
 	l.n++
 }
 
@@ -55,7 +50,7 @@ func publishWorld(t *testing.T, obj string) (*World, map[string]*installLog) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	apps := map[string]*installLog{"alice": {}, "bob": {}}
+	apps := map[string]*installLog{"alice": {Validator: AcceptAllValidator()}, "bob": {Validator: AcceptAllValidator()}}
 	if err := w.Bind(obj, func(id string) coord.Validator { return apps[id] }, nil); err != nil {
 		t.Fatal(err)
 	}

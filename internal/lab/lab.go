@@ -711,32 +711,16 @@ func PatchValidator() coord.Validator { return patchAll{} }
 
 type patchAll struct{}
 
-func (patchAll) ValidateState(_ string, _, _ []byte) wire.Decision  { return wire.Accepted }
-func (patchAll) ValidateUpdate(_ string, _, _ []byte) wire.Decision { return wire.Accepted }
+func (patchAll) ValidateState(string, *pagestate.Paged, []byte) wire.Decision  { return wire.Accepted }
+func (patchAll) ValidateUpdate(string, *pagestate.Paged, []byte) wire.Decision { return wire.Accepted }
+func (patchAll) Installed(*pagestate.Paged, tuple.State)                       {}
+func (patchAll) RolledBack(*pagestate.Paged, tuple.State)                      {}
 
-func (patchAll) ApplyUpdate(current, update []byte) ([]byte, error) {
-	if len(update) < 4 {
-		return nil, fmt.Errorf("lab: patch update too short: %d bytes", len(update))
-	}
-	off := int(binary.BigEndian.Uint32(update))
-	body := update[4:]
-	if off+len(body) > len(current) {
-		return nil, fmt.Errorf("lab: patch [%d,%d) outside %d-byte state", off, off+len(body), len(current))
-	}
-	out := append([]byte(nil), current...)
-	copy(out[off:], body)
-	return out, nil
-}
-
-func (patchAll) Installed([]byte, tuple.State)  {}
-func (patchAll) RolledBack([]byte, tuple.State) {}
-
-// The paged fast path (coord.PagedValidator): a patch clones the base —
-// sharing every unchanged page copy-on-write — and rewrites only the pages
-// the patch touches, so applying a 64-byte patch to a 16 MiB object costs
-// O(delta · log S) instead of a full-state copy (TestPagedIdentityIsODelta
-// holds it to that).
-func (patchAll) ApplyUpdatePaged(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
+// ApplyUpdate clones the base — sharing every unchanged page copy-on-write —
+// and rewrites only the pages the patch touches, so applying a 64-byte patch
+// to a 16 MiB object costs O(delta · log S) instead of a full-state copy
+// (TestPagedIdentityIsODelta holds it to that).
+func (patchAll) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
 	if len(update) < 4 {
 		return nil, fmt.Errorf("lab: patch update too short: %d bytes", len(update))
 	}
@@ -752,15 +736,6 @@ func (patchAll) ApplyUpdatePaged(current *pagestate.Paged, update []byte) (*page
 	return out, nil
 }
 
-func (patchAll) ValidateStatePaged(string, *pagestate.Paged, []byte) wire.Decision {
-	return wire.Accepted
-}
-func (patchAll) ValidateUpdatePaged(string, *pagestate.Paged, []byte) wire.Decision {
-	return wire.Accepted
-}
-func (patchAll) InstalledPaged(*pagestate.Paged, tuple.State)  {}
-func (patchAll) RolledBackPaged(*pagestate.Paged, tuple.State) {}
-
 // Patch encodes an in-place update for PatchValidator.
 func Patch(offset int, body []byte) []byte {
 	out := make([]byte, 4+len(body))
@@ -770,33 +745,20 @@ func Patch(offset int, body []byte) []byte {
 }
 
 // AcceptAllValidator returns a coord.Validator accepting every change, with
-// update-append semantics.
+// update-append semantics: an append shares the whole prefix copy-on-write.
 func AcceptAllValidator() coord.Validator { return acceptAll{} }
 
 type acceptAll struct{}
 
-func (acceptAll) ValidateState(_ string, _, _ []byte) wire.Decision  { return wire.Accepted }
-func (acceptAll) ValidateUpdate(_ string, _, _ []byte) wire.Decision { return wire.Accepted }
-func (acceptAll) ApplyUpdate(current, update []byte) ([]byte, error) {
-	return append(append([]byte(nil), current...), update...), nil
-}
-func (acceptAll) Installed([]byte, tuple.State)  {}
-func (acceptAll) RolledBack([]byte, tuple.State) {}
+func (acceptAll) ValidateState(string, *pagestate.Paged, []byte) wire.Decision  { return wire.Accepted }
+func (acceptAll) ValidateUpdate(string, *pagestate.Paged, []byte) wire.Decision { return wire.Accepted }
+func (acceptAll) Installed(*pagestate.Paged, tuple.State)                       {}
+func (acceptAll) RolledBack(*pagestate.Paged, tuple.State)                      {}
 
-// Paged fast path: append shares the whole prefix copy-on-write.
-func (acceptAll) ApplyUpdatePaged(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
+func (acceptAll) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
 	out := current.Clone()
 	if err := out.Append(update); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
-
-func (acceptAll) ValidateStatePaged(string, *pagestate.Paged, []byte) wire.Decision {
-	return wire.Accepted
-}
-func (acceptAll) ValidateUpdatePaged(string, *pagestate.Paged, []byte) wire.Decision {
-	return wire.Accepted
-}
-func (acceptAll) InstalledPaged(*pagestate.Paged, tuple.State)  {}
-func (acceptAll) RolledBackPaged(*pagestate.Paged, tuple.State) {}

@@ -9,35 +9,44 @@ import (
 
 	"b2b/internal/apps"
 	"b2b/internal/coord"
+	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
 
-// objValidator adapts any b2b-style application object (GetState /
-// ApplyState / ValidateState) to the internal coord.Validator.
+// ObjectValidator adapts an overwrite-only application object (the paper
+// apps' ValidateState / ApplyState pair) to coord.Validator: validate judges
+// each proposed state, install receives every installed or rolled-back
+// state, and updates are refused.
+func ObjectValidator(validate func(proposer string, state []byte) error, install func(state []byte) error) coord.Validator {
+	return &objValidator{validate: validate, install: install}
+}
+
 type objValidator struct {
 	validate func(proposer string, state []byte) error
 	install  func(state []byte) error
 }
 
-func (v *objValidator) ValidateState(proposer string, _, proposed []byte) wire.Decision {
+func (v *objValidator) ValidateState(proposer string, _ *pagestate.Paged, proposed []byte) wire.Decision {
 	if err := v.validate(proposer, proposed); err != nil {
 		return wire.Rejected(err.Error())
 	}
 	return wire.Accepted
 }
 
-func (v *objValidator) ValidateUpdate(string, []byte, []byte) wire.Decision {
-	return wire.Rejected("updates not used in this scenario")
+func (v *objValidator) ValidateUpdate(string, *pagestate.Paged, []byte) wire.Decision {
+	return wire.Rejected("updates not used by this object")
 }
 
-func (v *objValidator) ApplyUpdate([]byte, []byte) ([]byte, error) {
-	return nil, errors.New("updates not used in this scenario")
+func (v *objValidator) ApplyUpdate(*pagestate.Paged, []byte) (*pagestate.Paged, error) {
+	return nil, errors.New("updates not used by this object")
 }
 
-func (v *objValidator) Installed(state []byte, _ tuple.State) { _ = v.install(state) }
+func (v *objValidator) Installed(state *pagestate.Paged, _ tuple.State) { _ = v.install(state.Bytes()) }
 
-func (v *objValidator) RolledBack(state []byte, _ tuple.State) { _ = v.install(state) }
+func (v *objValidator) RolledBack(state *pagestate.Paged, _ tuple.State) {
+	_ = v.install(state.Bytes())
+}
 
 // RunFig5 reproduces the Fig 5 Tic-Tac-Toe scenario: three legal moves, then
 // Cross's attempt to pre-empt Nought's move is vetoed and rolled back. The
@@ -57,7 +66,7 @@ func RunFig5(out io.Writer) error {
 	}
 	mkValidator := func(id string) coord.Validator {
 		g := games[id]
-		return &objValidator{validate: g.ValidateState, install: g.ApplyState}
+		return ObjectValidator(g.ValidateState, g.ApplyState)
 	}
 	if err := w.Bind("game", mkValidator, nil); err != nil {
 		return err
@@ -176,7 +185,7 @@ func RunFig7(out io.Writer) error {
 	}
 	mkValidator := func(id string) coord.Validator {
 		o := orders[id]
-		return &objValidator{validate: o.ValidateState, install: o.ApplyState}
+		return ObjectValidator(o.ValidateState, o.ApplyState)
 	}
 	if err := w.Bind("order", mkValidator, nil); err != nil {
 		return err

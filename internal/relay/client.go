@@ -90,9 +90,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Enabled reports whether a relay host is configured.
-func (c *Client) Enabled() bool { return c.cfg.Relay != "" }
-
 // Relay returns the configured relay host id.
 func (c *Client) Relay() string { return c.cfg.Relay }
 

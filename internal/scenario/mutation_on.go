@@ -6,7 +6,6 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
-	"b2b/internal/wire"
 )
 
 // This file is the mutation smoke build: `go test -tags mutation` replaces
@@ -20,56 +19,20 @@ import (
 // mutationBroken reports that this binary carries the broken validator.
 const mutationBroken = true
 
-func wrapMutation(v coord.Validator) coord.Validator {
-	return &brokenValidator{v: v, pv: v.(coord.PagedValidator)}
-}
+func wrapMutation(v coord.Validator) coord.Validator { return brokenValidator{v} }
 
 // brokenValidator forwards everything to the honest validator and then
 // corrupts the installed state in place.
-type brokenValidator struct {
-	v  coord.Validator
-	pv coord.PagedValidator
-}
+type brokenValidator struct{ coord.Validator }
 
-func (b *brokenValidator) ValidateState(p string, cur, next []byte) wire.Decision {
-	return b.v.ValidateState(p, cur, next)
-}
-
-func (b *brokenValidator) ValidateUpdate(p string, cur, upd []byte) wire.Decision {
-	return b.v.ValidateUpdate(p, cur, upd)
-}
-
-func (b *brokenValidator) ApplyUpdate(cur, upd []byte) ([]byte, error) {
-	return b.v.ApplyUpdate(cur, upd)
-}
-
-func (b *brokenValidator) Installed(state []byte, t tuple.State)  { b.v.Installed(state, t) }
-func (b *brokenValidator) RolledBack(state []byte, t tuple.State) { b.v.RolledBack(state, t) }
-
-func (b *brokenValidator) ValidateStatePaged(p string, cur *pagestate.Paged, next []byte) wire.Decision {
-	return b.pv.ValidateStatePaged(p, cur, next)
-}
-
-func (b *brokenValidator) ValidateUpdatePaged(p string, cur *pagestate.Paged, upd []byte) wire.Decision {
-	return b.pv.ValidateUpdatePaged(p, cur, upd)
-}
-
-func (b *brokenValidator) ApplyUpdatePaged(cur *pagestate.Paged, upd []byte) (*pagestate.Paged, error) {
-	return b.pv.ApplyUpdatePaged(cur, upd)
-}
-
-// InstalledPaged is the defect: the state pointer is the engine's own live
+// Installed is the defect: the state pointer is the engine's own live
 // agreed state, and writing through it silently diverges this replica's
 // bytes from the Merkle identity it just acknowledged. The very next honest
 // proposal validates against the corrupted base and is vetoed, the group
 // stalls, and the checker's silent-divergence probe fires (the smoke runs
 // with Window=1 so the corrupted object IS the next validation base rather
 // than a pipelined clone that the following commit would discard).
-func (b *brokenValidator) InstalledPaged(state *pagestate.Paged, t tuple.State) {
-	b.pv.InstalledPaged(state, t)
+func (b brokenValidator) Installed(state *pagestate.Paged, t tuple.State) {
+	b.Validator.Installed(state, t)
 	_ = state.WriteAt(0, []byte(adversaryMarker))
-}
-
-func (b *brokenValidator) RolledBackPaged(state *pagestate.Paged, t tuple.State) {
-	b.pv.RolledBackPaged(state, t)
 }

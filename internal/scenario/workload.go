@@ -10,7 +10,6 @@ import (
 	"b2b/internal/lab"
 	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
-	"b2b/internal/wire"
 )
 
 // scenarioObject is the primary object every scenario's workload script
@@ -63,59 +62,32 @@ func (m *installMark) note(seq uint64) {
 	}
 }
 
-// installRecorder wraps a lab validator, keeping its paged surface (the one
-// the engine calls), so its installs feed an installMark.
+// installRecorder wraps a validator so its installs feed an installMark.
 type installRecorder struct {
 	coord.Validator
-	coord.PagedValidator
 	mark *installMark
 }
 
 func recordInstalls(v coord.Validator, mark *installMark) coord.Validator {
-	return installRecorder{Validator: v, PagedValidator: v.(coord.PagedValidator), mark: mark}
+	return installRecorder{Validator: v, mark: mark}
 }
 
-func (r installRecorder) InstalledPaged(state *pagestate.Paged, t tuple.State) {
+func (r installRecorder) Installed(state *pagestate.Paged, t tuple.State) {
+	r.Validator.Installed(state, t)
 	r.mark.note(t.Seq)
-	r.PagedValidator.InstalledPaged(state, t)
 }
 
-// appObject is the b2b.Object surface shared by the three paper apps.
+// appObject is the overwrite-only surface shared by the three paper apps.
 type appObject interface {
-	GetState() ([]byte, error)
 	ApplyState(state []byte) error
 	ValidateState(proposer string, state []byte) error
 }
 
-// appValidator adapts an application object to coord.Validator (overwrite
-// mode only), exactly like the Fig 5/Fig 7 scenario drivers, recording
-// installs in mark.
-type appValidator struct {
-	obj  appObject
-	mark *installMark
+// appValidator is the Fig 5/Fig 7 drivers' overwrite-only validator over
+// obj, recording installs in mark.
+func appValidator(obj appObject, mark *installMark) coord.Validator {
+	return recordInstalls(lab.ObjectValidator(obj.ValidateState, obj.ApplyState), mark)
 }
-
-func (v *appValidator) ValidateState(proposer string, _, proposed []byte) wire.Decision {
-	if err := v.obj.ValidateState(proposer, proposed); err != nil {
-		return wire.Rejected(err.Error())
-	}
-	return wire.Accepted
-}
-
-func (v *appValidator) ValidateUpdate(string, []byte, []byte) wire.Decision {
-	return wire.Rejected("updates not used by this workload")
-}
-
-func (v *appValidator) ApplyUpdate([]byte, []byte) ([]byte, error) {
-	return nil, errors.New("updates not used by this workload")
-}
-
-func (v *appValidator) Installed(state []byte, t tuple.State) {
-	_ = v.obj.ApplyState(state)
-	v.mark.note(t.Seq)
-}
-
-func (v *appValidator) RolledBack(state []byte, _ tuple.State) { _ = v.obj.ApplyState(state) }
 
 // buildRuntime materialises the workload for the given party ids.
 func buildRuntime(s Scenario, ids []string) (*runtime, error) {
@@ -158,7 +130,7 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 			initial: initial,
 			actors:  []string{ids[0], ids[1]},
 			mkV: func(id string) coord.Validator {
-				return &appValidator{obj: games[id], mark: installed[id]}
+				return appValidator(games[id], installed[id])
 			},
 			propose: func(actor string, i int, st Step, agreed []byte) ([]byte, error) {
 				g := games[actor]
@@ -187,7 +159,7 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 			initial: initial,
 			actors:  []string{ids[0], ids[1]},
 			mkV: func(id string) coord.Validator {
-				return &appValidator{obj: auctions[id], mark: installed[id]}
+				return appValidator(auctions[id], installed[id])
 			},
 			propose: func(actor string, _ int, st Step, agreed []byte) ([]byte, error) {
 				a := auctions[actor]
@@ -234,7 +206,7 @@ func buildRuntime(s Scenario, ids []string) (*runtime, error) {
 			initial: initial,
 			actors:  []string{ids[0], ids[1]},
 			mkV: func(id string) coord.Validator {
-				return &appValidator{obj: orders[id], mark: installed[id]}
+				return appValidator(orders[id], installed[id])
 			},
 			propose: func(actor string, i int, st Step, agreed []byte) ([]byte, error) {
 				o := orders[actor]

@@ -19,6 +19,7 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/crypto"
 	"b2b/internal/nrlog"
+	"b2b/internal/pagestate"
 	"b2b/internal/transport"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
@@ -336,24 +337,28 @@ type relayValidator struct {
 	side  int
 }
 
-func (v *relayValidator) ValidateState(proposer string, current, proposed []byte) wire.Decision {
-	return v.relay.policy(proposer, current, proposed)
+func (v *relayValidator) ValidateState(proposer string, current *pagestate.Paged, proposed []byte) wire.Decision {
+	return v.relay.policy(proposer, current.Bytes(), proposed)
 }
 
-func (v *relayValidator) ValidateUpdate(proposer string, current, update []byte) wire.Decision {
+func (v *relayValidator) ValidateUpdate(proposer string, current *pagestate.Paged, update []byte) wire.Decision {
 	applied, err := v.ApplyUpdate(current, update)
 	if err != nil {
 		return wire.Rejected(err.Error())
 	}
-	return v.relay.policy(proposer, current, applied)
+	return v.relay.policy(proposer, current.Bytes(), applied.Bytes())
 }
 
-func (v *relayValidator) ApplyUpdate(current, update []byte) ([]byte, error) {
-	return append(append([]byte(nil), current...), update...), nil
+func (v *relayValidator) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
+	out := current.Clone()
+	if err := out.Append(update); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func (v *relayValidator) Installed(state []byte, _ tuple.State) {
-	v.relay.onInstalled(v.side, state)
+func (v *relayValidator) Installed(state *pagestate.Paged, _ tuple.State) {
+	v.relay.onInstalled(v.side, state.Bytes())
 }
 
-func (v *relayValidator) RolledBack([]byte, tuple.State) {}
+func (v *relayValidator) RolledBack(*pagestate.Paged, tuple.State) {}

@@ -77,11 +77,6 @@ func Initial(state []byte) State {
 	return InitialRoot(pagestate.Root(state, pagestate.DefaultPageSize))
 }
 
-// InitialSized is Initial under an explicit page size.
-func InitialSized(state []byte, pageSize int) State {
-	return InitialRoot(pagestate.Root(state, pageSize))
-}
-
 // InitialRoot is Initial from an already-computed paged Merkle root.
 func InitialRoot(root [32]byte) State {
 	return State{

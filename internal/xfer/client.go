@@ -466,11 +466,12 @@ func (m *Manager) verify(s *clientSession, have, want tuple.State, basePaged *pa
 		}
 		// The fold runs paged from the engine's shared (immutable) agreed
 		// state, through the same apply path as live coordination, and each
-		// step's tuple check is a Merkle-root comparison. With a
-		// PagedValidator, verifying a chain of small deltas over a large
-		// object costs O(deltas · log S), not O(deltas · S); a flat
-		// Validator's step copies and compares O(S) bytes but still hashes
-		// only the pages that changed.
+		// step's tuple check is a Merkle-root comparison. A validator that
+		// folds updates into the shared pages verifies a chain of small
+		// deltas over a large object in O(deltas · log S), not
+		// O(deltas · S); one adapting a flat application (the root
+		// package's Object) copies and compares O(S) bytes per step but
+		// still hashes only the pages that changed.
 		st := basePaged
 		prev := have
 		for i, d := range deltas {
@@ -480,7 +481,7 @@ func (m *Manager) verify(s *clientSession, have, want tuple.State, basePaged *pa
 			if d.Tuple.Seq <= prev.Seq {
 				return nil, fmt.Errorf("%w: delta %d sequence does not advance", ErrBadPayload, i)
 			}
-			next, err := m.cfg.Engine.ApplyUpdatePagedFn(st, d.Update)
+			next, err := m.cfg.Engine.ApplyUpdate(st, d.Update)
 			if err != nil {
 				return nil, fmt.Errorf("%w: folding delta %d: %v", ErrBadPayload, i, err)
 			}

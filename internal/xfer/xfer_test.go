@@ -185,11 +185,7 @@ func TestCatchUpDeltas(t *testing.T) {
 	state := append([]byte(nil), initial...)
 	for i := 0; i < runs; i++ {
 		patch := lab.Patch(i*8, []byte{byte(i), 1, 2, 3})
-		var err error
-		state, err = lab.PatchValidator().ApplyUpdate(state, patch)
-		if err != nil {
-			t.Fatal(err)
-		}
+		copy(state[i*8:], patch[4:])
 		if _, err := w.Party("a").Engine(obj).ProposeUpdate(ctx, patch); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

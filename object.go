@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"b2b/internal/coord"
+	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
@@ -149,44 +150,53 @@ func (a *objectAdapter) divergence() error {
 
 var _ coord.Validator = (*objectAdapter)(nil)
 
-func (a *objectAdapter) ValidateState(proposer string, _, proposed []byte) wire.Decision {
+// The upcalls below are the one place where the engine's paged replica meets
+// the application's flat bytes: a state is materialized only for an
+// application call that takes it, and a flat ApplyUpdate result re-enters
+// the paged world through Rebase (copying and rehashing changed pages only).
+
+func (a *objectAdapter) ValidateState(proposer string, _ *pagestate.Paged, proposed []byte) wire.Decision {
 	if err := a.obj.ValidateState(proposer, proposed); err != nil {
 		return wire.Rejected(err.Error())
 	}
 	return wire.Accepted
 }
 
-func (a *objectAdapter) ValidateUpdate(proposer string, current, update []byte) wire.Decision {
+func (a *objectAdapter) ValidateUpdate(proposer string, current *pagestate.Paged, update []byte) wire.Decision {
 	uo, ok := a.obj.(UpdatableObject)
 	if !ok {
 		return wire.Rejected("object does not support update coordination")
 	}
-	if err := uo.ValidateUpdate(proposer, current, update); err != nil {
+	if err := uo.ValidateUpdate(proposer, current.Bytes(), update); err != nil {
 		return wire.Rejected(err.Error())
 	}
 	return wire.Accepted
 }
 
-func (a *objectAdapter) ApplyUpdate(current, update []byte) ([]byte, error) {
+func (a *objectAdapter) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
 	uo, ok := a.obj.(UpdatableObject)
 	if !ok {
 		return nil, ErrNotUpdatable
 	}
-	return uo.ApplyUpdate(current, update)
+	flat, err := uo.ApplyUpdate(current.Bytes(), update)
+	if err != nil {
+		return nil, err
+	}
+	return current.Rebase(flat), nil
 }
 
-func (a *objectAdapter) Installed(state []byte, t tuple.State) {
+func (a *objectAdapter) Installed(state *pagestate.Paged, t tuple.State) {
 	a.applyMu.Lock()
 	a.installed = t.Seq
-	err := a.applyLocked(state)
+	err := a.applyLocked(state.Bytes())
 	a.applyMu.Unlock()
 	if a.cb != nil {
 		a.cb(Event{Type: EventInstalled, Object: a.object, Valid: err == nil, Err: err})
 	}
 }
 
-func (a *objectAdapter) RolledBack(state []byte, _ tuple.State) {
-	err := a.apply(state)
+func (a *objectAdapter) RolledBack(state *pagestate.Paged, _ tuple.State) {
+	err := a.apply(state.Bytes())
 	if a.cb != nil {
 		a.cb(Event{Type: EventRolledBack, Object: a.object, Err: err})
 	}

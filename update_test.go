@@ -257,36 +257,11 @@ func TestFlatUpdateHashesODelta(t *testing.T) {
 	measure := func(size int) (hashed, copied float64) {
 		t.Run(fmt.Sprintf("%dMiB", size>>20), func(t *testing.T) {
 			ids := []string{"a", "b"}
-			clk, td, net, idents, certs := updateFixture(t, ids)
 			objs := make(map[string]*patchBlob)
-			ctrls := make(map[string]*b2b.Controller)
-			for _, id := range ids {
-				conn, err := net.Endpoint(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, err := b2b.NewParticipant(idents[id], td, conn,
-					b2b.WithClock(clk),
-					b2b.WithPeerCertificates(certs...),
-					b2b.WithOperationTimeout(time.Minute))
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { _ = p.Close() })
-				state := make([]byte, size)
-				for i := range state {
-					state[i] = byte(i * 31)
-				}
-				objs[id] = &patchBlob{state: state}
-				if ctrls[id], err = p.Bind("blob", objs[id], nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, id := range ids {
-				if err := ctrls[id].Bootstrap(ids); err != nil {
-					t.Fatal(err)
-				}
-			}
+			ctrls := boundPair(t, ids, func(id string) b2b.Object {
+				objs[id] = &patchBlob{state: seededState(size)}
+				return objs[id]
+			})
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			pagestate.ResetStats()
@@ -320,6 +295,120 @@ func TestFlatUpdateHashesODelta(t *testing.T) {
 	if g := hashed16 / hashed1; g > 2 {
 		t.Errorf("hashed bytes per run grew %.2fx from 1 to 16 MiB, want <= 2x", g)
 	}
+}
+
+// flatBlob is a plain Object (no update support) holding opaque bytes.
+type flatBlob struct {
+	mu    sync.Mutex
+	state []byte
+}
+
+func (o *flatBlob) Flip(i int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.state[i] ^= 0xff
+}
+
+func (o *flatBlob) GetState() ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]byte(nil), o.state...), nil
+}
+
+func (o *flatBlob) ApplyState(state []byte) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.state = append(o.state[:0], state...)
+	return nil
+}
+
+func (o *flatBlob) ValidateState(string, []byte) error    { return nil }
+func (o *flatBlob) ValidateConnect(string) error          { return nil }
+func (o *flatBlob) ValidateDisconnect(string, bool) error { return nil }
+
+// TestFlatOverwriteCopies is the overwrite path's copy bar at the public
+// API: each run overwrites a 1 MiB plain Object, changing one byte. The
+// engine copies changed pages only, and the adapter materialises a flat
+// state only for an application call that takes one — the install upcall at
+// each member — plus each member's full snapshot checkpoint; validating an
+// overwrite reads no base state. The bar is on the process-global pagestate
+// copy counter, summed over both members.
+func TestFlatOverwriteCopies(t *testing.T) {
+	const (
+		runs = 12
+		size = 1 << 20
+	)
+	ids := []string{"a", "b"}
+	objs := make(map[string]*flatBlob)
+	ctrls := boundPair(t, ids, func(id string) b2b.Object {
+		objs[id] = &flatBlob{state: seededState(size)}
+		return objs[id]
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	pagestate.ResetStats()
+	for i := 0; i < runs; i++ {
+		ctrls["a"].Enter()
+		ctrls["a"].Overwrite()
+		objs["a"].Flip((i * 40961) % size)
+		if err := ctrls["a"].Leave(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	for _, id := range ids {
+		if err := ctrls[id].Settle(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, c := pagestate.Stats()
+	hashed, copied := float64(h)/runs, float64(c)/runs
+	t.Logf("per run: copied %.0f B (%.2f x S), hashed %.0f B", copied, copied/size, hashed)
+	if got := ctrls["b"].AgreedSeq(); got != ctrls["a"].AgreedSeq() || got != runs {
+		t.Fatalf("b agreed seq %d, a %d, want %d", got, ctrls["a"].AgreedSeq(), runs)
+	}
+	if copied > 4.5*size {
+		t.Errorf("a 1 MiB overwrite copied %.2f x S per run, want <= 4.5 x S", copied/size)
+	}
+}
+
+// seededState returns size deterministic bytes.
+func seededState(size int) []byte {
+	state := make([]byte, size)
+	for i := range state {
+		state[i] = byte(i * 31)
+	}
+	return state
+}
+
+// boundPair binds one object per id on its own participant over a shared
+// in-memory network and bootstraps the group; it returns the controllers.
+func boundPair(t *testing.T, ids []string, mk func(id string) b2b.Object) map[string]*b2b.Controller {
+	t.Helper()
+	clk, td, net, idents, certs := updateFixture(t, ids)
+	ctrls := make(map[string]*b2b.Controller)
+	for _, id := range ids {
+		conn, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := b2b.NewParticipant(idents[id], td, conn,
+			b2b.WithClock(clk),
+			b2b.WithPeerCertificates(certs...),
+			b2b.WithOperationTimeout(time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = p.Close() })
+		if ctrls[id], err = p.Bind("blob", mk(id), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		if err := ctrls[id].Bootstrap(ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ctrls
 }
 
 func updateFixture(t *testing.T, ids []string) (*clock.Sim, *b2b.TrustDomain, *b2b.MemoryNetwork, map[string]*crypto.Identity, []crypto.Certificate) {
