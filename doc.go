@@ -78,11 +78,11 @@
 //
 // # State transfer and catch-up
 //
-// Large objects do not ride inside a single Welcome frame: past the inline
-// cap (default 64 KiB, WithTransfer) a join defers the state and the new
-// member fetches it as a chunked, flow-controlled transfer session from the
-// sponsor — or any other member, if the sponsor dies mid-transfer —
-// verified against the agreed tuple the membership evidence authenticates.
+// A Welcome carries the membership evidence and the agreed tuple, never the
+// state: every new member fetches the state as a chunked, flow-controlled
+// transfer session (tuned by WithTransfer) from the sponsor — or any other
+// member, if the sponsor dies mid-transfer — verified against the agreed
+// tuple the membership evidence authenticates.
 // The same plane is the anti-entropy path for a member that missed commits
 // (crash after responding, partition, a proposer that lost its
 // retransmission outbox): Controller.CatchUp asks live peers for the
@@ -178,7 +178,7 @@
 //   - internal/group — connection/disconnection membership protocols (§4.5).
 //   - internal/xfer — the state-transfer/anti-entropy plane: chunked,
 //     flow-controlled sessions serving delta suffixes or snapshots, behind
-//     deferred Welcomes and Controller.CatchUp.
+//     every join and Controller.CatchUp.
 //   - internal/core — the multi-tenant participant runtime: a shared
 //     worker pool schedules only active objects (serially per object,
 //     concurrently across objects) over one shared connection, with lazy

@@ -74,7 +74,7 @@ type Config struct {
 	// the coord default).
 	SnapshotEvery int
 	// Transfer tunes the state-transfer plane (chunk size, flow-control
-	// window, Welcome inline cap). Zero selects the defaults.
+	// window, progress timeout). Zero selects the defaults.
 	Transfer xfer.Policy
 	// PageSize is the paged state identity's page granularity for every
 	// object this participant binds (zero: the pagestate default, 4 KiB).
@@ -311,7 +311,6 @@ func (p *Participant) materializeLocked(b *binding, restore bool) error {
 		Validator:       b.mv,
 		ResponseTimeout: p.cfg.ResponseTimeout,
 		Xfer:            xm,
-		InlineStateCap:  p.cfg.Transfer.InlineStateCap,
 		Prekeys:         p.cfg.Prekeys,
 	})
 	if err != nil {

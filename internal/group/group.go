@@ -25,7 +25,6 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/crypto"
 	"b2b/internal/nrlog"
-	"b2b/internal/transport"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
 	"b2b/internal/xfer"
@@ -77,15 +76,11 @@ type Config struct {
 	// ResponseTimeout bounds the sponsor's wait for member responses in a
 	// single membership run (default 10s).
 	ResponseTimeout time.Duration
-	// Xfer is the state-transfer plane (optional). When present, a Welcome
-	// whose agreed state exceeds InlineStateCap defers the state: the
-	// subject fetches it as a chunked transfer session from the sponsor (or
-	// any member, on failover), verified against the evidence-authenticated
-	// agreed tuple. Without it every Welcome carries the state inline.
+	// Xfer is the state-transfer plane (required). A Welcome carries no
+	// state: the subject fetches it as a transfer session from the sponsor
+	// (or any member, on failover), verified against the
+	// evidence-authenticated agreed tuple.
 	Xfer *xfer.Manager
-	// InlineStateCap overrides the transfer plane's inline threshold
-	// (0: the policy default; negative: always inline).
-	InlineStateCap int
 	// Prekeys, when set, is the relay plane's prekey directory
 	// (relay.Directory): the sponsor snapshots it into each Welcome so the
 	// joiner can immediately seal relay deposits to every member, and the
@@ -158,7 +153,7 @@ type Manager struct {
 // New creates a membership manager bound to a coordination engine.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Ident == nil || cfg.Conn == nil || cfg.Log == nil || cfg.Clock == nil ||
-		cfg.Engine == nil || cfg.Validator == nil || cfg.Verifier == nil {
+		cfg.Engine == nil || cfg.Validator == nil || cfg.Verifier == nil || cfg.Xfer == nil {
 		return nil, errors.New("group: incomplete config")
 	}
 	if cfg.ResponseTimeout == 0 {
@@ -252,10 +247,10 @@ func (m *Manager) joinOnce(ctx context.Context, contact string) (joinResult, err
 }
 
 // adoptWelcome verifies the welcome evidence and installs membership+state.
-// A deferred welcome carries no state: the subject fetches it through the
-// transfer plane — from the sponsor, failing over to any other member — and
-// verifies the received bytes against the agreed tuple the membership
-// evidence has already authenticated.
+// The welcome carries no state: the subject fetches it through the transfer
+// plane — from the sponsor, failing over to any other member — and verifies
+// the received bytes against the agreed tuple the membership evidence has
+// already authenticated.
 func (m *Manager) adoptWelcome(ctx context.Context, w *wire.Welcome, signed wire.Signed) error {
 	// Register the members' certificates first so signatures verify.
 	for _, cert := range w.MemberCerts {
@@ -286,11 +281,8 @@ func (m *Manager) adoptWelcome(ctx context.Context, w *wire.Welcome, signed wire
 	if !w.Group.MatchesMembers(w.Members) {
 		return fmt.Errorf("%w: membership does not match group tuple", ErrBadEvidence)
 	}
-	if !w.StateDeferred && !w.AgreedTuple.MatchesSized(w.AgreedState, m.cfg.Engine.PageSize()) {
-		return fmt.Errorf("%w: agreed state does not match its tuple", ErrBadEvidence)
-	}
 	// Every member's signed response asserts its agreed-state tuple: all
-	// must match the state we were handed (§4.5.3).
+	// must match the tuple the state is fetched against (§4.5.3).
 	for _, s := range w.Commit.Responds {
 		resp, err := wire.UnmarshalConnRespond(s.Body)
 		if err != nil {
@@ -311,36 +303,28 @@ func (m *Manager) adoptWelcome(ctx context.Context, w *wire.Welcome, signed wire
 			_, _ = m.cfg.Prekeys.Learn(raw)
 		}
 	}
-	state := w.AgreedState
-	agreed := w.AgreedTuple
-	if w.StateDeferred {
-		if m.cfg.Xfer == nil {
-			return fmt.Errorf("%w: welcome defers state but no transfer plane is configured", ErrBadEvidence)
+	// Sponsor first; every other member already holds the agreed state and
+	// serves as failover if the sponsor dies mid-transfer.
+	peers := []string{w.Sponsor}
+	for _, p := range w.Members {
+		if p != w.Sponsor && p != m.cfg.Ident.ID() {
+			peers = append(peers, p)
 		}
-		// Sponsor first; every other member already holds the agreed state
-		// and serves as failover if the sponsor dies mid-transfer.
-		peers := []string{w.Sponsor}
-		for _, p := range w.Members {
-			if p != w.Sponsor && p != m.cfg.Ident.ID() {
-				peers = append(peers, p)
-			}
-		}
-		res, err := m.cfg.Xfer.FetchAny(ctx, peers, tuple.State{}, w.AgreedTuple)
-		if err != nil {
-			return fmt.Errorf("group: fetching deferred welcome state: %w", err)
-		}
-		if res.Group != w.Group {
-			// A transfer may legitimately reach a newer agreed STATE than
-			// the Welcome's (coordination resumed behind us), but never a
-			// different MEMBERSHIP: adopting the Welcome's member list
-			// against a later group's state would leave this party
-			// coordinating with a view nobody else holds. Fail the join;
-			// the subject re-requests admission under the new group.
-			return fmt.Errorf("%w: group changed during state transfer; rejoin", ErrBadEvidence)
-		}
-		state, agreed = res.State, res.Agreed
 	}
-	return m.cfg.Engine.AdoptMembership(w.Group, w.Members, agreed, state)
+	res, err := m.cfg.Xfer.FetchAny(ctx, peers, tuple.State{}, w.AgreedTuple)
+	if err != nil {
+		return fmt.Errorf("group: fetching welcome state: %w", err)
+	}
+	if res.Group != w.Group {
+		// A transfer may legitimately reach a newer agreed STATE than the
+		// Welcome's (coordination resumed behind us), but never a different
+		// MEMBERSHIP: adopting the Welcome's member list against a later
+		// group's state would leave this party coordinating with a view
+		// nobody else holds. Fail the join; the subject re-requests
+		// admission under the new group.
+		return fmt.Errorf("%w: group changed during state transfer; rejoin", ErrBadEvidence)
+	}
+	return m.cfg.Engine.AdoptMembership(w.Group, w.Members, res.Agreed, res.State)
 }
 
 // Leave runs the subject side of voluntary disconnection (§4.5.4).
@@ -516,28 +500,6 @@ func contains(ss []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// deferWelcomeState decides whether a Welcome for a state of the given size
-// defers its payload to the transfer plane: past the inline cap when one is
-// configured, and always when the inline form could not ride a single
-// transport frame anyway.
-func (m *Manager) deferWelcomeState(stateLen int) bool {
-	if m.cfg.Xfer == nil {
-		return false
-	}
-	cap := m.cfg.InlineStateCap
-	if cap == 0 {
-		cap = m.cfg.Xfer.Policy().InlineStateCap
-	}
-	if cap < 0 {
-		// Always-inline is a policy choice, but a state no frame can carry
-		// has no inline form at all.
-		return stateLen > transport.MaxFrame/2
-	}
-	// An inline cap above the frame budget must not produce an unsendable
-	// Welcome: the frame ceiling binds whatever the policy says.
-	return stateLen > cap || stateLen > transport.MaxFrame/2
 }
 
 func (m *Manager) logEvidence(runID, kind string, dir nrlog.Direction, payload []byte) error {

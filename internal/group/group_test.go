@@ -18,6 +18,7 @@ import (
 	"b2b/internal/transport"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
+	"b2b/internal/xfer"
 )
 
 // acceptValidator accepts every state change (coordination side).
@@ -66,12 +67,14 @@ func (v *memberValidator) ValidateDisconnect(subject string, voluntary bool) wir
 	return wire.Accepted
 }
 
-// gnode is a full participant: coordination engine plus membership manager.
+// gnode is a full participant: coordination engine, membership manager and
+// the transfer plane through which a joiner fetches the agreed state.
 type gnode struct {
 	id      string
 	ident   *crypto.Identity
 	engine  *coord.Engine
 	manager *Manager
+	xfer    *xfer.Manager
 	mval    *memberValidator
 	log     *nrlog.Memory
 	rel     *transport.Reliable
@@ -145,16 +148,25 @@ func newGCluster(t *testing.T, ids, founding []string, initial []byte) *gcluster
 		if err != nil {
 			t.Fatal(err)
 		}
+		xm, err := xfer.New(xfer.Config{
+			Ident: idents[id], Object: "obj", Verifier: v, TSA: tsa, Conn: rel,
+			Log: n.log, Clock: clk, Engine: en,
+			Policy: xfer.Policy{RequestTimeout: 150 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		mgr, err := New(Config{
 			Ident: idents[id], Object: "obj", Verifier: v, TSA: tsa, Conn: rel,
 			Log: n.log, Clock: clk, Engine: en, Validator: n.mval,
-			ResponseTimeout: 5 * time.Second,
+			ResponseTimeout: 5 * time.Second, Xfer: xm,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		n.engine = en
 		n.manager = mgr
+		n.xfer = xm
 		c.nodes[id] = n
 		rel.SetHandler(func(from string, payload []byte) {
 			env, err := wire.UnmarshalEnvelope(payload)
@@ -164,6 +176,8 @@ func newGCluster(t *testing.T, ids, founding []string, initial []byte) *gcluster
 			switch env.Kind {
 			case wire.KindPropose, wire.KindRespond, wire.KindCommit, wire.KindAbortCert:
 				en.HandleEnvelope(from, env)
+			case wire.KindStateRequest, wire.KindStateOffer, wire.KindStateChunk, wire.KindStateAck, wire.KindStateDone:
+				xm.HandleEnvelope(from, env)
 			default:
 				mgr.HandleEnvelope(from, env)
 			}
@@ -179,6 +193,7 @@ func newGCluster(t *testing.T, ids, founding []string, initial []byte) *gcluster
 
 func (c *gcluster) close() {
 	for _, n := range c.nodes {
+		n.xfer.Close()
 		_ = n.rel.Close()
 	}
 	c.net.Close()
@@ -234,6 +249,18 @@ func TestSponsorOf(t *testing.T) {
 				t.Fatalf("sponsor = %q, want %q", got, tt.want)
 			}
 		})
+	}
+}
+
+func TestNewRequiresTransferPlane(t *testing.T) {
+	c := newGCluster(t, []string{"alice", "bob"}, []string{"alice", "bob"}, []byte("v0"))
+	cfg := c.node("alice").manager.cfg
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("complete config rejected: %v", err)
+	}
+	cfg.Xfer = nil
+	if _, err := New(cfg); err == nil {
+		t.Fatal("a manager without a transfer plane was created")
 	}
 }
 

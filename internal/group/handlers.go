@@ -229,13 +229,10 @@ func (m *Manager) sponsorConnection(reqSigned wire.Signed, req wire.ConnRequest)
 		return
 	}
 
-	// Welcome: transfer the agreed state with full evidence. Small states
-	// ride inline; past the inline cap the Welcome defers the state and the
-	// subject fetches it as a chunked transfer session (internal/xfer) —
-	// join latency is then bounded by link bandwidth, not by what a single
-	// frame may carry. The deferral decision reads only the paged size, so
-	// a large (always-deferred) state is never materialized flat here.
-	agreedTuple, agreedPaged := m.cfg.Engine.AgreedPaged()
+	// Welcome: the admission evidence and the agreed tuple, never the
+	// state — the subject fetches that as a transfer session (internal/xfer)
+	// and verifies it against the tuple, so join latency is bounded by link
+	// bandwidth, not by what a single frame may carry.
 	var certs []crypto.Certificate
 	for _, member := range members {
 		if cert, ok := m.cfg.Verifier.Certificate(member); ok {
@@ -248,14 +245,9 @@ func (m *Manager) sponsorConnection(reqSigned wire.Signed, req wire.ConnRequest)
 		Object:      m.cfg.Object,
 		Members:     newMembers,
 		Group:       prop.NewGroup,
-		AgreedTuple: agreedTuple,
+		AgreedTuple: m.cfg.Engine.AgreedTuple(),
 		MemberCerts: certs,
 		Commit:      commit,
-	}
-	if m.deferWelcomeState(agreedPaged.Size()) {
-		welcome.StateDeferred = true
-	} else {
-		welcome.AgreedState = agreedPaged.Bytes()
 	}
 	if m.cfg.Prekeys != nil {
 		// Bounded by the wire cap; a directory can only exceed it with more

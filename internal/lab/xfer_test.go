@@ -14,9 +14,9 @@ import (
 )
 
 // These are the state-transfer scenarios of the lab: a partitioned member
-// that is evicted, comes back and re-enters through a chunked deferred
-// Welcome; and a requester whose durability plane dies mid-transfer and
-// recovers across a process restart. Both run with deterministic seeds and
+// that is evicted, comes back and re-enters through a Welcome and a
+// chunked transfer session; and a requester whose durability plane dies
+// mid-transfer and recovers across a process restart. Both run with deterministic seeds and
 // deterministic keys so restarted worlds verify their predecessors' state.
 
 const xferObj = "shared-ledger"
@@ -39,7 +39,7 @@ func xferState(n int) []byte {
 // resets and rejoins — receiving the now-large state as a chunked transfer
 // session instead of one giant Welcome frame.
 func TestPartitionEvictRejoinChunked(t *testing.T) {
-	pol := xfer.Policy{ChunkSize: 16 << 10, InlineStateCap: 32 << 10, RequestTimeout: 150 * time.Millisecond}
+	pol := xfer.Policy{ChunkSize: 16 << 10, RequestTimeout: 150 * time.Millisecond}
 	w, err := NewWorld(Options{
 		Seed:              71,
 		Transfer:          pol,
@@ -93,8 +93,8 @@ func TestPartitionEvictRejoinChunked(t *testing.T) {
 		t.Fatalf("evicted member caught up: advanced=%t err=%v", advanced, err)
 	}
 
-	// The way back in is the connection protocol; the rebuilt state exceeds
-	// the inline cap, so the Welcome defers to a chunked transfer session.
+	// The way back in is the connection protocol; the Welcome carries no
+	// state, so the rebuilt state arrives as a chunked transfer session.
 	w.Party("c").Engine(xferObj).Reset()
 	if err := w.Party("c").Manager(xferObj).Join(ctx, "a"); err != nil {
 		t.Fatalf("rejoin: %v", err)

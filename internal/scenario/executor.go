@@ -111,7 +111,6 @@ func run(ctx context.Context, cfg Config, s Scenario) (*Report, error) {
 		},
 		Transfer: xfer.Policy{
 			ChunkSize:      s.ChunkSize,
-			InlineStateCap: s.InlineStateCap,
 			RequestTimeout: 250 * time.Millisecond,
 		},
 		DiskFaults: diskFaults,
@@ -943,8 +942,8 @@ func (ex *executor) endPhase(ctx context.Context) error {
 		ex.restart(id)
 	}
 
-	// Rejoin evicted parties through the connection protocol (chunked
-	// Welcome when the state outgrew the inline cap).
+	// Rejoin evicted parties through the connection protocol (the state
+	// arrives as a transfer session, never inside the Welcome).
 	ex.mu.Lock()
 	var out []string
 	for id := range ex.evicted {

@@ -93,8 +93,8 @@ const (
 	// dead plane is treated as a process crash and restarts after Duration.
 	FaultDisk
 	// FaultEvict partitions the victim, evicts it, and heals after
-	// Duration; the executor rejoins it in the end phase (chunked Welcome
-	// when the state exceeds the inline cap).
+	// Duration; the executor rejoins it in the end phase (the Welcome's
+	// state arrives as a transfer session).
 	FaultEvict
 	// FaultStaleKill drops all commits to the victim for Duration
 	// (manufacturing a stale member), then arms a disk fault and triggers
@@ -203,18 +203,17 @@ type Fault struct {
 // is pure data: the same seed always generates the identical value, and
 // Describe renders it canonically so determinism is byte-checkable.
 type Scenario struct {
-	Seed           uint64
-	Parties        int  // group size, 2..8 (org00..orgNN)
-	Majority       bool // termination: majority instead of unanimous
-	Window         int  // pipeline window W (patchstorm)
-	PageSize       int  // paged-identity granularity; >= ObjectSize: paging off
-	ObjectSize     int  // patchstorm object size (apps: nominal)
-	SnapshotEvery  int  // delta chain bound
-	CompactAt      int64
-	SegmentSize    int
-	RetainEntries  int
-	InlineStateCap int // transfer: Welcome above this defers to chunked session
-	ChunkSize      int
+	Seed          uint64
+	Parties       int  // group size, 2..8 (org00..orgNN)
+	Majority      bool // termination: majority instead of unanimous
+	Window        int  // pipeline window W (patchstorm)
+	PageSize      int  // paged-identity granularity; >= ObjectSize: paging off
+	ObjectSize    int  // patchstorm object size (apps: nominal)
+	SnapshotEvery int  // delta chain bound
+	CompactAt     int64
+	SegmentSize   int
+	RetainEntries int
+	ChunkSize     int
 	// Objects is the number of co-resident objects hosted by every party
 	// (1..3; 0 means 1 for hand-written scenarios). The workload script
 	// drives the first; the siblings are separate groups on the same
@@ -352,7 +351,7 @@ func generate(rng *rand.Rand, seed uint64, w Workload) Scenario {
 	// truncation has its own bar test (lab's TestDurabilityPlaneBars).
 	s.RetainEntries = 1 << 14
 	s.ChunkSize = []int{4 << 10, 16 << 10, 64 << 10}[rng.IntN(3)]
-	s.InlineStateCap = []int{1 << 10, 16 << 10, 1 << 20}[rng.IntN(3)]
+	_ = rng.IntN(3) // the retired Welcome inline cap: kept so every seed names the same scenario
 	s.Objects = 1 + rng.IntN(3)
 	s.Steps = generateSteps(rng, &s)
 	s.Faults = generateFaults(rng, &s)
@@ -503,9 +502,9 @@ func (s Scenario) Describe() string {
 	if s.Majority {
 		term = "majority"
 	}
-	fmt.Fprintf(&b, "scenario seed=%#016x workload=%s parties=%d term=%s w=%d page=%d obj=%d snap=%d compact=%d seg=%d retain=%d inline=%d chunk=%d objects=%d",
+	fmt.Fprintf(&b, "scenario seed=%#016x workload=%s parties=%d term=%s w=%d page=%d obj=%d snap=%d compact=%d seg=%d retain=%d chunk=%d objects=%d",
 		s.Seed, s.Workload, s.Parties, term, s.Window, s.PageSize, s.ObjectSize,
-		s.SnapshotEvery, s.CompactAt, s.SegmentSize, s.RetainEntries, s.InlineStateCap, s.ChunkSize, s.objectCount())
+		s.SnapshotEvery, s.CompactAt, s.SegmentSize, s.RetainEntries, s.ChunkSize, s.objectCount())
 	if s.Relay {
 		// Appended only for relay scenarios so pre-relay seeds keep their
 		// descriptions byte-identical.

@@ -17,6 +17,104 @@ var (
 
 // TestGenerateDeterministic: the same seed yields the byte-identical
 // scenario — the property every failure report relies on.
+// TestGenerateSeedStable pins what a seed means across versions: the
+// descriptions of a recorded replay seed and of the first scenarios of the
+// CI matrix are golden, so any reordered, added or dropped draw in the
+// generator shows up here instead of silently renaming every pinned seed.
+func TestGenerateSeedStable(t *testing.T) {
+	matrix := Matrix(0xb2bfacade, 3)
+	for i, tc := range []struct {
+		s    Scenario
+		want string
+	}{
+		{Generate(0xbbbd67e8c8cd9dc2), goldenPatchstormBBBD},
+		{matrix[0], goldenMatrix0},
+		{matrix[1], goldenMatrix1},
+		{matrix[2], goldenMatrix2},
+	} {
+		if got := tc.s.Describe(); got != tc.want {
+			t.Errorf("case %d, seed %#x: description changed\ngot:\n%s\nwant:\n%s", i, tc.s.Seed, got, tc.want)
+		}
+	}
+}
+
+const goldenPatchstormBBBD = `scenario seed=0xbbbd67e8c8cd9dc2 workload=patchstorm parties=4 term=unanimous w=1 page=262144 obj=262144 snap=64 compact=8388608 seg=262144 retain=16384 chunk=65536 objects=1
+step 0 a=244881 b=33
+step 1 a=215232 b=55
+step 2 a=204662 b=54
+step 3 a=174095 b=55
+step 4 a=9941 b=60
+step 5 a=106097 b=21
+step 6 a=163046 b=18
+step 7 a=256289 b=27
+step 8 a=72455 b=62
+step 9 a=243458 b=44
+step 10 a=106186 b=51
+step 11 a=122898 b=45
+step 12 a=196632 b=42
+step 13 a=55007 b=40
+step 14 a=46573 b=53
+step 15 a=241493 b=61
+step 16 a=167160 b=38
+fault step=5 kind=stalekill party=3 attack=replay torn=true dur=444ms drop=0.000 dup=0.000 delay=0s
+fault step=8 kind=partition party=1 attack=replay torn=false dur=252ms drop=0.000 dup=0.000 delay=0s
+fault step=9 kind=crash party=3 attack=replay torn=false dur=401ms drop=0.000 dup=0.000 delay=0s
+`
+
+const goldenMatrix0 = `scenario seed=0xce037669312e5b90 workload=order parties=7 term=majority w=1 page=4096 obj=4096 snap=1 compact=1048576 seg=262144 retain=16384 chunk=65536 objects=2
+step 0 a=9 b=0
+step 1 a=64 b=0
+step 2 a=12 b=0
+step 3 a=41 b=0
+step 4 a=19 b=0
+step 5 a=5 b=0
+step 6 a=17 b=0
+step 7 a=5 b=0
+step 8 a=11 b=0
+step 9 a=95 b=0
+step 10 a=12 b=0
+step 11 a=49 b=0
+step 12 a=2 b=0
+step 13 a=98 b=0
+step 14 a=16 b=0
+step 15 a=59 b=0
+fault step=5 kind=adversary party=2 attack=staleseq torn=false dur=0s drop=0.000 dup=0.000 delay=0s
+fault step=6 kind=crash party=2 attack=replay torn=true dur=319ms drop=0.000 dup=0.000 delay=0s
+fault step=7 kind=flaky party=0 attack=replay torn=false dur=138ms drop=0.145 dup=0.045 delay=4ms
+fault step=10 kind=crash party=3 attack=replay torn=false dur=165ms drop=0.000 dup=0.000 delay=0s
+`
+
+const goldenMatrix1 = `scenario seed=0x9b25ba7ce886324c workload=order parties=8 term=unanimous w=1 page=4096 obj=4096 snap=64 compact=1048576 seg=262144 retain=16384 chunk=65536 objects=3
+step 0 a=2 b=0
+step 1 a=20 b=0
+step 2 a=17 b=0
+step 3 a=50 b=0
+step 4 a=4 b=0
+step 5 a=46 b=0
+fault step=1 kind=disk party=6 attack=replay torn=false dur=170ms drop=0.000 dup=0.000 delay=0s
+fault step=2 kind=evict party=4 attack=replay torn=false dur=231ms drop=0.000 dup=0.000 delay=0s
+fault step=3 kind=crash party=4 attack=replay torn=true dur=227ms drop=0.000 dup=0.000 delay=0s
+fault step=4 kind=crash party=4 attack=replay torn=false dur=166ms drop=0.000 dup=0.000 delay=0s
+`
+
+const goldenMatrix2 = `scenario seed=0xa818a7000c142864 workload=patchstorm parties=4 term=majority w=4 page=1024 obj=262144 snap=64 compact=1048576 seg=1048576 retain=16384 chunk=16384 objects=3
+step 0 a=117233 b=35
+step 1 a=114379 b=51
+step 2 a=106779 b=55
+step 3 a=129063 b=37
+step 4 a=104864 b=17
+step 5 a=146956 b=56
+step 6 a=45045 b=63
+step 7 a=158008 b=51
+step 8 a=243206 b=32
+step 9 a=171625 b=37
+step 10 a=242959 b=58
+step 11 a=243958 b=33
+step 12 a=209315 b=34
+step 13 a=206034 b=57
+fault step=11 kind=crash party=1 attack=replay torn=true dur=388ms drop=0.000 dup=0.000 delay=0s
+`
+
 func TestGenerateDeterministic(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef, 1<<63 + 12345} {
 		a, b := Generate(seed), Generate(seed)
@@ -216,18 +314,17 @@ func TestAttackCalibration(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			s := Scenario{
-				Seed:           uint64(0xa11ac0de00) + uint64(k),
-				Parties:        3,
-				Window:         1,
-				PageSize:       1024,
-				ObjectSize:     4 << 10,
-				SnapshotEvery:  4,
-				CompactAt:      1 << 20,
-				SegmentSize:    256 << 10,
-				RetainEntries:  1 << 14,
-				InlineStateCap: 16 << 10,
-				ChunkSize:      4 << 10,
-				Workload:       Auction,
+				Seed:          uint64(0xa11ac0de00) + uint64(k),
+				Parties:       3,
+				Window:        1,
+				PageSize:      1024,
+				ObjectSize:    4 << 10,
+				SnapshotEvery: 4,
+				CompactAt:     1 << 20,
+				SegmentSize:   256 << 10,
+				RetainEntries: 1 << 14,
+				ChunkSize:     4 << 10,
+				Workload:      Auction,
 				Steps: []Step{
 					{A: auctionReserve + 10, B: 0},
 					{A: auctionReserve + 20, B: 1},
@@ -261,18 +358,17 @@ func TestMutationSmoke(t *testing.T) {
 	// the next proposal validates against — the divergence is structural,
 	// not a race with speculative clones.
 	s := Scenario{
-		Seed:           0x5eedf00d,
-		Parties:        2,
-		Window:         1,
-		PageSize:       1024,
-		ObjectSize:     16 << 10,
-		SnapshotEvery:  4,
-		CompactAt:      1 << 20,
-		SegmentSize:    256 << 10,
-		RetainEntries:  1 << 14,
-		InlineStateCap: 1 << 10,
-		ChunkSize:      4 << 10,
-		Workload:       PatchStorm,
+		Seed:          0x5eedf00d,
+		Parties:       2,
+		Window:        1,
+		PageSize:      1024,
+		ObjectSize:    16 << 10,
+		SnapshotEvery: 4,
+		CompactAt:     1 << 20,
+		SegmentSize:   256 << 10,
+		RetainEntries: 1 << 14,
+		ChunkSize:     4 << 10,
+		Workload:      PatchStorm,
 	}
 	for i := 0; i < 8; i++ {
 		s.Steps = append(s.Steps, Step{A: i * 128, B: 32})

@@ -12,9 +12,9 @@ import (
 
 // MaxFrame bounds a single TCP frame (16 MiB) to stop a corrupt length
 // prefix from exhausting memory. It is also the hard ceiling any one
-// protocol message may occupy on a real link — the reason large object
-// states travel as chunked transfer sessions (internal/xfer) rather than
-// inline in a single Welcome.
+// protocol message may occupy on a real link — the reason a joiner receives
+// the object state as a chunked transfer session (internal/xfer) — and the
+// bound on overwrite proposals and commits, which carry a whole state.
 const MaxFrame = 16 << 20
 
 // TCPEndpoint is a real inter-process Endpoint. Each endpoint listens on an

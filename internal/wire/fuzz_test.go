@@ -47,8 +47,7 @@ func FuzzUnmarshal(f *testing.F) {
 		Auth: []byte("auth"), Propose: signed, Responds: []wire.Signed{signed}}
 	welcome := wire.Welcome{RunID: "r2", Sponsor: "a", Object: "o",
 		Members: []string{"a", "b", "c"}, Group: grp, AgreedTuple: st,
-		StateDeferred: true, MemberCerts: []crypto.Certificate{ident.Certificate()},
-		Commit: gCommit}
+		MemberCerts: []crypto.Certificate{ident.Certificate()}, Commit: gCommit}
 	discReq := wire.DiscRequest{ReqID: "q2", Object: "o", Proposer: "b",
 		Voluntary: true, Evictees: []string{"b"}, Nonce: []byte("n")}
 	discProp := wire.DiscPropose{RunID: "r3", Sponsor: "a", Object: "o", ReqID: "q2",

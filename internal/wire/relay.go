@@ -22,9 +22,9 @@ import (
 // Relay bounds: decode-time caps rejected before allocation proportional to
 // a hostile claim (the gossip codec's discipline).
 const (
-	// MaxRelaySealed caps one sealed deposit blob. Envelopes carry at most
-	// an inline agreed state (bounded by the transfer policy's inline cap)
-	// plus protocol framing; 4 MiB leaves generous headroom.
+	// MaxRelaySealed caps one sealed deposit blob. The largest envelopes
+	// are overwrite proposals and commits, which carry a whole object state
+	// (a Welcome carries none); a deposit over the cap is refused at decode.
 	MaxRelaySealed = 4 << 20
 	// MaxRelayBatchEntries caps one drain batch. Drains page: a mailbox
 	// deeper than this takes several poll/batch rounds.

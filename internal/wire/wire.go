@@ -747,27 +747,20 @@ func UnmarshalDiscCommit(buf []byte) (GroupCommit, error) {
 	return unmarshalGroupCommit(buf, "disc-commit")
 }
 
-// Welcome transfers the agreed object state to an admitted subject at the
-// successful end of the connection protocol: join-ordered membership, group
-// tuple, agreed state (verifiable against each member's signed agreed tuple
-// inside Commit), and the members' certificates.
-//
-// Large objects do not ride inline: when StateDeferred is set, AgreedState
-// is empty and the subject fetches the state through a chunked transfer
-// session (internal/xfer) from the sponsor — or any member, on failover —
-// verifying the received bytes against AgreedTuple, which the membership
-// evidence inside Commit already authenticates. The inline form is kept for
-// small objects (group.Config.InlineStateCap).
+// Welcome admits a subject at the successful end of the connection
+// protocol: join-ordered membership, group tuple, the agreed tuple (which
+// each member's signed response inside Commit asserts), and the members'
+// certificates. It carries evidence, never the state: the subject fetches
+// the state through a transfer session (internal/xfer) from the sponsor —
+// or any member, on failover — and verifies it against AgreedTuple.
 type Welcome struct {
-	RunID         string
-	Sponsor       string
-	Object        string
-	Members       []string
-	Group         tuple.Group
-	AgreedTuple   tuple.State
-	AgreedState   []byte
-	StateDeferred bool
-	MemberCerts   []crypto.Certificate
+	RunID       string
+	Sponsor     string
+	Object      string
+	Members     []string
+	Group       tuple.Group
+	AgreedTuple tuple.State
+	MemberCerts []crypto.Certificate
 	// Prekeys carries the members' signed relay-prekey publications
 	// (marshalled Signed envelopes, kind KindRelayPrekey) so the joiner can
 	// immediately seal relay deposits to every member. Each entry is
@@ -794,8 +787,6 @@ func (w Welcome) Marshal() []byte {
 	e.Strings(w.Members)
 	w.Group.Encode(e)
 	w.AgreedTuple.Encode(e)
-	e.Bytes(w.AgreedState)
-	e.Bool(w.StateDeferred)
 	e.List(len(w.MemberCerts))
 	for _, c := range w.MemberCerts {
 		c.Encode(e)
@@ -820,8 +811,6 @@ func UnmarshalWelcome(buf []byte) (Welcome, error) {
 	w.Members = d.Strings()
 	w.Group = tuple.DecodeGroup(d)
 	w.AgreedTuple = tuple.DecodeState(d)
-	w.AgreedState = d.Bytes()
-	w.StateDeferred = d.Bool()
 	n := d.List()
 	if d.Err() == nil {
 		for i := 0; i < n; i++ {

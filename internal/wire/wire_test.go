@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -284,7 +285,6 @@ func TestWelcomeRoundTrip(t *testing.T) {
 		Members:     []string{"alice", "bob", "carol"},
 		Group:       tuple.NewGroup(1, []byte("r"), []string{"alice", "bob", "carol"}),
 		AgreedTuple: tuple.NewState(4, []byte("q"), []byte("state")),
-		AgreedState: []byte("state"),
 		MemberCerts: []crypto.Certificate{fx.alice.Certificate(), fx.bob.Certificate()},
 		Commit:      commit,
 	}
@@ -292,7 +292,7 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Group != w.Group || got.AgreedTuple != w.AgreedTuple || !bytes.Equal(got.AgreedState, w.AgreedState) {
+	if got.Group != w.Group || got.AgreedTuple != w.AgreedTuple || !slices.Equal(got.Members, w.Members) {
 		t.Fatal("welcome mismatch")
 	}
 	if got.Commit.RunID != "crun-1" || len(got.MemberCerts) != 2 {

@@ -1,8 +1,9 @@
 // Package xfer implements the state-transfer / anti-entropy plane: chunked,
-// flow-controlled transfer of agreed object state between parties, so that a
-// welcomed joiner receives a multi-MiB object as a stream of bounded frames
-// instead of one giant Welcome datagram, and a member that missed commits
-// (crash, partition) has a network path back to the group.
+// flow-controlled transfer of agreed object state between parties. It is the
+// one way a welcomed joiner receives the agreed state (the Welcome carries
+// only evidence and the agreed tuple), as a stream of bounded frames
+// whatever the object's size, and a member that missed commits (crash,
+// partition) has a network path back to the group.
 //
 // A session is opened by the requester with a signed StateRequest naming its
 // last-known agreed tuple. The serving party (the sponsor) answers with a
@@ -64,10 +65,6 @@ type Policy struct {
 	ChunkSize int
 	// Window is how many chunks may be unacknowledged in flight (default 8).
 	Window int
-	// InlineStateCap is the largest agreed state a Welcome still carries
-	// inline; bigger objects are handed to the joiner as a transfer session
-	// (default 64 KiB; negative: always inline, the legacy behaviour).
-	InlineStateCap int
 	// RequestTimeout is the progress timeout: a requester re-issues its
 	// request (with a resume index) after this long without a new chunk, and
 	// gives a peer 3x this before failing over to another (default 2s).
@@ -76,10 +73,6 @@ type Policy struct {
 	MaxSessions int
 }
 
-// DefaultInlineStateCap is the Welcome inline-state threshold when the
-// policy leaves InlineStateCap zero.
-const DefaultInlineStateCap = 64 << 10
-
 // WithDefaults returns the policy with zero fields replaced by defaults.
 func (p Policy) WithDefaults() Policy {
 	if p.ChunkSize <= 0 {
@@ -87,9 +80,6 @@ func (p Policy) WithDefaults() Policy {
 	}
 	if p.Window <= 0 {
 		p.Window = 8
-	}
-	if p.InlineStateCap == 0 {
-		p.InlineStateCap = DefaultInlineStateCap
 	}
 	if p.RequestTimeout <= 0 {
 		p.RequestTimeout = 2 * time.Second
@@ -239,9 +229,6 @@ func New(cfg Config) (*Manager, error) {
 		stop:     make(chan struct{}),
 	}, nil
 }
-
-// Policy returns the manager's effective policy (defaults applied).
-func (m *Manager) Policy() Policy { return m.pol }
 
 // Stats returns a snapshot of the transfer counters.
 func (m *Manager) Stats() Stats {

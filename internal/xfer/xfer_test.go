@@ -39,12 +39,11 @@ func joinCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// TestJoinDeferredWelcome: a join whose agreed state exceeds the inline cap
-// receives a Welcome without state and fetches it as a chunked snapshot
-// session from the sponsor, verified against the evidence-authenticated
-// agreed tuple.
+// TestJoinDeferredWelcome: a joiner receives a Welcome without state and
+// fetches it as a chunked snapshot session from the sponsor, verified
+// against the evidence-authenticated agreed tuple.
 func TestJoinDeferredWelcome(t *testing.T) {
-	pol := xfer.Policy{ChunkSize: 16 << 10, InlineStateCap: 32 << 10, RequestTimeout: 300 * time.Millisecond}
+	pol := xfer.Policy{ChunkSize: 16 << 10, RequestTimeout: 300 * time.Millisecond}
 	w, err := lab.NewWorld(lab.Options{Seed: 42, Transfer: pol}, "a", "b", "c")
 	if err != nil {
 		t.Fatal(err)
@@ -76,33 +75,6 @@ func TestJoinDeferredWelcome(t *testing.T) {
 	cst := w.Party("c").Xfer(obj).Stats()
 	if cst.SessionsFetched != 1 || cst.BytesFetched < 200<<10 {
 		t.Fatalf("joiner fetch stats = %+v", cst)
-	}
-}
-
-// TestJoinSmallStateStaysInline: below the inline cap the legacy one-frame
-// Welcome still carries the state and no transfer session runs.
-func TestJoinSmallStateStaysInline(t *testing.T) {
-	w, err := lab.NewWorld(lab.Options{Seed: 43}, "a", "b", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Bind(obj, func(string) coord.Validator { return lab.AcceptAllValidator() }, nil); err != nil {
-		t.Fatal(err)
-	}
-	initial := []byte("small agreed state")
-	if err := w.Bootstrap(obj, initial, []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Party("c").Manager(obj).Join(joinCtx(t), "b"); err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	_, got := w.Party("c").Engine(obj).Agreed()
-	if !bytes.Equal(got, initial) {
-		t.Fatalf("joiner state = %q", got)
-	}
-	if st := w.Party("b").Xfer(obj).Stats(); st.SessionsServed != 0 {
-		t.Fatalf("inline join served %d transfer sessions", st.SessionsServed)
 	}
 }
 
@@ -270,7 +242,7 @@ func TestFetchResumesAfterChunkLoss(t *testing.T) {
 // right after the Welcome); the joiner times the sponsor out and fetches
 // the deferred state from another member.
 func TestJoinFailsOverWhenSponsorDies(t *testing.T) {
-	pol := xfer.Policy{ChunkSize: 16 << 10, InlineStateCap: 32 << 10, RequestTimeout: 150 * time.Millisecond}
+	pol := xfer.Policy{ChunkSize: 16 << 10, RequestTimeout: 150 * time.Millisecond}
 	w, err := lab.NewWorld(lab.Options{Seed: 47, Transfer: pol}, "a", "b", "c")
 	if err != nil {
 		t.Fatal(err)

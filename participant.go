@@ -189,10 +189,10 @@ func WithDurability(p DurabilityPolicy) Option {
 	return func(o *participantOpts) { o.durability = p }
 }
 
-// TransferPolicy tunes the state-transfer plane: the chunk size and
-// flow-control window of transfer sessions, the largest agreed state a
-// Welcome still carries inline, and the per-attempt progress timeout. The
-// zero value selects the defaults documented on the fields.
+// TransferPolicy tunes the state-transfer plane, through which every joiner
+// receives the agreed state: the chunk size and flow-control window of
+// transfer sessions, and the per-attempt progress timeout. The zero value
+// selects the defaults documented on the fields.
 type TransferPolicy = xfer.Policy
 
 // WithTransfer sets the state-transfer policy.
