@@ -273,7 +273,7 @@ func (en *Engine) verifyGossipCommit(raw []byte) (wire.Propose, []byte, error) {
 	if crypto.Hash(commit.Auth) != prop.AuthCommit {
 		return wire.Propose{}, nil, errGossip("authenticator does not match commitment")
 	}
-	if prop.Proposed.Seq <= prop.Predecessor().Seq {
+	if prop.Proposed.Seq <= prop.Pred.Seq {
 		return wire.Propose{}, nil, errGossip("proposal does not extend its predecessor")
 	}
 
@@ -311,7 +311,7 @@ func (en *Engine) noteContestedCommit(payload []byte) {
 	if err != nil {
 		return
 	}
-	pred := prop.Predecessor()
+	pred := prop.Pred
 	en.mu.Lock()
 	added := en.contestAddLocked(pred, canonRaw, prop)
 	en.mu.Unlock()
@@ -481,7 +481,7 @@ func (en *Engine) handleGossipDelta(from string, payload []byte) {
 			_ = en.logEvidence("", "gossip-commit-rejected", nrlog.DirReceived, []byte(err.Error()))
 			continue
 		}
-		pred := prop.Predecessor()
+		pred := prop.Pred
 		en.mu.Lock()
 		added := en.contestAddLocked(pred, canonRaw, prop)
 		en.mu.Unlock()

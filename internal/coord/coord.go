@@ -924,7 +924,7 @@ func (en *Engine) enterRunLocked(prop wire.Propose, signed wire.Signed, raw, aut
 		started:   time.Now(),
 		done:      make(chan struct{}),
 		pred:      pred,
-		predTuple: prop.Predecessor(),
+		predTuple: prop.Pred,
 		finalized: make(chan struct{}),
 	}
 	en.runs[run.runID] = run

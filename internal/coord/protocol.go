@@ -528,7 +528,7 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 		_ = en.logEvidence("", "malformed-propose", nrlog.DirReceived, payload)
 		return
 	}
-	pred := prop.Predecessor()
+	pred := prop.Pred
 
 	en.mu.Lock()
 	if !en.bootstrapped {
@@ -684,7 +684,7 @@ func (en *Engine) persistAndSendResponse(from string, prop wire.Propose, rr *res
 		Object:   en.cfg.Object,
 		Role:     "recipient",
 		Proposed: prop.Proposed,
-		Pred:     prop.Predecessor(),
+		Pred:     prop.Pred,
 		Time:     en.cfg.Clock.Now(),
 	}); err != nil {
 		return
@@ -748,7 +748,7 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 	if prop.Object != en.cfg.Object {
 		return wire.Rejected("proposal for foreign object"), nil
 	}
-	pred := prop.Predecessor()
+	pred := prop.Pred
 
 	en.mu.Lock()
 	defer en.mu.Unlock()
@@ -1444,7 +1444,7 @@ func (en *Engine) RecoverPendingRuns(ctx context.Context) ([]Outcome, error) {
 	var chain []*proposerRun
 	var dropped []pendingRec
 	for _, r := range recs {
-		pred := r.prop.Predecessor()
+		pred := r.prop.Pred
 		if len(recipients) == 0 || r.prop.Proposed.Seq <= en.agreed.Seq || pred != expected {
 			// Suffix rollback on recovery: the run's base state is not (or
 			// no longer) this party's agreed state — it was decided without

@@ -32,14 +32,16 @@ import (
 
 // Errors returned by the manager.
 var (
-	ErrRejected     = errors.New("group: request rejected")
-	ErrNotSponsor   = errors.New("group: this member is not the sponsor")
-	ErrBusy         = errors.New("group: a membership change is already in progress")
-	ErrNotMember    = errors.New("group: not a member")
-	ErrBadSubject   = errors.New("group: invalid subject")
-	ErrBadEvidence  = errors.New("group: membership evidence failed verification")
-	ErrAlreadyAdded = errors.New("group: subject is already a member")
+	ErrRejected    = errors.New("group: request rejected")
+	ErrBusy        = errors.New("group: a membership change is already in progress")
+	ErrNotMember   = errors.New("group: not a member")
+	ErrBadSubject  = errors.New("group: invalid subject")
+	ErrBadEvidence = errors.New("group: membership evidence failed verification")
 )
+
+// errNotAgreed marks a run's verdict, not a verification failure: a member
+// vetoed or a response is missing, so membership stays as it was.
+var errNotAgreed = errors.New("group: membership change not agreed")
 
 // redirectPrefix marks a Reject that names the legitimate sponsor, so a
 // subject that contacted the wrong member can retry (§4.5.1: any member can
@@ -100,27 +102,19 @@ type PrekeyDirectory interface {
 	Learn(raw []byte) (bool, error)
 }
 
-// sponsorRun tracks an in-flight membership change at the sponsor.
+// sponsorRun tracks the sponsor's one in-flight membership run.
 type sponsorRun struct {
-	runID     string
-	proposeS  wire.Signed
-	auth      []byte
+	ch        change
 	recips    []string
 	responses map[string]wire.Signed
 	parsed    map[string]wire.GroupRespond
 	done      chan struct{}
 }
 
-// memberRun tracks a membership change this member answered, pending commit.
+// memberRun is this member's recorded answer to a run, pending its commit.
 type memberRun struct {
-	runID      string
-	sponsor    string
-	proposeS   wire.Signed
-	respond    wire.Signed
-	newGroup   tuple.Group
-	newMembers []string
-	subject    string
-	isConnect  bool
+	sponsor string
+	respond wire.Signed
 }
 
 // joinWait is the subject side of a pending connection request.
@@ -142,11 +136,11 @@ type Manager struct {
 	cfg Config
 
 	mu        sync.Mutex
-	runs      map[string]*sponsorRun
+	run       *sponsorRun // the run this member sponsors, if any
 	answered  map[string]*memberRun
 	completed map[string]bool
 	joins     map[string]*joinWait // by reqID
-	leaves    map[string]chan wire.DiscNotice
+	leaves    map[chan wire.DiscNotice]bool
 	seenReqs  map[string]bool
 }
 
@@ -161,11 +155,10 @@ func New(cfg Config) (*Manager, error) {
 	}
 	return &Manager{
 		cfg:       cfg,
-		runs:      make(map[string]*sponsorRun),
 		answered:  make(map[string]*memberRun),
 		completed: make(map[string]bool),
 		joins:     make(map[string]*joinWait),
-		leaves:    make(map[string]chan wire.DiscNotice),
+		leaves:    make(map[chan wire.DiscNotice]bool),
 		seenReqs:  make(map[string]bool),
 	}, nil
 }
@@ -267,15 +260,15 @@ func (m *Manager) adoptWelcome(ctx context.Context, w *wire.Welcome, signed wire
 	if signed.Signer() != w.Sponsor {
 		return fmt.Errorf("%w: welcome signed by %s, not sponsor %s", ErrBadEvidence, signed.Signer(), w.Sponsor)
 	}
-	// The commit must verify exactly as members verified it.
-	prop, err := verifyGroupCommitEvidence(m.cfg.Verifier, w.Commit, true)
+	// The commit must verify exactly as members verified it, and be agreed.
+	ch, resps, err := verifyGroupCommitEvidence(m.cfg.Verifier, wire.KindConnCommit, w.Commit)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadEvidence, err)
 	}
-	if prop.Subject != m.cfg.Ident.ID() {
-		return fmt.Errorf("%w: welcome for foreign subject %s", ErrBadEvidence, prop.Subject)
+	if ch.subjects[0] != m.cfg.Ident.ID() {
+		return fmt.Errorf("%w: welcome for foreign subject %s", ErrBadEvidence, ch.subjects[0])
 	}
-	if prop.NewGroup != w.Group {
+	if ch.newGroup != w.Group {
 		return fmt.Errorf("%w: group tuple mismatch", ErrBadEvidence)
 	}
 	if !w.Group.MatchesMembers(w.Members) {
@@ -283,11 +276,7 @@ func (m *Manager) adoptWelcome(ctx context.Context, w *wire.Welcome, signed wire
 	}
 	// Every member's signed response asserts its agreed-state tuple: all
 	// must match the tuple the state is fetched against (§4.5.3).
-	for _, s := range w.Commit.Responds {
-		resp, err := wire.UnmarshalConnRespond(s.Body)
-		if err != nil {
-			return fmt.Errorf("%w: embedded response malformed", ErrBadEvidence)
-		}
+	for _, resp := range resps {
 		if resp.Agreed != w.AgreedTuple {
 			return fmt.Errorf("%w: member %s holds different agreed state", ErrBadEvidence, resp.Responder)
 		}
@@ -329,74 +318,46 @@ func (m *Manager) adoptWelcome(ctx context.Context, w *wire.Welcome, signed wire
 
 // Leave runs the subject side of voluntary disconnection (§4.5.4).
 func (m *Manager) Leave(ctx context.Context) error {
-	_, members := m.cfg.Engine.Group()
-	if !contains(members, m.cfg.Ident.ID()) {
+	self := m.cfg.Ident.ID()
+	if _, members := m.cfg.Engine.Group(); !contains(members, self) {
 		return ErrNotMember
 	}
-	sponsor, err := SponsorOf(members, m.cfg.Ident.ID())
-	if err != nil {
-		return err
-	}
-	nonce, err := crypto.Nonce()
-	if err != nil {
-		return err
-	}
-	reqID := m.cfg.Ident.ID() + "-leave-" + hex.EncodeToString(nonce[:8])
-	req := wire.DiscRequest{
-		ReqID:     reqID,
-		Object:    m.cfg.Object,
-		Proposer:  m.cfg.Ident.ID(),
-		Voluntary: true,
-		Evictees:  []string{m.cfg.Ident.ID()},
-		Nonce:     nonce,
-	}
-	signed := wire.Sign(wire.KindDiscRequest, req.Marshal(), m.cfg.Ident, m.cfg.TSA)
-
 	ch := make(chan wire.DiscNotice, 1)
 	m.mu.Lock()
-	m.leaves[reqID] = ch
+	m.leaves[ch] = true
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
-		delete(m.leaves, reqID)
+		delete(m.leaves, ch)
 		m.mu.Unlock()
 	}()
-
-	if err := m.logEvidence(reqID, wire.KindDiscRequest.String(), nrlog.DirSent, signed.Marshal()); err != nil {
-		return err
-	}
-	if err := m.send(ctx, sponsor, wire.KindDiscRequest, signed.Marshal()); err != nil {
-		return err
-	}
-	// Re-send periodically: the sponsor may have been busy with another
-	// membership change when the request first arrived.
-	retry := time.NewTicker(m.cfg.ResponseTimeout / 20)
-	defer retry.Stop()
-	for {
+	var notice wire.DiscNotice
+	err := m.requestDeparture(ctx, []string{self}, true, func() bool {
 		select {
-		case notice := <-ch:
-			// Evidence of the membership and agreed state at departure.
-			if err := m.logEvidence(notice.RunID, wire.KindDiscNotice.String(), nrlog.DirReceived, notice.Marshal()); err != nil {
-				return err
-			}
-			// The departed member leaves the coordination group; its engine
-			// resets so it can reconnect later (evidence is retained).
-			m.cfg.Engine.Reset()
-			return nil
-		case <-retry.C:
-			_ = m.send(ctx, sponsor, wire.KindDiscRequest, signed.Marshal())
-		case <-ctx.Done():
-			return fmt.Errorf("group: leave request %s: %w", reqID, ctx.Err())
+		case notice = <-ch:
+			return true
+		default:
+			return false
 		}
+	})
+	if err != nil {
+		return err
 	}
+	// Evidence of the membership and agreed state at departure.
+	if err := m.logEvidence(notice.RunID, wire.KindDiscNotice.String(), nrlog.DirReceived, notice.Marshal()); err != nil {
+		return err
+	}
+	// The departed member leaves the coordination group; its engine resets
+	// so it can reconnect later (evidence is retained).
+	m.cfg.Engine.Reset()
+	return nil
 }
 
 // Evict proposes the eviction of one or more members (§4.5.4, including the
-// evictee-subset extension). The proposer forwards the request to the
-// sponsor (if the proposer is the sponsor the request step is elided) and
-// blocks until the eviction is reflected in the local membership view or ctx
-// expires — a vetoed or perpetually-refused eviction therefore surfaces as
-// ctx expiry, since membership simply never changes.
+// evictee-subset extension) and blocks until the eviction is reflected in
+// the local membership view or ctx expires — a vetoed or perpetually-refused
+// eviction therefore surfaces as ctx expiry, since membership simply never
+// changes.
 func (m *Manager) Evict(ctx context.Context, evictees ...string) error {
 	if len(evictees) == 0 {
 		return ErrBadSubject
@@ -414,6 +375,28 @@ func (m *Manager) Evict(ctx context.Context, evictees ...string) error {
 			return fmt.Errorf("%w: use Leave for voluntary disconnection", ErrBadSubject)
 		}
 	}
+	return m.requestDeparture(ctx, evictees, false, func() bool {
+		_, members := m.cfg.Engine.Group()
+		for _, e := range evictees {
+			if contains(members, e) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// requestDeparture is the requester side of a disconnection, shared by Leave
+// and Evict: it signs the request and sends it to the sponsor — or, when
+// this member is the sponsor, drives the run itself (§4.5.4: request step
+// omitted) — until done reports completion or ctx expires. The sponsor
+// silently refuses requests while another membership change is deciding and
+// sends no completion signal back to an evicting proposer, so the request
+// is re-sent periodically. Completion is polled on a fast ticker, decoupled
+// from the slower re-send period, and a sponsor change (e.g. our own
+// just-applied membership commit rotating sponsorship) re-sends at once.
+func (m *Manager) requestDeparture(ctx context.Context, evictees []string, voluntary bool, done func() bool) error {
+	_, members := m.cfg.Engine.Group()
 	sponsor, err := SponsorOf(members, evictees...)
 	if err != nil {
 		return err
@@ -422,74 +405,51 @@ func (m *Manager) Evict(ctx context.Context, evictees ...string) error {
 	if err != nil {
 		return err
 	}
-	reqID := self + "-evict-" + hex.EncodeToString(nonce[:8])
+	self := m.cfg.Ident.ID()
+	op := "-evict-"
+	if voluntary {
+		op = "-leave-"
+	}
 	req := wire.DiscRequest{
-		ReqID:    reqID,
-		Object:   m.cfg.Object,
-		Proposer: self,
-		Evictees: append([]string(nil), evictees...),
-		Nonce:    nonce,
+		ReqID:     self + op + hex.EncodeToString(nonce[:8]),
+		Object:    m.cfg.Object,
+		Proposer:  self,
+		Voluntary: voluntary,
+		Evictees:  append([]string(nil), evictees...),
+		Nonce:     nonce,
 	}
 	signed := wire.Sign(wire.KindDiscRequest, req.Marshal(), m.cfg.Ident, m.cfg.TSA)
-	if err := m.logEvidence(reqID, wire.KindDiscRequest.String(), nrlog.DirSent, signed.Marshal()); err != nil {
+	if err := m.logEvidence(req.ReqID, wire.KindDiscRequest.String(), nrlog.DirSent, signed.Marshal()); err != nil {
 		return err
 	}
-
-	if sponsor == self {
-		// Sponsor proposes directly (§4.5.4: request step omitted).
-		return m.sponsorDisconnection(ctx, signed, req)
-	}
-	if err := m.send(ctx, sponsor, wire.KindDiscRequest, signed.Marshal()); err != nil {
-		return err
-	}
-	// Re-send until the eviction takes effect in the local view (bounded by
-	// ctx): the sponsor silently refuses requests while another membership
-	// change is deciding, and the request carries no completion signal back
-	// to the proposer, so a single send can be lost to an unlucky
-	// interleaving (e.g. a voluntary leave being sponsored concurrently).
-	// Completion is polled on a fast ticker, decoupled from the much slower
-	// re-send cadence; a sponsor change observed on the fast tick (e.g. our
-	// own just-applied membership commit rotating sponsorship) triggers an
-	// immediate re-send rather than waiting a full re-send period.
-	dispatch := func(to string) error {
+	dispatch := func(to string) {
 		if to == self {
-			if err := m.sponsorDisconnection(ctx, signed, req); err == nil {
-				return nil
-			}
-			return nil // busy or raced: keep trying until ctx expires
+			_ = m.depart(ctx, signed, req) // busy, vetoed or timed out: keep trying until ctx expires
+			return
 		}
 		_ = m.send(ctx, to, wire.KindDiscRequest, signed.Marshal())
-		return nil
 	}
 	resend := time.NewTicker(m.cfg.ResponseTimeout / 20)
 	defer resend.Stop()
 	poll := time.NewTicker(2 * time.Millisecond)
 	defer poll.Stop()
-	for {
+	dispatch(sponsor)
+	for !done() {
 		_, members = m.cfg.Engine.Group()
-		evicted := true
-		for _, e := range evictees {
-			if contains(members, e) {
-				evicted = false
-				break
-			}
-		}
-		if evicted {
-			return nil
-		}
-		if s, serr := SponsorOf(members, evictees...); serr == nil && s != sponsor {
+		if s, err := SponsorOf(members, evictees...); err == nil && s != sponsor {
 			sponsor = s
-			_ = dispatch(sponsor)
+			dispatch(sponsor)
 			continue
 		}
 		select {
 		case <-poll.C:
 		case <-resend.C:
-			_ = dispatch(sponsor)
+			dispatch(sponsor)
 		case <-ctx.Done():
-			return fmt.Errorf("group: eviction request %s: %w", reqID, ctx.Err())
+			return fmt.Errorf("group: disconnection request %s: %w", req.ReqID, ctx.Err())
 		}
 	}
+	return nil
 }
 
 // contains reports membership of s in ss.
@@ -524,86 +484,4 @@ func (m *Manager) send(ctx context.Context, to string, kind wire.Kind, payload [
 		Payload: payload,
 	}
 	return m.cfg.Conn.Send(ctx, to, env.Marshal())
-}
-
-// verifyGroupCommitEvidence validates a membership commit bundle: the
-// authenticator preimage against the sponsor's commitment, every signature,
-// and the internal consistency of all responses. Returns the embedded
-// proposal. isConnect selects conn- vs disc- message framing.
-func verifyGroupCommitEvidence(v *crypto.Verifier, c wire.GroupCommit, isConnect bool) (connOrDisc, error) {
-	if err := c.Propose.Verify(v); err != nil {
-		return connOrDisc{}, fmt.Errorf("embedded proposal: %w", err)
-	}
-	var prop connOrDisc
-	if isConnect {
-		p, err := wire.UnmarshalConnPropose(c.Propose.Body)
-		if err != nil {
-			return connOrDisc{}, err
-		}
-		prop = connOrDisc{
-			RunID: p.RunID, Sponsor: p.Sponsor, Subject: p.Subject,
-			CurGroup: p.CurGroup, NewGroup: p.NewGroup, NewMembers: p.NewMembers,
-			AuthCommit: p.AuthCommit,
-		}
-	} else {
-		p, err := wire.UnmarshalDiscPropose(c.Propose.Body)
-		if err != nil {
-			return connOrDisc{}, err
-		}
-		prop = connOrDisc{
-			RunID: p.RunID, Sponsor: p.Sponsor, Subject: strings.Join(p.Evictees, ","),
-			CurGroup: p.CurGroup, NewGroup: p.NewGroup, NewMembers: p.NewMembers,
-			AuthCommit: p.AuthCommit, Evictees: p.Evictees, Voluntary: p.Voluntary,
-		}
-	}
-	if prop.RunID != c.RunID || prop.Sponsor != c.Sponsor {
-		return connOrDisc{}, errors.New("commit does not match embedded proposal")
-	}
-	if crypto.Hash(c.Auth) != prop.AuthCommit {
-		return connOrDisc{}, errors.New("authenticator does not match commitment")
-	}
-	seen := make(map[string]bool)
-	for _, s := range c.Responds {
-		if err := s.Verify(v); err != nil {
-			return connOrDisc{}, fmt.Errorf("embedded response: %w", err)
-		}
-		var resp wire.GroupRespond
-		var err error
-		if isConnect {
-			resp, err = wire.UnmarshalConnRespond(s.Body)
-		} else {
-			resp, err = wire.UnmarshalDiscRespond(s.Body)
-		}
-		if err != nil {
-			return connOrDisc{}, err
-		}
-		if resp.Responder != s.Signer() {
-			return connOrDisc{}, errors.New("response signer mismatch")
-		}
-		if resp.RunID != c.RunID || resp.NewGroup != prop.NewGroup {
-			return connOrDisc{}, errors.New("response belongs to another run")
-		}
-		if !resp.Decision.Accept {
-			return connOrDisc{}, fmt.Errorf("response from %s is a veto", resp.Responder)
-		}
-		if seen[resp.Responder] {
-			return connOrDisc{}, errors.New("duplicate responder")
-		}
-		seen[resp.Responder] = true
-	}
-	return prop, nil
-}
-
-// connOrDisc is the common shape of membership proposals used during
-// evidence verification.
-type connOrDisc struct {
-	RunID      string
-	Sponsor    string
-	Subject    string
-	CurGroup   tuple.Group
-	NewGroup   tuple.Group
-	NewMembers []string
-	AuthCommit [32]byte
-	Evictees   []string
-	Voluntary  bool
 }

@@ -345,9 +345,7 @@ func UnmarshalMulti(buf []byte) ([][]byte, error) {
 // the proposer's agreed state tuple. A pipelining proposer (see
 // docs/PROTOCOL.md) chains each successor run to its predecessor's Proposed
 // tuple, so Proposed.Seq strictly increases along the chain and every
-// proposal names the exact state lineage it extends. A zero Pred is read as
-// Agreed — the form produced by a constructor that never sets the field
-// (there is no cross-version wire compatibility; see docs/PROTOCOL.md §7).
+// proposal names the exact state lineage it extends.
 type Propose struct {
 	RunID      string
 	Proposer   string
@@ -361,15 +359,6 @@ type Propose struct {
 	NewState   []byte
 	Update     []byte
 	UpdateHash [32]byte
-}
-
-// Predecessor returns the state tuple the proposal chains from: Pred when
-// set, Agreed otherwise (legacy form).
-func (p Propose) Predecessor() tuple.State {
-	if p.Pred.Zero() {
-		return p.Agreed
-	}
-	return p.Pred
 }
 
 // Marshal returns the canonical (signature input) bytes.
