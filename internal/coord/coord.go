@@ -87,10 +87,16 @@ type Validator interface {
 	// Asymmetric sharing rules (e.g. the paper's order processing, §5.2)
 	// depend on who proposed the change.
 	ValidateState(proposer string, current *pagestate.Paged, proposed []byte) wire.Decision
-	// ValidateUpdate judges an update (delta) proposed by proposer.
+	// ValidateUpdate judges an update (delta) proposed by proposer. A
+	// recipient calls it first, once the update matches its hash, and then
+	// ApplyUpdate on the same current — so a validator adapting a flat
+	// application can materialise current once and adopt the flat back
+	// into it (pagestate.Paged.Adopt) for the apply. An update that is
+	// inapplicable, or whose applied root mismatches the proposed tuple,
+	// is rejected structurally whatever ValidateUpdate decided.
 	ValidateUpdate(proposer string, current *pagestate.Paged, update []byte) wire.Decision
 	// ApplyUpdate computes the state resulting from applying update,
-	// without mutating current.
+	// without mutating current's content.
 	ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error)
 	// Installed notifies that a newly validated state has been installed.
 	// It runs on the engine's commit executor before t is published, so

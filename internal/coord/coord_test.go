@@ -22,8 +22,11 @@ import (
 // appValidator is a configurable test Validator. The zero value accepts
 // everything and treats updates as appends.
 type appValidator struct {
-	mu         sync.Mutex
-	validate   func(current, proposed []byte) wire.Decision
+	mu       sync.Mutex
+	validate func(current, proposed []byte) wire.Decision
+	// apply, when set, replaces ApplyUpdate's append fold.
+	apply      func(current *pagestate.Paged, update []byte) (*pagestate.Paged, error)
+	validated  int // ValidateUpdate calls
 	installs   int
 	rollbacks  int
 	lastState  []byte
@@ -44,6 +47,7 @@ func (v *appValidator) ValidateState(_ string, current *pagestate.Paged, propose
 func (v *appValidator) ValidateUpdate(_ string, current *pagestate.Paged, update []byte) wire.Decision {
 	v.mu.Lock()
 	f := v.validate
+	v.validated++
 	v.mu.Unlock()
 	if f != nil {
 		flat := current.Bytes()
@@ -53,6 +57,12 @@ func (v *appValidator) ValidateUpdate(_ string, current *pagestate.Paged, update
 }
 
 func (v *appValidator) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
+	v.mu.Lock()
+	f := v.apply
+	v.mu.Unlock()
+	if f != nil {
+		return f(current, update)
+	}
 	if bytes.HasPrefix(update, []byte("BAD")) {
 		return nil, errors.New("inapplicable update")
 	}

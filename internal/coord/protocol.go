@@ -802,17 +802,25 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 		return wire.Rejected("null state transition"), nil
 	}
 
-	var newState *pagestate.Paged
+	// The candidate state is retained even on an application-level veto:
+	// under majority termination (§7) a vetoing minority member still
+	// installs the state the group agreed on. Structural failures return
+	// nil — they invalidate the run globally, whatever the application
+	// decided.
 	switch prop.Mode {
 	case wire.ModeOverwrite:
 		if !prop.Proposed.MatchesRoot(recvHash) {
 			return wire.Rejected("proposed state does not match its tuple hash"), nil
 		}
-		newState = base.Rebase(prop.NewState)
+		newState := base.Rebase(prop.NewState)
+		return en.cfg.Validator.ValidateState(prop.Proposer, base, prop.NewState), newState
 	case wire.ModeUpdate:
 		if crypto.Hash(prop.Update) != prop.UpdateHash {
 			return wire.Rejected("update does not match its hash"), nil
 		}
+		// Validation comes before the apply so that a flat application
+		// materialises base once for both calls (see Validator).
+		decision := en.cfg.Validator.ValidateUpdate(prop.Proposer, base, prop.Update)
 		applied, err := en.cfg.Validator.ApplyUpdate(base, prop.Update)
 		if err != nil {
 			return wire.Rejected(fmt.Sprintf("update not applicable: %v", err)), nil
@@ -823,22 +831,10 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 			// is a root comparison, not a full-state rehash.
 			return wire.Rejected("applied update does not yield the proposed state"), nil
 		}
-		newState = applied
+		return decision, applied
 	default:
 		return wire.Rejected("unknown coordination mode"), nil
 	}
-
-	var decision wire.Decision
-	if prop.Mode == wire.ModeUpdate {
-		decision = en.cfg.Validator.ValidateUpdate(prop.Proposer, base, prop.Update)
-	} else {
-		decision = en.cfg.Validator.ValidateState(prop.Proposer, base, prop.NewState)
-	}
-	// The candidate state is retained even on an application-level veto:
-	// under majority termination (§7) a vetoing minority member still
-	// installs the state the group agreed on. Structural failures above
-	// return nil — they invalidate the run globally.
-	return decision, newState
 }
 
 // handleRespond is the proposer side of step 2.

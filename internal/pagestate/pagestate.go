@@ -31,7 +31,16 @@
 //
 // A Paged that has been shared (stored in an engine field, passed to another
 // component) is immutable by convention: all mutation happens on a fresh
-// Clone before the value is published. Methods are not internally locked.
+// Clone before the value is published. Methods are not internally locked,
+// with one exception: Bytes and Adopt share an atomic hand-over slot, so
+// they may be called on a shared Paged from any goroutine.
+//
+// Bytes hands its caller a flat buffer the caller owns. Materialising costs
+// O(S), and a flat boundary that needs the same state more than once in one
+// run (validate, then apply, then install) would pay it each time; Adopt
+// lets the owner of a flat copy of p's content park it on p, and the next
+// Bytes call takes it instead of copying — once, by atomic swap, so no two
+// callers ever receive the same buffer.
 package pagestate
 
 import (
@@ -137,6 +146,11 @@ type Paged struct {
 	pages    [][]byte     // ceil(size/pageSize) pages; the last may be short
 	levels   [][][32]byte // levels[0] = leaf hashes; top level has <= 1 node
 	root     [32]byte     // cached wrapped root, maintained on every mutation
+
+	// adopted is a flat copy of this state's content that nobody else
+	// references, parked by Adopt for the next Bytes call to take. Clone
+	// never carries it; WriteAt and Resize drop it.
+	adopted atomic.Pointer[[]byte]
 }
 
 // FromBytes builds a Paged from flat state bytes: O(S) page copies and leaf
@@ -271,19 +285,35 @@ func (p *Paged) PageHashes() [][32]byte {
 	return out
 }
 
-// Bytes materializes the flat state: O(S). The result is a fresh copy.
+// Bytes returns the flat state in a buffer the caller owns: it shares no
+// memory with p, with any other Paged, or with the result of any other
+// Bytes call. A pending adoption (Adopt) is taken at no copying cost;
+// otherwise the pages are copied into one non-zeroed allocation, O(S).
 func (p *Paged) Bytes() []byte {
-	out := make([]byte, 0, p.size)
-	for _, pg := range p.pages {
-		out = append(out, pg...)
+	if flat := p.adopted.Swap(nil); flat != nil {
+		return *flat
 	}
 	statCopied.Add(uint64(p.size))
-	return out
+	return bytes.Join(p.pages, nil)
+}
+
+// Adopt parks flat for the next Bytes call to return instead of copying.
+// flat must hold exactly p's content, and the caller hands it over: it must
+// keep no reference that it will read or write again, because the next
+// Bytes caller owns it. A flat of the wrong length is ignored, and so is
+// any flat for an empty state (there is nothing to save). Adopting
+// replaces any adoption still pending.
+func (p *Paged) Adopt(flat []byte) {
+	if p.size == 0 || len(flat) != p.size {
+		return
+	}
+	p.adopted.Store(&flat)
 }
 
 // Clone returns a copy-on-write descendant: page contents are shared, the
 // page table and hash levels are copied so the clone can mutate freely.
-// O(pages) header and hash copies — no state bytes move.
+// O(pages) header and hash copies — no state bytes move. A pending adoption
+// stays with p: it can be handed over only once.
 func (p *Paged) Clone() *Paged {
 	pages := make([][]byte, len(p.pages))
 	copy(pages, p.pages)
@@ -309,6 +339,7 @@ func (p *Paged) WriteAt(off int, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
+	p.adopted.Store(nil)
 	first := off / p.pageSize
 	last := (off + len(data) - 1) / p.pageSize
 	for i := first; i <= last; i++ {
@@ -357,6 +388,7 @@ func (p *Paged) Resize(n int) error {
 	if n == p.size {
 		return nil
 	}
+	p.adopted.Store(nil)
 	count := PageCount(n, p.pageSize)
 	pages := make([][]byte, count)
 	leaves := make([][32]byte, count)
@@ -399,7 +431,7 @@ func (p *Paged) Resize(n int) error {
 // hashes all of S (a length change adds Resize's O(pages) interior rebuild).
 // It is how a flat state produced from p (a flat ApplyUpdate result, an
 // overwrite of p) re-enters the paged world. Neither p nor flat is mutated,
-// and the result never aliases flat.
+// and the result never aliases flat nor carries an adoption.
 func (p *Paged) Rebase(flat []byte) *Paged {
 	q := p.Clone()
 	_ = q.Resize(len(flat)) // only a negative length fails

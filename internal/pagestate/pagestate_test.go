@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -332,6 +333,140 @@ func FuzzRebase(f *testing.F) {
 	f.Add([]byte{}, []byte("new"), uint8(1))
 	f.Add([]byte("gone"), []byte{}, uint8(64))
 	f.Fuzz(func(t *testing.T, state, flat []byte, ps uint8) {
-		checkRebase(t, FromBytes(state, int(ps%64)+1), flat)
+		got := checkRebase(t, FromBytes(state, int(ps%64)+1), flat)
+		// Rebase + Adopt + Bytes round-trips flat, and no two Bytes calls
+		// alias: the adopted buffer is handed over once.
+		mine := append([]byte(nil), flat...)
+		got.Adopt(mine)
+		first, second := got.Bytes(), got.Bytes()
+		if !bytes.Equal(first, flat) || !bytes.Equal(second, flat) {
+			t.Fatal("Rebase + Adopt + Bytes does not round-trip")
+		}
+		if len(flat) > 0 && &first[0] != &mine[0] {
+			t.Fatal("Bytes copied although an adoption was pending")
+		}
+		if aliases(first, second) {
+			t.Fatal("two Bytes calls returned the same buffer")
+		}
 	})
+}
+
+// aliases reports whether two non-empty slices share their first element.
+func aliases(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestAdoptHandsOverOnce: the next Bytes after Adopt returns the adopted
+// buffer without copying; the one after that copies afresh, and writing
+// into the first never shows in the second.
+func TestAdoptHandsOverOnce(t *testing.T) {
+	state := bytes.Repeat([]byte("0123456789"), 1000)
+	p := FromBytes(state, 256)
+	flat := p.Bytes()
+	p.Adopt(flat)
+	ResetStats()
+	first := p.Bytes()
+	if _, copied := Stats(); copied != 0 || &first[0] != &flat[0] {
+		t.Fatalf("Bytes after Adopt copied %d bytes, want the adopted buffer", copied)
+	}
+	second := p.Bytes()
+	if _, copied := Stats(); copied != uint64(len(state)) {
+		t.Fatalf("second Bytes copied %d bytes, want %d", copied, len(state))
+	}
+	if aliases(first, second) || !bytes.Equal(second, state) {
+		t.Fatal("second Bytes does not return a distinct buffer with equal content")
+	}
+	for i := range first {
+		first[i] ^= 0xff
+	}
+	if !bytes.Equal(second, state) || !bytes.Equal(p.Bytes(), state) {
+		t.Fatal("writing into the adopted buffer shows elsewhere")
+	}
+}
+
+// TestAdoptWrongLengthIgnored: an adoption whose length is not the state's
+// is dropped, and Bytes copies the real content.
+func TestAdoptWrongLengthIgnored(t *testing.T) {
+	state := []byte("the agreed state")
+	p := FromBytes(state, 4)
+	for _, bad := range [][]byte{nil, []byte("short"), []byte("the agreed state, and more")} {
+		p.Adopt(bad)
+		if got := p.Bytes(); !bytes.Equal(got, state) || aliases(got, bad) {
+			t.Fatalf("Adopt(%q) was not ignored: Bytes = %q", bad, got)
+		}
+	}
+}
+
+// TestMutationDropsAdoption: WriteAt, Resize and Append after Adopt return
+// the new content, never the stale adoption; Clone and Rebase results never
+// carry one (it stays with the original, for one hand-over).
+func TestMutationDropsAdoption(t *testing.T) {
+	state := bytes.Repeat([]byte("abcdefgh"), 100)
+	cases := []struct {
+		name   string
+		mutate func(*Paged) error
+	}{
+		{"WriteAt", func(p *Paged) error { return p.WriteAt(10, []byte("XY")) }},
+		{"Resize grow", func(p *Paged) error { return p.Resize(len(state) + 33) }},
+		{"Resize shrink", func(p *Paged) error { return p.Resize(len(state) - 33) }},
+		{"Append", func(p *Paged) error { return p.Append([]byte("tail")) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := FromBytes(state, 64)
+			p.Adopt(append([]byte(nil), state...))
+			if err := tc.mutate(p); err != nil {
+				t.Fatal(err)
+			}
+			want := p.Clone().Bytes()
+			if got := p.Bytes(); !bytes.Equal(got, want) || bytes.Equal(got, state) {
+				t.Fatalf("%s after Adopt: Bytes returned stale content", tc.name)
+			}
+		})
+	}
+	p := FromBytes(state, 64)
+	adopted := append([]byte(nil), state...)
+	p.Adopt(adopted)
+	for name, q := range map[string]*Paged{"Clone": p.Clone(), "Rebase": p.Rebase(state)} {
+		if got := q.Bytes(); aliases(got, adopted) || !bytes.Equal(got, state) {
+			t.Fatalf("%s result carried the adoption", name)
+		}
+	}
+	if got := p.Bytes(); &got[0] != &adopted[0] {
+		t.Fatal("the adoption did not stay with the original")
+	}
+}
+
+// TestAdoptConcurrentBytesDistinct: goroutines calling Bytes on one shared
+// Paged with an adoption pending each get their own buffer, exactly one of
+// them the adopted one. Run it under -race.
+func TestAdoptConcurrentBytesDistinct(t *testing.T) {
+	state := bytes.Repeat([]byte("shared"), 2000)
+	for round := 0; round < 50; round++ {
+		p := FromBytes(state, 512)
+		adopted := append([]byte(nil), state...)
+		p.Adopt(adopted)
+		var got [2][]byte
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = p.Bytes()
+				got[g][0] ^= byte(g + 1) // each caller owns its buffer
+			}()
+		}
+		wg.Wait()
+		if aliases(got[0], got[1]) {
+			t.Fatalf("round %d: two concurrent Bytes calls returned one buffer", round)
+		}
+		if aliases(got[0], adopted) == aliases(got[1], adopted) {
+			t.Fatalf("round %d: the adopted buffer was not handed to exactly one caller", round)
+		}
+		for g, b := range got {
+			if b[0] != state[0]^byte(g+1) || !bytes.Equal(b[1:], state[1:]) {
+				t.Fatalf("round %d: goroutine %d saw another's write", round, g)
+			}
+		}
+	}
 }

@@ -17,7 +17,9 @@ import (
 type Object interface {
 	// GetState returns the object's current serialized state.
 	GetState() ([]byte, error)
-	// ApplyState installs a newly validated (or rolled-back) state.
+	// ApplyState installs a newly validated (or rolled-back) state. The
+	// slice belongs to the application from then on: it may keep it as its
+	// state and modify it.
 	ApplyState(state []byte) error
 	// ValidateState judges a state proposed by another party against this
 	// party's local policy. nil accepts; an error's message becomes the
@@ -39,9 +41,16 @@ type UpdatableObject interface {
 	// the outermost Leave after Update was indicated).
 	GetUpdate() ([]byte, error)
 	// ApplyUpdate computes, WITHOUT mutating the object, the state that
-	// results from applying update to current.
+	// results from applying update to current. current is a copy the
+	// application owns for the duration of the call: it may patch current
+	// in place and return it. The returned slice passes to the middleware,
+	// which may hand that same buffer back through ApplyState, so the
+	// application must not keep or modify it after returning — nor return
+	// a slice that shares memory with update.
 	ApplyUpdate(current, update []byte) ([]byte, error)
-	// ValidateUpdate judges an update proposed by another party.
+	// ValidateUpdate judges an update proposed by another party. It must
+	// treat current as read-only and must not keep it: the middleware
+	// reuses that buffer for the ApplyUpdate call that follows.
 	ValidateUpdate(proposer string, current, update []byte) error
 }
 
@@ -154,6 +163,10 @@ var _ coord.Validator = (*objectAdapter)(nil)
 // the application's flat bytes: a state is materialized only for an
 // application call that takes it, and a flat ApplyUpdate result re-enters
 // the paged world through Rebase (copying and rehashing changed pages only).
+// One flat copy serves a party's whole update run: ValidateUpdate adopts the
+// flat it materialised back into current, ApplyUpdate takes it and adopts
+// the application's result into the state it returns, and Installed hands
+// that same buffer to the application.
 
 func (a *objectAdapter) ValidateState(proposer string, _ *pagestate.Paged, proposed []byte) wire.Decision {
 	if err := a.obj.ValidateState(proposer, proposed); err != nil {
@@ -167,7 +180,10 @@ func (a *objectAdapter) ValidateUpdate(proposer string, current *pagestate.Paged
 	if !ok {
 		return wire.Rejected("object does not support update coordination")
 	}
-	if err := uo.ValidateUpdate(proposer, current.Bytes(), update); err != nil {
+	flat := current.Bytes()
+	err := uo.ValidateUpdate(proposer, flat, update)
+	current.Adopt(flat) // read-only to the application, so still current's content
+	if err != nil {
 		return wire.Rejected(err.Error())
 	}
 	return wire.Accepted
@@ -182,7 +198,9 @@ func (a *objectAdapter) ApplyUpdate(current *pagestate.Paged, update []byte) (*p
 	if err != nil {
 		return nil, err
 	}
-	return current.Rebase(flat), nil
+	next := current.Rebase(flat)
+	next.Adopt(flat) // handed over by the application: Installed passes it back
+	return next, nil
 }
 
 func (a *objectAdapter) Installed(state *pagestate.Paged, t tuple.State) {
