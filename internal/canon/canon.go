@@ -7,9 +7,27 @@
 // structures with this package: every value is written as a one-byte type tag
 // followed by a fixed-width or length-prefixed payload. A given Go value has
 // exactly one encoding, and decoding is unambiguous.
+//
+// A message crosses this package with one copy per real boundary, because
+// the largest messages carry a whole object state:
+//
+//   - Decoding copies nothing. Decoder.Bytes returns a sub-slice of the
+//     input, capacity clipped to its length, so a decoded message — and the
+//     evidence kept of it — aliases the one received frame. A received frame
+//     is immutable: no layer writes it, and a caller that keeps a small
+//     field of a large, short-lived buffer clones that field.
+//   - Encoding writes each large field once. Encoder.Bytes references a
+//     field of 4 KiB or more instead of appending it; Marshal hands back one
+//     buffer of exactly the encoding's size, written directly from the
+//     encoder's own bytes and the referenced fields, and MarshalSegments
+//     hands back the pieces uncopied, so a wrapper (a signed message, an
+//     envelope, a transport frame) is written around its body instead of
+//     re-appending it. A referenced field must not change until the
+//     encoding is materialised or sent.
 package canon
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,9 +63,25 @@ var (
 const maxLen = 1 << 30
 
 // Encoder accumulates a canonical encoding. The zero value is ready to use.
+//
+// A Bytes field of refMin bytes or more is not copied in: the encoder keeps
+// a reference to it, and its bytes are copied exactly once, when the
+// encoding is materialised (Out, Marshal) or by whoever consumes
+// MarshalSegments' output. Such a field must not change until then.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	refs []ref
 }
+
+// ref is a large Bytes field held by reference: its bytes follow buf[:at].
+type ref struct {
+	at int
+	b  []byte
+}
+
+// refMin is the size from which a Bytes field is referenced rather than
+// appended: a whole object state or update, never a hash or a name.
+const refMin = 4 << 10
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
@@ -58,31 +92,89 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // copy out of a warm buffer.
 var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 
-// maxPooledBuf caps the buffer size returned to the pool, so one multi-MiB
-// state marshal does not pin a giant buffer for the process lifetime.
+// maxPooledBuf caps the buffer size returned to the pool, so one encoding
+// with many mid-sized fields does not pin a giant buffer for the process
+// lifetime.
 const maxPooledBuf = 1 << 20
 
 // Marshal encodes through a pooled encoder: fn writes the value, and the
-// result is a fresh, exactly-sized copy of the encoding. Use for hot-path
-// Marshal implementations; NewEncoder remains for incremental callers that
-// keep the buffer.
+// result is a fresh buffer of exactly the encoding's size, written once —
+// the encoder's own bytes and each large field it references are copied
+// into it directly, so a 1 MiB state costs one 1 MiB copy however deep the
+// wrapper it sits in. Use for hot-path Marshal implementations; NewEncoder
+// remains for incremental callers that keep the buffer.
 func Marshal(fn func(*Encoder)) []byte {
+	own, refs := marshal(fn)
+	if len(refs) == 0 {
+		return own
+	}
+	return bytes.Join(segments(own, refs), nil)
+}
+
+// MarshalSegments is Marshal for a caller that sends the encoding as
+// consecutive segments (a vectored write, or one gathering copy further
+// down): the encoder's own bytes are copied out of the pooled buffer, and
+// each large field stays referenced, so a message wrapped around a large
+// body never copies the body. The segments' concatenation is Marshal's
+// output.
+func MarshalSegments(fn func(*Encoder)) [][]byte {
+	return segments(marshal(fn))
+}
+
+// marshal runs fn on a pooled encoder and returns an exact copy of its own
+// bytes with the large fields it references.
+func marshal(fn func(*Encoder)) (own []byte, refs []ref) {
 	e := encPool.Get().(*Encoder)
-	e.buf = e.buf[:0]
+	e.buf, e.refs = e.buf[:0], e.refs[:0]
 	fn(e)
-	out := append(make([]byte, 0, len(e.buf)), e.buf...)
+	own = append(make([]byte, 0, len(e.buf)), e.buf...)
+	if len(e.refs) > 0 {
+		refs = append([]ref(nil), e.refs...)
+		clear(e.refs) // the pool must not keep the caller's buffers alive
+	}
 	if cap(e.buf) <= maxPooledBuf {
 		encPool.Put(e)
 	}
-	return out
+	return own, refs
 }
 
-// Out returns the encoded buffer. The returned slice aliases the encoder's
-// internal buffer; callers that keep encoding afterwards must copy it first.
-func (e *Encoder) Out() []byte { return e.buf }
+// Out returns the encoded buffer, materialising any referenced fields into
+// it first. The returned slice aliases the encoder's internal buffer;
+// callers that keep encoding afterwards must copy it first.
+func (e *Encoder) Out() []byte {
+	if len(e.refs) > 0 {
+		e.buf, e.refs = bytes.Join(segments(e.buf, e.refs), nil), nil
+	}
+	return e.buf
+}
+
+// segments returns an encoding as consecutive pieces, copying nothing: the
+// encoder's own bytes buf interleaved with the large fields refs places in
+// it. None of the pieces has spare capacity to append into.
+func segments(buf []byte, refs []ref) [][]byte {
+	segs := make([][]byte, 0, 2*len(refs)+1)
+	prev := 0
+	for _, r := range refs {
+		if r.at > prev {
+			segs = append(segs, buf[prev:r.at:r.at])
+		}
+		segs = append(segs, r.b[:len(r.b):len(r.b)])
+		prev = r.at
+	}
+	if len(buf) > prev {
+		segs = append(segs, buf[prev:len(buf):len(buf)])
+	}
+	return segs
+}
 
 // Len reports the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+func (e *Encoder) Len() int {
+	n := len(e.buf)
+	for _, r := range e.refs {
+		n += len(r.b)
+	}
+	return n
+}
 
 // Uint64 appends an unsigned integer.
 func (e *Encoder) Uint64(v uint64) {
@@ -113,14 +205,30 @@ func (e *Encoder) String(s string) {
 }
 
 // Bytes32 appends a fixed 32-byte value (hashes) as a Bytes field.
-func (e *Encoder) Bytes32(b [32]byte) { e.Bytes(b[:]) }
+func (e *Encoder) Bytes32(b [32]byte) {
+	e.buf = append(e.buf, tagBytes, 0, 0, 0, 32)
+	e.buf = append(e.buf, b[:]...)
+}
 
-// Bytes appends a length-prefixed byte slice. nil and empty encode
-// identically (length zero): canonical form does not distinguish them.
-func (e *Encoder) Bytes(b []byte) {
+// Bytes appends one length-prefixed byte-string field holding the
+// concatenation of parts — usually a single slice; several when a wrapper
+// carries an encoding it holds as Segments. nil and empty encode
+// identically (length zero): canonical form does not distinguish them. A
+// part of refMin bytes or more is referenced, not copied (see Encoder).
+func (e *Encoder) Bytes(parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	e.buf = append(e.buf, tagBytes)
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(n))
+	for _, p := range parts {
+		if len(p) >= refMin {
+			e.refs = append(e.refs, ref{at: len(e.buf), b: p})
+		} else {
+			e.buf = append(e.buf, p...)
+		}
+	}
 }
 
 // Time appends an instant with nanosecond precision in UTC. Monotonic clock
@@ -293,7 +401,11 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
-// Bytes reads a byte slice. The result is always a copy.
+// Bytes reads a byte slice. The result aliases the decoder's input — no
+// copy is made — and its capacity is clipped to its length, so appending to
+// it reallocates instead of overwriting the bytes that follow. The input
+// must therefore stay unchanged while the result is in use; a caller that
+// keeps a small field of a large, short-lived buffer clones it.
 func (d *Decoder) Bytes() []byte {
 	if !d.tag(tagBytes) {
 		return nil
@@ -306,9 +418,7 @@ func (d *Decoder) Bytes() []byte {
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return b[:n:n]
 }
 
 // Bytes32 reads a fixed 32-byte value.

@@ -2,6 +2,7 @@ package canon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -302,4 +303,63 @@ func TestPooledMarshal(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestLargeFieldsWrittenOnce: a Bytes field of refMin bytes or more is
+// referenced, not appended, yet every way of taking the encoding out —
+// Marshal, MarshalSegments, Out — yields the bytes an appending encoder
+// would, and a field given in parts encodes as their concatenation.
+// MarshalSegments hands the large field back uncopied.
+func TestLargeFieldsWrittenOnce(t *testing.T) {
+	big := bytes.Repeat([]byte{0xab}, 3*refMin)
+	enc := func(e *Encoder) {
+		e.Struct("large")
+		e.Bytes(big)
+		e.String("between")
+		e.Bytes(big[:refMin], big[refMin:2*refMin], []byte("tail"))
+		e.Bytes([]byte("small"))
+	}
+	field := func(dst []byte, tag byte, b []byte) []byte {
+		dst = append(dst, tag)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
+		return append(dst, b...)
+	}
+	want := field(nil, tagStruct, []byte("large"))
+	want = field(want, tagBytes, big)
+	want = field(want, tagString, []byte("between"))
+	want = field(want, tagBytes, append(bytes.Clone(big[:2*refMin]), "tail"...))
+	want = field(want, tagBytes, []byte("small"))
+
+	if got := Marshal(enc); !bytes.Equal(got, want) {
+		t.Fatal("Marshal differs from the appended encoding")
+	}
+	segs := MarshalSegments(enc)
+	if got := bytes.Join(segs, nil); !bytes.Equal(got, want) {
+		t.Fatal("MarshalSegments does not concatenate to the encoding")
+	}
+	referenced := false
+	for _, s := range segs {
+		if cap(s) != len(s) {
+			t.Fatalf("segment of %d bytes has spare capacity %d", len(s), cap(s))
+		}
+		if len(s) == len(big) && &s[0] == &big[0] {
+			referenced = true
+		}
+	}
+	if !referenced {
+		t.Fatal("MarshalSegments copied the large field")
+	}
+	e := NewEncoder()
+	enc(e)
+	if e.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", e.Len(), len(want))
+	}
+	if got := e.Out(); !bytes.Equal(got, want) {
+		t.Fatal("Out differs from the appended encoding")
+	}
+	d := NewDecoder(want)
+	d.Struct("large")
+	if got := d.Bytes(); !bytes.Equal(got, big) || !within(got, want) {
+		t.Fatal("decoded large field differs, was copied, or has spare capacity")
+	}
 }

@@ -2,6 +2,8 @@ package canon
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -10,7 +12,10 @@ import (
 // byte of each step selects the read operation, so the fuzzer explores every
 // tag path, length prefix and bounds check. The decoder must never panic and
 // never allocate unboundedly, whatever the input — a corrupt length prefix
-// is exactly what a hostile peer would send.
+// is exactly what a hostile peer would send. Decoding copies nothing, so it
+// must also never write its input, and every Bytes result must lie inside
+// the input with no spare capacity: appending to a decoded field can then
+// never overwrite the frame it came from.
 func FuzzDecode(f *testing.F) {
 	golden := NewEncoder()
 	golden.Struct("fuzz")
@@ -29,6 +34,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{tagString, 0x7f, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sum := sha256.Sum256(data)
+		defer func() {
+			if sha256.Sum256(data) != sum {
+				t.Fatal("decoding wrote its input")
+			}
+		}()
 		d := NewDecoder(data)
 		for i := 0; i < 64 && d.Err() == nil; i++ {
 			op := byte(i)
@@ -47,8 +58,8 @@ func FuzzDecode(f *testing.F) {
 					t.Fatalf("string longer than input: %d", len(s))
 				}
 			case 4:
-				if b := d.Bytes(); len(b) > len(data) {
-					t.Fatalf("bytes longer than input: %d", len(b))
+				if b := d.Bytes(); len(b) > 0 && !within(b, data) {
+					t.Fatalf("decoded %d bytes outside the input or with spare capacity %d", len(b), cap(b))
 				}
 			case 5:
 				d.Bytes32()
@@ -68,6 +79,16 @@ func FuzzDecode(f *testing.F) {
 		}
 		_ = d.Finish()
 	})
+}
+
+// within reports whether b lies inside in and has no spare capacity.
+func within(b, in []byte) bool {
+	if cap(b) != len(b) || len(in) == 0 {
+		return false
+	}
+	lo := reflect.ValueOf(in).Pointer()
+	p := reflect.ValueOf(b).Pointer()
+	return p >= lo && p+uintptr(len(b)) <= lo+uintptr(len(in))
 }
 
 // FuzzReadFrame feeds arbitrary bytes to the WAL frame reader: torn and

@@ -164,7 +164,7 @@ func (en *Engine) recordInstallLocked(pred, tup tuple.State, raw []byte, base *p
 	en.recent = append(en.recent, installRecord{
 		pred: pred,
 		tup:  tup,
-		raw:  append([]byte(nil), raw...),
+		raw:  raw, // the commit's canonical bytes: evidence, never written
 		base: base,
 	})
 	if len(en.recent) > recentInstallCap {

@@ -38,6 +38,7 @@ import (
 	"b2b/internal/nrlog"
 	"b2b/internal/pagestate"
 	"b2b/internal/store"
+	"b2b/internal/transport"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
@@ -80,7 +81,9 @@ const (
 // Contract: a *pagestate.Paged received through this interface is shared and
 // immutable — implementations must mutate only a Clone (pagestate's
 // copy-on-write makes that cheap) and must return a value the engine may in
-// turn share.
+// turn share. The proposed state and the update bytes alias the received
+// message and the evidence kept of it: they are read-only, and must not be
+// kept past the call.
 type Validator interface {
 	// ValidateState judges a full-state overwrite proposed by proposer
 	// (proposed is the flat proposed state — it travelled on the wire).
@@ -109,7 +112,8 @@ type Validator interface {
 }
 
 // Conn is the outbound message channel (satisfied by transport.Reliable and
-// by the in-memory fault injectors).
+// by the in-memory fault injectors). A Conn that is also a
+// transport.FrameSender is handed each envelope as segments.
 type Conn interface {
 	ID() string
 	Send(ctx context.Context, to string, payload []byte) error
@@ -1030,7 +1034,9 @@ func (en *Engine) newRunID() (string, error) {
 	return en.cfg.Ident.ID() + "-" + hex.EncodeToString(n[:8]), nil
 }
 
-// send wraps payload in an envelope and transmits it.
+// send wraps payload in an envelope and transmits it. The envelope is
+// written around payload and handed down as segments, so a connection that
+// takes segments (transport.FrameSender) never copies a large payload.
 func (en *Engine) send(ctx context.Context, to string, kind wire.Kind, payload []byte) error {
 	n, err := crypto.Nonce()
 	if err != nil {
@@ -1044,7 +1050,7 @@ func (en *Engine) send(ctx context.Context, to string, kind wire.Kind, payload [
 		Kind:    kind,
 		Payload: payload,
 	}
-	return en.cfg.Conn.Send(ctx, to, env.Marshal())
+	return transport.SendFrame(ctx, en.cfg.Conn, to, env.Segments())
 }
 
 // CatchUpChain returns the reconstruction chain this party can serve to a

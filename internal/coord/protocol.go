@@ -193,10 +193,10 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 	} else {
 		prop.NewState = newState
 	}
-	signed := wire.Sign(wire.KindPropose, prop.Marshal(), en.cfg.Ident, en.cfg.TSA)
-	// Marshal the signed propose exactly once: the same bytes serve as
-	// evidence, run-record raw form, and broadcast payload.
-	raw := signed.Marshal()
+	// The proposal is encoded once, straight into its signed wrapper: the
+	// same bytes serve as evidence, run-record raw form, and broadcast
+	// payload, and signed.Body is a sub-slice of them.
+	signed, raw := wire.SignEncoded(wire.KindPropose, prop.Encode, en.cfg.Ident, en.cfg.TSA)
 
 	// The proposer is committed at initiation: current becomes the proposed
 	// state and cannot be unilaterally withdrawn (§4.3).

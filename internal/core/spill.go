@@ -7,9 +7,11 @@ package core
 // transport outbox grow without bound.
 
 import (
+	"bytes"
 	"context"
 
 	"b2b/internal/nrlog"
+	"b2b/internal/transport"
 	"b2b/internal/wire"
 )
 
@@ -73,15 +75,35 @@ type spillConn struct {
 }
 
 func (c *spillConn) Send(ctx context.Context, to string, payload []byte) error {
-	p := c.p
-	max := p.cfg.Quotas.MaxPendingToPeer
-	if max <= 0 {
+	if !c.over(to) {
 		return c.Conn.Send(ctx, to, payload)
+	}
+	return c.spill(ctx, to, payload)
+}
+
+// SendFrame implements transport.FrameSender: within the bound the
+// segments pass through as they are; a spilled payload is joined first.
+func (c *spillConn) SendFrame(ctx context.Context, to string, frame [][]byte) error {
+	if !c.over(to) {
+		return transport.SendFrame(ctx, c.Conn, to, frame)
+	}
+	return c.spill(ctx, to, bytes.Join(frame, nil))
+}
+
+// over reports whether the peer's transport backlog has reached the
+// per-peer bound.
+func (c *spillConn) over(to string) bool {
+	max := c.p.cfg.Quotas.MaxPendingToPeer
+	if max <= 0 {
+		return false
 	}
 	pp, ok := c.Conn.(pendingPeers)
-	if !ok || pp.PendingTo(to) < max {
-		return c.Conn.Send(ctx, to, payload)
-	}
+	return ok && pp.PendingTo(to) >= max
+}
+
+// spill parks payload at the relay, or sheds it.
+func (c *spillConn) spill(ctx context.Context, to string, payload []byte) error {
+	p := c.p
 	// Over the per-peer bound: the peer is unreachable or badly behind.
 	// Evidence names the object so the shed is attributable per tenant.
 	object := ""

@@ -11,6 +11,7 @@
 package faults
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"sync"
@@ -182,6 +183,9 @@ func TamperSignedBody(payload []byte) []byte {
 	if err != nil || len(signed.Body) == 0 {
 		return payload
 	}
+	// Decoding aliases payload: flip the bit in a copy, never in the
+	// sender's buffer.
+	signed.Body = bytes.Clone(signed.Body)
 	signed.Body[len(signed.Body)/2] ^= 0x01
 	env.Payload = signed.Marshal()
 	return env.Marshal()

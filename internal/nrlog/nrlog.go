@@ -83,7 +83,9 @@ var (
 
 // Log is an append-only evidence store.
 type Log interface {
-	// Append records evidence and returns the stored entry.
+	// Append records evidence and returns the stored entry. The log keeps
+	// payload as handed over, without copying it: the caller must not write
+	// it afterwards. Entries and ByRun return copies.
 	Append(runID, object, kind, party string, dir Direction, payload []byte) (Entry, error)
 	// Entries returns all entries in order.
 	Entries() ([]Entry, error)
@@ -156,7 +158,7 @@ func (l *Memory) AppendSeq(runID string, runSeq uint64, object, kind, party stri
 		Kind:      kind,
 		Party:     party,
 		Direction: dir,
-		Payload:   append([]byte(nil), payload...),
+		Payload:   payload,
 	}
 	if len(l.entries) > 0 {
 		e.PrevHash = l.tail
@@ -172,9 +174,7 @@ func (l *Memory) AppendSeq(runID string, runSeq uint64, object, kind, party stri
 func (l *Memory) Entries() ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out, nil
+	return ownPayloads(append([]Entry(nil), l.entries...)), nil
 }
 
 // ByRun implements Log via the per-run index.
@@ -184,13 +184,24 @@ func (l *Memory) ByRun(runID string) ([]Entry, error) {
 	return pickEntries(l.entries, l.byRun[runID]), nil
 }
 
-// pickEntries gathers the entries at the indexed positions.
+// pickEntries returns copies of the entries at the indexed positions.
 func pickEntries(entries []Entry, idx []int) []Entry {
 	out := make([]Entry, 0, len(idx))
 	for _, i := range idx {
 		out = append(out, entries[i])
 	}
-	return out
+	return ownPayloads(out)
+}
+
+// ownPayloads gives each entry of a freshly copied slice a payload of its
+// own. A log stores the payload it is handed without copying it, so a read
+// must copy: a caller writing into a returned payload would otherwise
+// rewrite the evidence and break every later Verify.
+func ownPayloads(entries []Entry) []Entry {
+	for i := range entries {
+		entries[i].Payload = append([]byte(nil), entries[i].Payload...)
+	}
+	return entries
 }
 
 // Verify implements Log.

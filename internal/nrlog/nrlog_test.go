@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"b2b/internal/clock"
+	"b2b/internal/store"
 )
 
 func simClock() *clock.Sim {
@@ -171,5 +172,55 @@ func TestEntryHashFramesFields(t *testing.T) {
 			t.Errorf("(%q %q %q %q) and (%q %q %q %q) share a chain hash",
 				a.RunID, a.Object, a.Kind, a.Party, b.RunID, b.Object, b.Kind, b.Party)
 		}
+	}
+}
+
+// TestEntriesDefensiveCopies is the regression test for evidence reads
+// aliasing the log: Entries and ByRun used to return entries whose Payload
+// shared the stored bytes, so a caller writing into one rewrote the
+// evidence and broke every later Verify. Both logs keep the payload they
+// are handed and copy on read.
+func TestEntriesDefensiveCopies(t *testing.T) {
+	seg := func(t *testing.T) Log {
+		pl, l := openSegLog(t, t.TempDir(), store.Policy{}, nil)
+		t.Cleanup(func() {
+			if err := pl.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		return l
+	}
+	for name, open := range map[string]func(*testing.T) Log{
+		"memory":    func(*testing.T) Log { return NewMemory(simClock()) },
+		"segmented": seg,
+	} {
+		t.Run(name, func(t *testing.T) {
+			l := open(t)
+			for _, p := range []string{"propose-evidence", "respond-evidence"} {
+				if _, err := l.Append("run-1", "order", "k", "alice", DirReceived, []byte(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			all, err := l.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all[0].Payload[0] = 'X'
+			byRun, err := l.ByRun("run-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			byRun[1].Payload[0] = 'Y'
+			if err := l.Verify(); err != nil {
+				t.Fatalf("writing into a returned payload corrupted the log: %v", err)
+			}
+			clean, err := l.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(clean[0].Payload) != "propose-evidence" || string(clean[1].Payload) != "respond-evidence" {
+				t.Fatalf("stored payloads changed through returned aliases: %q, %q", clean[0].Payload, clean[1].Payload)
+			}
+		})
 	}
 }

@@ -114,20 +114,20 @@ func decodeAnchor(payload []byte) (Anchor, error) {
 }
 
 func encodeEntry(e Entry) []byte {
-	enc := canon.NewEncoder()
-	enc.Struct("nrlog-entry")
-	enc.Uint64(e.Seq)
-	enc.Uint64(e.RunSeq)
-	enc.Bytes32(e.PrevHash)
-	enc.Bytes32(e.Hash)
-	enc.Time(e.Time)
-	enc.String(e.RunID)
-	enc.String(e.Object)
-	enc.String(e.Kind)
-	enc.String(e.Party)
-	enc.String(string(e.Direction))
-	enc.Bytes(e.Payload)
-	return append([]byte(nil), enc.Out()...)
+	return canon.Marshal(func(enc *canon.Encoder) {
+		enc.Struct("nrlog-entry")
+		enc.Uint64(e.Seq)
+		enc.Uint64(e.RunSeq)
+		enc.Bytes32(e.PrevHash)
+		enc.Bytes32(e.Hash)
+		enc.Time(e.Time)
+		enc.String(e.RunID)
+		enc.String(e.Object)
+		enc.String(e.Kind)
+		enc.String(e.Party)
+		enc.String(string(e.Direction))
+		enc.Bytes(e.Payload)
+	})
 }
 
 func decodeEntry(payload []byte) (Entry, error) {
@@ -187,7 +187,7 @@ func (l *Segmented) stage(runID string, runSeq uint64, object, kind, party strin
 		Kind:      kind,
 		Party:     party,
 		Direction: dir,
-		Payload:   append([]byte(nil), payload...),
+		Payload:   payload,
 	}
 	if len(l.entries) > 0 {
 		e.PrevHash = l.tail
@@ -241,21 +241,14 @@ func (l *Segmented) Barrier() error { return l.pl.Barrier() }
 func (l *Segmented) Entries() ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out, nil
+	return ownPayloads(append([]Entry(nil), l.entries...)), nil
 }
 
 // ByRun implements Log via the in-memory index (O(matches), not O(log)).
 func (l *Segmented) ByRun(runID string) ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := l.byRun[runID]
-	out := make([]Entry, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, l.entries[i])
-	}
-	return out, nil
+	return pickEntries(l.entries, l.byRun[runID]), nil
 }
 
 // Verify implements Log: re-checks the retained chain from the anchor's

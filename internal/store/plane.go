@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -339,9 +340,10 @@ func (p *Plane) Start() error {
 			if len(payload) == 0 {
 				return fmt.Errorf("store: segment %d: empty record", idx)
 			}
-			cp := make([]byte, len(payload))
-			copy(cp, payload)
-			sd.recs = append(sd.recs, cp)
+			// Consumers decode a record in place and keep what they
+			// decode, so each record gets a buffer of its own rather
+			// than pinning its whole segment.
+			sd.recs = append(sd.recs, bytes.Clone(payload))
 			rest = r
 		}
 		if len(sd.recs) > 0 && RecordKind(sd.recs[0][0]) == RecCompactionPoint {

@@ -37,18 +37,18 @@ func NewSegmented(pl *Plane) *Segmented {
 
 // encodeCheckpoint produces the canonical WAL payload of a checkpoint.
 func encodeCheckpoint(cp Checkpoint) []byte {
-	e := canon.NewEncoder()
-	e.Struct("checkpoint")
-	e.String(cp.Object)
-	cp.Tuple.Encode(e)
-	e.Bytes(cp.State)
-	cp.Group.Encode(e)
-	e.Strings(cp.Members)
-	e.Time(cp.Time)
-	e.Bool(cp.Delta)
-	e.Bytes(cp.Update)
-	cp.Pred.Encode(e)
-	return append([]byte(nil), e.Out()...)
+	return canon.Marshal(func(e *canon.Encoder) {
+		e.Struct("checkpoint")
+		e.String(cp.Object)
+		cp.Tuple.Encode(e)
+		e.Bytes(cp.State)
+		cp.Group.Encode(e)
+		e.Strings(cp.Members)
+		e.Time(cp.Time)
+		e.Bool(cp.Delta)
+		e.Bytes(cp.Update)
+		cp.Pred.Encode(e)
+	})
 }
 
 func decodeCheckpoint(payload []byte) (Checkpoint, error) {
@@ -72,18 +72,18 @@ func decodeCheckpoint(payload []byte) (Checkpoint, error) {
 
 // encodeRun produces the canonical WAL payload of a run record.
 func encodeRun(r RunRecord) []byte {
-	e := canon.NewEncoder()
-	e.Struct("run")
-	e.String(r.RunID)
-	e.String(r.Object)
-	e.String(r.Role)
-	r.Proposed.Encode(e)
-	r.Pred.Encode(e)
-	e.Bytes(r.State)
-	e.Bytes(r.Auth)
-	e.Bytes(r.Raw)
-	e.Time(r.Time)
-	return append([]byte(nil), e.Out()...)
+	return canon.Marshal(func(e *canon.Encoder) {
+		e.Struct("run")
+		e.String(r.RunID)
+		e.String(r.Object)
+		e.String(r.Role)
+		r.Proposed.Encode(e)
+		r.Pred.Encode(e)
+		e.Bytes(r.State)
+		e.Bytes(r.Auth)
+		e.Bytes(r.Raw)
+		e.Time(r.Time)
+	})
 }
 
 func decodeRun(payload []byte) (RunRecord, error) {
@@ -169,8 +169,6 @@ func (s *Segmented) SaveCheckpointDeferred(cp Checkpoint) error {
 // stage validates and applies a checkpoint to the in-memory chain before its
 // WAL record is appended (the plane is never called under s.mu).
 func (s *Segmented) stage(cp Checkpoint) error {
-	cp.State = append([]byte(nil), cp.State...)
-	cp.Update = append([]byte(nil), cp.Update...)
 	cp.Members = append([]string(nil), cp.Members...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -227,9 +225,6 @@ func (s *Segmented) SaveRunDeferred(r RunRecord) error {
 }
 
 func (s *Segmented) stageRun(r RunRecord) {
-	r.State = append([]byte(nil), r.State...)
-	r.Auth = append([]byte(nil), r.Auth...)
-	r.Raw = append([]byte(nil), r.Raw...)
 	s.mu.Lock()
 	s.runs[r.RunID] = r
 	s.mu.Unlock()

@@ -60,7 +60,9 @@ type RunRecord struct {
 // ErrNoCheckpoint is returned when an object has no checkpoint yet.
 var ErrNoCheckpoint = errors.New("store: no checkpoint")
 
-// Store persists checkpoints and run records.
+// Store persists checkpoints and run records. A store keeps the byte
+// slices of a checkpoint or run record as handed over, without copying
+// them: the caller must not write them afterwards. Reads return copies.
 type Store interface {
 	// SaveCheckpoint records a newly agreed state (becomes Latest).
 	SaveCheckpoint(cp Checkpoint) error
@@ -115,7 +117,8 @@ func NewMemory() *Memory {
 func (s *Memory) SaveCheckpoint(cp Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cps[cp.Object] = append(s.cps[cp.Object], copyCheckpoint(cp))
+	cp.Members = append([]string(nil), cp.Members...)
+	s.cps[cp.Object] = append(s.cps[cp.Object], cp)
 	return nil
 }
 

@@ -46,7 +46,7 @@ func (c *journalConsumer) Replay(kind store.RecordKind, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		r.outbox[msgID] = &outRec{to: to, payload: body, durable: true}
+		r.outbox[msgID] = &outRec{to: to, payload: [][]byte{body}, frame: encodeRel(relData, msgID, body), durable: true}
 	case store.RecOutboxAcked:
 		ids, err := decodeStrings("racked", payload)
 		if err != nil {
@@ -79,7 +79,7 @@ func (c *journalConsumer) Compact(emit func(kind store.RecordKind, payload []byt
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for msgID, rec := range r.outbox {
-		if err := emit(store.RecOutboxSave, marshalOutRecord(msgID, rec.to, rec.payload)); err != nil {
+		if err := emit(store.RecOutboxSave, marshalOutRecord(msgID, rec.to, rec.payload...)); err != nil {
 			return err
 		}
 	}
@@ -99,13 +99,14 @@ func (c *journalConsumer) Compact(emit func(kind store.RecordKind, payload []byt
 	return nil
 }
 
-// marshalOutRecord encodes one outbox entry for the journal.
-func marshalOutRecord(msgID, to string, payload []byte) []byte {
+// marshalOutRecord encodes one outbox entry — payload is the concatenation
+// of its parts — for the journal.
+func marshalOutRecord(msgID, to string, payload ...[]byte) []byte {
 	return canon.Marshal(func(e *canon.Encoder) {
 		e.Struct("rout")
 		e.String(msgID)
 		e.String(to)
-		e.Bytes(payload)
+		e.Bytes(payload...)
 	})
 }
 

@@ -62,7 +62,7 @@ func TestFileJournalPersistence(t *testing.T) {
 		t.Fatalf("outbox = %d records, want 1", len(ra2.outbox))
 	}
 	for _, rec := range ra2.outbox {
-		if rec.to != "carol" || string(rec.payload) != "payload-2" {
+		if rec.to != "carol" || string(bytes.Join(rec.payload, nil)) != "payload-2" {
 			t.Fatalf("outbox record = %q to %q", rec.payload, rec.to)
 		}
 	}
@@ -176,7 +176,7 @@ func TestFileJournalTornTail(t *testing.T) {
 	defer ra2.mu.Unlock()
 	var got []string
 	for _, rec := range ra2.outbox {
-		got = append(got, string(rec.payload))
+		got = append(got, string(bytes.Join(rec.payload, nil)))
 	}
 	sort.Strings(got)
 	if strings.Join(got, ",") != "first,second" {
@@ -335,7 +335,7 @@ func journalSegment(tb testing.TB) []byte {
 		}
 	}
 	r.handleAcks([]string{r.incarnation + "-1"})
-	r.onRaw("b", encodeRel(relData, "x-1", []byte("inbound")))
+	r.onRaw("b", encodeRel(relData, "x-1", []byte("inbound")).bytes())
 	_ = r.Close()
 	if err := j.Close(); err != nil {
 		tb.Fatal(err)
@@ -377,7 +377,7 @@ func FuzzJournalReplay(f *testing.F) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		for msgID, rec := range r.outbox {
-			want := append([]byte{byte(store.RecOutboxSave)}, marshalOutRecord(msgID, rec.to, rec.payload)...)
+			want := append([]byte{byte(store.RecOutboxSave)}, marshalOutRecord(msgID, rec.to, rec.payload...)...)
 			if !bytes.Contains(seg, want) {
 				t.Fatalf("restored record %q does not re-encode to a record of the segment", msgID)
 			}

@@ -121,10 +121,13 @@ type Reliable struct {
 	ctr         atomic.Uint64
 }
 
-// outRec is one unacknowledged outgoing message.
+// outRec is one unacknowledged outgoing message: its payload (as the
+// segments it was handed in), and the rel frame it was first encoded into,
+// which every retransmission re-sends.
 type outRec struct {
 	to      string
-	payload []byte
+	payload [][]byte
+	frame   frame
 	sentAt  time.Time // last wire transmission
 	// durable is false while the journal append is in flight: the record is
 	// in the outbox (so a racing compaction keeps it) but not on the wire.
@@ -140,7 +143,7 @@ type peerBackoff struct {
 // peerBatch accumulates frames and pending acks bound for one peer until the
 // flush window closes or the size cap is reached.
 type peerBatch struct {
-	frames [][]byte
+	frames []frame
 	ackIDs []string
 	size   int
 	armed  bool
@@ -201,8 +204,15 @@ func (r *Reliable) nextMsgID() string {
 // If the journal append fails the message is withdrawn: it is never
 // transmitted, and Send returns the error.
 func (r *Reliable) Send(ctx context.Context, to string, payload []byte) error {
+	return r.SendFrame(ctx, to, [][]byte{payload})
+}
+
+// SendFrame is Send for a payload held as consecutive segments
+// (FrameSender): the rel frame is written around them, and they are copied
+// only where the datagram leaves the process — or into the journal record.
+func (r *Reliable) SendFrame(ctx context.Context, to string, payload [][]byte) error {
 	msgID := r.nextMsgID()
-	rec := &outRec{to: to, payload: payload, sentAt: time.Now(), durable: r.journal == nil}
+	rec := &outRec{to: to, payload: payload, frame: encodeRel(relData, msgID, payload...), sentAt: time.Now(), durable: r.journal == nil}
 
 	r.mu.Lock()
 	if r.closed {
@@ -213,7 +223,7 @@ func (r *Reliable) Send(ctx context.Context, to string, payload []byte) error {
 	r.mu.Unlock()
 
 	if r.journal != nil {
-		err := r.journal.Append(store.RecOutboxSave, marshalOutRecord(msgID, to, payload))
+		err := r.journal.Append(store.RecOutboxSave, marshalOutRecord(msgID, to, payload...))
 		r.mu.Lock()
 		if err != nil {
 			delete(r.outbox, msgID)
@@ -228,33 +238,38 @@ func (r *Reliable) Send(ctx context.Context, to string, payload []byte) error {
 	// First transmission. Errors are ignored deliberately: the retransmit
 	// loop will retry, and an unreachable peer is indistinguishable from a
 	// lossy link at this layer.
-	r.transmit(ctx, to, encodeRel(relData, msgID, payload))
+	r.transmit(ctx, to, rec.frame)
 	return nil
 }
 
 // transmit hands one encoded rel frame to the wire: directly without
 // batching, via the peer's batch otherwise.
-func (r *Reliable) transmit(ctx context.Context, to string, frame []byte) {
+func (r *Reliable) transmit(ctx context.Context, to string, f frame) {
 	if !r.batching {
-		_ = r.ep.Send(ctx, to, frame)
+		r.sendFrame(ctx, to, f)
 		return
 	}
-	r.enqueue(to, frame, "")
+	r.enqueue(to, f, "")
+}
+
+// sendFrame puts one datagram on the wire.
+func (r *Reliable) sendFrame(ctx context.Context, to string, f frame) {
+	_ = SendFrame(ctx, r.ep, to, f)
 }
 
 // enqueue adds a frame and/or a pending ack msgID to the peer's batch,
 // flushing immediately when the size cap is reached and otherwise arming the
 // window timer.
-func (r *Reliable) enqueue(to string, frame []byte, ackID string) {
+func (r *Reliable) enqueue(to string, f frame, ackID string) {
 	r.bmu.Lock()
 	pb := r.batchers[to]
 	if pb == nil {
 		pb = &peerBatch{}
 		r.batchers[to] = pb
 	}
-	if frame != nil {
-		pb.frames = append(pb.frames, frame)
-		pb.size += len(frame)
+	if f != nil {
+		pb.frames = append(pb.frames, f)
+		pb.size += f.size()
 	}
 	if ackID != "" {
 		pb.ackIDs = append(pb.ackIDs, ackID)
@@ -303,15 +318,14 @@ func (r *Reliable) flushAll() {
 
 // sendCoalesced packs frames plus one cumulative ack into as few datagrams
 // as the size cap allows and transmits them.
-func (r *Reliable) sendCoalesced(to string, frames [][]byte, ackIDs []string) {
+func (r *Reliable) sendCoalesced(to string, frames []frame, ackIDs []string) {
 	if len(ackIDs) > 0 {
 		frames = append(frames, encodeRel(relAckN, "", encodeStrings("relacks", ackIDs)))
 	}
 	if len(frames) == 0 {
 		return
 	}
-	var dgrams [][]byte
-	var chunk [][]byte
+	var dgrams, chunk []frame
 	size := 0
 	pack := func() {
 		switch len(chunk) {
@@ -319,28 +333,36 @@ func (r *Reliable) sendCoalesced(to string, frames [][]byte, ackIDs []string) {
 		case 1:
 			dgrams = append(dgrams, chunk[0]) // single frame travels raw
 		default:
-			dgrams = append(dgrams, encodeRel(relBatch, "", wire.MarshalMulti(chunk)))
+			subs := make([][]byte, len(chunk))
+			for i, f := range chunk {
+				subs[i] = f.bytes()
+			}
+			dgrams = append(dgrams, encodeRel(relBatch, "", wire.MarshalMulti(subs)))
 		}
 		chunk, size = nil, 0
 	}
 	for _, f := range frames {
-		if size+len(f) > r.batchBytes && len(chunk) > 0 {
+		if size+f.size() > r.batchBytes && len(chunk) > 0 {
 			pack()
 		}
 		chunk = append(chunk, f)
-		size += len(f)
+		size += f.size()
 	}
 	pack()
 
 	ctx := context.Background()
 	if len(dgrams) > 1 {
 		if bs, ok := r.ep.(BatchSender); ok {
-			_ = bs.SendBatch(ctx, to, dgrams)
+			payloads := make([][]byte, len(dgrams))
+			for i, d := range dgrams {
+				payloads[i] = d.bytes()
+			}
+			_ = bs.SendBatch(ctx, to, payloads)
 			return
 		}
 	}
 	for _, d := range dgrams {
-		_ = r.ep.Send(ctx, to, d)
+		r.sendFrame(ctx, to, d)
 	}
 }
 
@@ -428,8 +450,8 @@ func (r *Reliable) retransmitLoop() {
 		case <-ticker.C:
 			now := time.Now()
 			r.mu.Lock()
-			byPeer := make(map[string][][]byte)
-			for msgID, rec := range r.outbox {
+			byPeer := make(map[string][]frame)
+			for _, rec := range r.outbox {
 				if !rec.durable {
 					continue // journal append in flight: not on the wire yet
 				}
@@ -444,7 +466,7 @@ func (r *Reliable) retransmitLoop() {
 					continue
 				}
 				rec.sentAt = now
-				byPeer[rec.to] = append(byPeer[rec.to], encodeRel(relData, msgID, rec.payload))
+				byPeer[rec.to] = append(byPeer[rec.to], rec.frame)
 			}
 			for to := range byPeer {
 				pb := r.backoff[to]
@@ -462,7 +484,7 @@ func (r *Reliable) retransmitLoop() {
 					continue
 				}
 				for _, f := range frames {
-					_ = r.ep.Send(context.Background(), to, f)
+					r.sendFrame(context.Background(), to, f)
 				}
 			}
 		}
@@ -543,7 +565,7 @@ func (r *Reliable) ackAndMark(from, msgID string) (key string, isNew bool) {
 	if r.batching {
 		r.enqueue(from, nil, msgID)
 	} else {
-		_ = r.ep.Send(context.Background(), from, encodeRel(relAck, msgID, nil))
+		r.sendFrame(context.Background(), from, encodeRel(relAck, msgID, nil))
 	}
 	key = from + "/" + msgID
 	r.mu.Lock()
@@ -629,13 +651,32 @@ func (r *Reliable) handleAcks(msgIDs []string) {
 	}
 }
 
-func encodeRel(kind byte, msgID string, body []byte) []byte {
-	e := canon.NewEncoder()
-	e.Struct("rel")
-	e.Uint64(uint64(kind))
-	e.String(msgID)
-	e.Bytes(body)
-	return e.Out()
+// frame is one datagram held as consecutive segments
+// (canon.MarshalSegments): a rel frame around a large body is its small
+// header followed by the body itself, which is not copied until the
+// datagram leaves the process.
+type frame [][]byte
+
+func (f frame) size() int {
+	n := 0
+	for _, s := range f {
+		n += len(s)
+	}
+	return n
+}
+
+// bytes returns the datagram contiguous (see join).
+func (f frame) bytes() []byte { return join(f) }
+
+// encodeRel frames body — the concatenation of its parts — as a rel frame
+// written around it: a large part is referenced by the frame, not copied.
+func encodeRel(kind byte, msgID string, body ...[]byte) frame {
+	return canon.MarshalSegments(func(e *canon.Encoder) {
+		e.Struct("rel")
+		e.Uint64(uint64(kind))
+		e.String(msgID)
+		e.Bytes(body...)
+	})
 }
 
 func decodeRel(raw []byte) (kind byte, msgID string, body []byte, err error) {

@@ -16,6 +16,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -44,6 +45,39 @@ type Endpoint interface {
 // uses it when one flush produces multiple chunks.
 type BatchSender interface {
 	SendBatch(ctx context.Context, to string, payloads [][]byte) error
+}
+
+// FrameSender is implemented by a connection or endpoint that takes a
+// payload as consecutive segments (canon.MarshalSegments) — their
+// concatenation is the payload — so a message written around a large body
+// travels down the stack without the body being copied: Reliable frames
+// the segments, and the in-memory network gathers them in the one copy it
+// makes of every datagram anyway. The segments must not change afterwards.
+type FrameSender interface {
+	SendFrame(ctx context.Context, to string, frame [][]byte) error
+}
+
+// Sender is the sending half of a connection or endpoint.
+type Sender interface {
+	Send(ctx context.Context, to string, payload []byte) error
+}
+
+// SendFrame sends the payload held as frame through s: as segments when s
+// is a FrameSender, joined into one buffer otherwise.
+func SendFrame(ctx context.Context, s Sender, to string, frame [][]byte) error {
+	if fs, ok := s.(FrameSender); ok {
+		return fs.SendFrame(ctx, to, frame)
+	}
+	return s.Send(ctx, to, join(frame))
+}
+
+// join returns segments contiguous: the segment itself when there is one, a
+// joined copy otherwise.
+func join(segs [][]byte) []byte {
+	if len(segs) == 1 {
+		return segs[0]
+	}
+	return bytes.Join(segs, nil)
 }
 
 // Errors returned by transports.
@@ -191,8 +225,14 @@ func (n *Network) Close() {
 	n.deliver.Wait()
 }
 
-// route decides the fate of one message and schedules delivery.
-func (n *Network) route(from, to string, payload []byte) error {
+// route decides the fate of one message — the concatenation of segs — and
+// schedules delivery. The message is copied once, into the body every copy
+// delivered shares: the receiver owns a buffer nobody else writes.
+func (n *Network) route(from, to string, segs [][]byte) error {
+	size := 0
+	for _, s := range segs {
+		size += len(s)
+	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -208,7 +248,7 @@ func (n *Network) route(from, to string, payload []byte) error {
 		f = n.defFlt
 	}
 	n.stats.Sent++
-	n.stats.SentBytes += uint64(len(payload))
+	n.stats.SentBytes += uint64(size)
 
 	if f.Partitioned || (f.DropProb > 0 && n.rng.Float64() < f.DropProb) {
 		n.stats.Dropped++
@@ -225,7 +265,7 @@ func (n *Network) route(from, to string, payload []byte) error {
 		delay += time.Duration(n.rng.Int64N(int64(f.MaxDelay - f.MinDelay)))
 	}
 	n.stats.Delivered += uint64(copies)
-	n.stats.DeliveredBytes += uint64(copies) * uint64(len(payload))
+	n.stats.DeliveredBytes += uint64(copies) * uint64(size)
 	if delay > 0 {
 		// Registered while the lock is held, so Close (which sets closed
 		// under the same lock before waiting) never races Add against Wait.
@@ -233,8 +273,7 @@ func (n *Network) route(from, to string, payload []byte) error {
 	}
 	n.mu.Unlock()
 
-	body := make([]byte, len(payload))
-	copy(body, payload)
+	body := bytes.Join(segs, nil)
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
 			time.AfterFunc(delay, func() {
@@ -270,14 +309,20 @@ type inbound struct {
 func (ep *MemEndpoint) ID() string { return ep.id }
 
 // Send routes a datagram through the network's fault model.
-func (ep *MemEndpoint) Send(_ context.Context, to string, payload []byte) error {
+func (ep *MemEndpoint) Send(ctx context.Context, to string, payload []byte) error {
+	return ep.SendFrame(ctx, to, [][]byte{payload})
+}
+
+// SendFrame implements FrameSender: the datagram is the concatenation of
+// segs, gathered in the network's copy.
+func (ep *MemEndpoint) SendFrame(_ context.Context, to string, segs [][]byte) error {
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
 		return ErrClosed
 	}
 	ep.mu.Unlock()
-	return ep.net.route(ep.id, to, payload)
+	return ep.net.route(ep.id, to, segs)
 }
 
 // SetHandler installs the inbound message handler.

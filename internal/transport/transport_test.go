@@ -360,7 +360,7 @@ func TestReliableDedupSurvivesRestart(t *testing.T) {
 
 	// Simulate the sender retransmitting the same message id to the revived
 	// receiver: dedup state restored from the journal must suppress it.
-	rb2.onRaw("a", encodeRel(relData, msgID, []byte("m")))
+	rb2.onRaw("a", encodeRel(relData, msgID, []byte("m")).bytes())
 	time.Sleep(10 * time.Millisecond)
 	if got2.count() != 0 {
 		t.Fatal("duplicate delivered after receiver restart")

@@ -236,7 +236,8 @@ func contains(ss []string, s string) bool {
 
 // Policy validates state at a trusted agent before it is disclosed to the
 // other side (Fig 6: conditional state disclosure). proposer identifies the
-// party whose change is being judged.
+// party whose change is being judged. An overwrite's proposed state is the
+// received message itself: read-only, and not to be kept past the call.
 type Policy func(proposer string, current, proposed []byte) wire.Decision
 
 // Relay is a trusted agent bridging two coordination groups (Fig 1b): the

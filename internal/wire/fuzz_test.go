@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"b2b/internal/crypto"
@@ -16,7 +17,11 @@ import (
 //  1. no decoder panics or allocates past the input's size class — length
 //     prefixes are attacker-controlled;
 //  2. whatever a decoder accepts re-marshals to the identical bytes — the
-//     canonical-encoding guarantee signatures depend on.
+//     canonical-encoding guarantee signatures depend on;
+//  3. decoding copies nothing and writes nothing: the input is unchanged
+//     afterwards, and every byte slice in a decoded message lies inside the
+//     input with no spare capacity, so appending to a field reallocates
+//     instead of overwriting the frame (and the evidence that aliases it).
 func FuzzUnmarshal(f *testing.F) {
 	ident, err := crypto.NewIdentity("fuzz-party")
 	if err != nil {
@@ -123,23 +128,30 @@ func FuzzUnmarshal(f *testing.F) {
 	// list bounds of the Welcome decoder itself.
 	f.Add(uint8(12), welcomePrekeys.Marshal())
 
-	roundtrip := func(t *testing.T, in []byte, err error, remarshal func() []byte) {
+	roundtrip := func(t *testing.T, in []byte, v any, err error, remarshal func() []byte) {
 		if err != nil {
 			return
 		}
 		if out := remarshal(); !bytes.Equal(in, out) {
 			t.Fatalf("accepted input does not re-marshal canonically:\n in=%x\nout=%x", in, out)
 		}
+		checkAliases(t, in, reflect.ValueOf(v))
 	}
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		sum := crypto.Hash(data)
+		defer func() {
+			if crypto.Hash(data) != sum {
+				t.Fatal("decoding wrote its input")
+			}
+		}()
 		switch which % 30 {
 		case 0:
 			v, err := wire.UnmarshalSigned(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 1:
 			v, err := wire.UnmarshalEnvelope(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 2:
 			frames, err := wire.UnmarshalMulti(data)
 			if err == nil {
@@ -150,89 +162,118 @@ func FuzzUnmarshal(f *testing.F) {
 				if total > len(data) {
 					t.Fatalf("multi frames exceed input: %d > %d", total, len(data))
 				}
-				roundtrip(t, data, nil, func() []byte { return wire.MarshalMulti(frames) })
+				roundtrip(t, data, frames, nil, func() []byte { return wire.MarshalMulti(frames) })
 			}
 		case 3:
 			v, err := wire.UnmarshalPropose(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 4:
 			v, err := wire.UnmarshalRespond(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 5:
 			v, err := wire.UnmarshalCommit(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 6:
 			v, err := wire.UnmarshalConnRequest(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 7:
 			v, err := wire.UnmarshalConnPropose(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 8:
 			v, err := wire.UnmarshalConnRespond(data)
-			roundtrip(t, data, err, v.MarshalConn)
+			roundtrip(t, data, v, err, v.MarshalConn)
 		case 9:
 			v, err := wire.UnmarshalDiscRespond(data)
-			roundtrip(t, data, err, v.MarshalDisc)
+			roundtrip(t, data, v, err, v.MarshalDisc)
 		case 10:
 			v, err := wire.UnmarshalConnCommit(data)
-			roundtrip(t, data, err, v.MarshalConn)
+			roundtrip(t, data, v, err, v.MarshalConn)
 		case 11:
 			v, err := wire.UnmarshalDiscCommit(data)
-			roundtrip(t, data, err, v.MarshalDisc)
+			roundtrip(t, data, v, err, v.MarshalDisc)
 		case 12:
 			v, err := wire.UnmarshalWelcome(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 13:
 			v, err := wire.UnmarshalReject(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 14:
 			v, err := wire.UnmarshalDiscRequest(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 15:
 			v, err := wire.UnmarshalDiscPropose(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 16:
 			v, err := wire.UnmarshalDiscNotice(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 17:
 			v, err := wire.UnmarshalAbortRequest(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 18:
 			v, err := wire.UnmarshalAbortCert(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 19:
 			v, err := wire.UnmarshalStateRequest(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 20:
 			v, err := wire.UnmarshalStateOffer(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 21:
 			v, err := wire.UnmarshalStateChunk(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 22:
 			v, err := wire.UnmarshalStateAck(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 23:
 			v, err := wire.UnmarshalStateDone(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 24:
 			v, err := wire.UnmarshalGossipDigest(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 25:
 			v, err := wire.UnmarshalGossipDelta(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 26:
 			v, err := wire.UnmarshalRelayDeposit(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 27:
 			v, err := wire.UnmarshalRelayPoll(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 28:
 			v, err := wire.UnmarshalRelayBatch(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		case 29:
 			v, err := wire.UnmarshalRelayPrekey(data)
-			roundtrip(t, data, err, v.Marshal)
+			roundtrip(t, data, v, err, v.Marshal)
 		}
 	})
+}
+
+// checkAliases fails unless every non-empty byte slice reachable from v lies
+// inside in and has no spare capacity.
+func checkAliases(t *testing.T, in []byte, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			if n := v.Len(); n > 0 {
+				lo, p := reflect.ValueOf(in).Pointer(), v.Pointer()
+				if v.Cap() != n || p < lo || p+uintptr(n) > lo+uintptr(len(in)) {
+					t.Fatalf("decoded %s of %d bytes lies outside the input or has spare capacity %d", v.Type(), n, v.Cap())
+				}
+			}
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			checkAliases(t, in, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			checkAliases(t, in, v.Field(i))
+		}
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			checkAliases(t, in, v.Elem())
+		}
+	}
 }

@@ -161,11 +161,41 @@ type Stamper interface {
 // covers (kind, len(body), h(body)) and the timestamp covers h(h(body) || sig),
 // so the stamp binds both content and attribution (docs/PROTOCOL.md §2.1).
 func Sign(kind Kind, body []byte, ident *crypto.Identity, tsa Stamper) Signed {
-	d := crypto.Hash(body)
-	sig := ident.Sign(signInput(kind, len(body), d))
-	s := Signed{Kind: kind, Body: body, Sig: sig}
+	s := signDigest(kind, len(body), crypto.Hash(body), ident, tsa)
+	s.Body = body
+	return s
+}
+
+// SignEncoded is Sign for a body that encode writes, built in one buffer:
+// the body is encoded once, straight into the signed wrapper. raw is the
+// wrapper's canonical encoding (what s.Marshal returns) and s.Body is the
+// sub-slice of raw holding the body, so a large field of the body — a whole
+// state — is copied exactly once, into raw.
+func SignEncoded(kind Kind, encode func(*canon.Encoder), ident *crypto.Identity, tsa Stamper) (s Signed, raw []byte) {
+	parts := canon.MarshalSegments(encode)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	s = signDigest(kind, n, crypto.Hash(parts...), ident, tsa)
+	var end int
+	raw = canon.Marshal(func(e *canon.Encoder) {
+		e.Struct("signed")
+		e.Uint64(uint64(kind))
+		e.Bytes(parts...)
+		end = e.Len()
+		s.Sig.Encode(e)
+		s.TS.Encode(e)
+	})
+	s.Body = raw[end-n : end : end]
+	return s, raw
+}
+
+// signDigest signs a body of bodyLen bytes with digest d.
+func signDigest(kind Kind, bodyLen int, d [32]byte, ident *crypto.Identity, tsa Stamper) Signed {
+	s := Signed{Kind: kind, Sig: ident.Sign(signInput(kind, bodyLen, d))}
 	if tsa != nil {
-		s.TS = tsa.Stamp(stampInput(d, sig.Sig))
+		s.TS = tsa.Stamp(stampInput(d, s.Sig.Sig))
 	}
 	return s
 }
@@ -269,16 +299,21 @@ type Envelope struct {
 }
 
 // Marshal returns the canonical bytes of the envelope.
-func (env Envelope) Marshal() []byte {
-	return canon.Marshal(func(e *canon.Encoder) {
-		e.Struct("envelope")
-		e.String(env.MsgID)
-		e.String(env.From)
-		e.String(env.To)
-		e.String(env.Object)
-		e.Uint64(uint64(env.Kind))
-		e.Bytes(env.Payload)
-	})
+func (env Envelope) Marshal() []byte { return canon.Marshal(env.encode) }
+
+// Segments returns the canonical bytes of the envelope as consecutive
+// segments (canon.MarshalSegments): the envelope is written around a large
+// payload, which is referenced, not copied.
+func (env Envelope) Segments() [][]byte { return canon.MarshalSegments(env.encode) }
+
+func (env Envelope) encode(e *canon.Encoder) {
+	e.Struct("envelope")
+	e.String(env.MsgID)
+	e.String(env.From)
+	e.String(env.To)
+	e.String(env.Object)
+	e.Uint64(uint64(env.Kind))
+	e.Bytes(env.Payload)
 }
 
 // UnmarshalEnvelope parses an envelope.
@@ -362,22 +397,23 @@ type Propose struct {
 }
 
 // Marshal returns the canonical (signature input) bytes.
-func (p Propose) Marshal() []byte {
-	return canon.Marshal(func(e *canon.Encoder) {
-		e.Struct("propose")
-		e.String(p.RunID)
-		e.String(p.Proposer)
-		e.String(p.Object)
-		p.Group.Encode(e)
-		p.Agreed.Encode(e)
-		p.Pred.Encode(e)
-		p.Proposed.Encode(e)
-		e.Bytes32(p.AuthCommit)
-		e.Uint64(uint64(p.Mode))
-		e.Bytes(p.NewState)
-		e.Bytes(p.Update)
-		e.Bytes32(p.UpdateHash)
-	})
+func (p Propose) Marshal() []byte { return canon.Marshal(p.Encode) }
+
+// Encode appends the canonical (signature input) bytes to e.
+func (p Propose) Encode(e *canon.Encoder) {
+	e.Struct("propose")
+	e.String(p.RunID)
+	e.String(p.Proposer)
+	e.String(p.Object)
+	p.Group.Encode(e)
+	p.Agreed.Encode(e)
+	p.Pred.Encode(e)
+	p.Proposed.Encode(e)
+	e.Bytes32(p.AuthCommit)
+	e.Uint64(uint64(p.Mode))
+	e.Bytes(p.NewState)
+	e.Bytes(p.Update)
+	e.Bytes32(p.UpdateHash)
 }
 
 // UnmarshalPropose parses a Propose.

@@ -113,6 +113,32 @@ func TestSignedVerify(t *testing.T) {
 	}
 }
 
+// TestSignEncodedWritesBodyOnce: SignEncoded produces the signature Sign
+// does over the marshalled body, raw is exactly Marshal's bytes, and the
+// body — a whole 1 MiB state here — lives inside raw, not beside it.
+func TestSignEncodedWritesBodyOnce(t *testing.T) {
+	fx := newFixture(t)
+	p := sampleProposal("alice")
+	p.NewState = bytes.Repeat([]byte{0x5a}, 1<<20)
+	s, raw := SignEncoded(KindPropose, p.Encode, fx.alice, fx.tsa)
+	if err := s.Verify(fx.v); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if !bytes.Equal(s.Body, p.Marshal()) {
+		t.Fatal("signed body differs from the marshalled proposal")
+	}
+	if ref := Sign(KindPropose, p.Marshal(), fx.alice, fx.tsa); !bytes.Equal(s.Sig.Sig, ref.Sig.Sig) {
+		t.Fatal("SignEncoded and Sign sign different inputs")
+	}
+	if !bytes.Equal(raw, s.Marshal()) {
+		t.Fatal("raw differs from the signed wrapper's canonical bytes")
+	}
+	lo, at := reflect.ValueOf(raw).Pointer(), reflect.ValueOf(s.Body).Pointer()
+	if at < lo || at+uintptr(len(s.Body)) > lo+uintptr(len(raw)) || cap(s.Body) != len(s.Body) {
+		t.Fatal("the body is not a capacity-clipped sub-slice of raw")
+	}
+}
+
 func TestSignedBodyTamperDetected(t *testing.T) {
 	fx := newFixture(t)
 	p := sampleProposal("alice")
@@ -208,6 +234,16 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, env) {
 		t.Fatalf("round-trip mismatch: %+v", got)
+	}
+	// Segments concatenate to Marshal's bytes, and a large payload is
+	// referenced, not copied.
+	env.Payload = bytes.Repeat([]byte{7}, 1<<20)
+	segs := env.Segments()
+	if !bytes.Equal(bytes.Join(segs, nil), env.Marshal()) {
+		t.Fatal("envelope segments differ from its canonical bytes")
+	}
+	if last := segs[len(segs)-1]; &last[0] != &env.Payload[0] {
+		t.Fatal("envelope segments copied the payload")
 	}
 }
 

@@ -24,7 +24,9 @@ type Object interface {
 	// ValidateState judges a state proposed by another party against this
 	// party's local policy. nil accepts; an error's message becomes the
 	// signed diagnostic accompanying the veto. proposer identifies the
-	// party making the change (asymmetric rules, §5.2).
+	// party making the change (asymmetric rules, §5.2). state is the
+	// received message itself, which is also kept as evidence: treat it as
+	// read-only and do not keep it past the call — copy what you need.
 	ValidateState(proposer string, state []byte) error
 	// ValidateConnect judges the admission of a new party.
 	ValidateConnect(subject string) error
@@ -46,11 +48,15 @@ type UpdatableObject interface {
 	// in place and return it. The returned slice passes to the middleware,
 	// which may hand that same buffer back through ApplyState, so the
 	// application must not keep or modify it after returning — nor return
-	// a slice that shares memory with update.
+	// a slice that shares memory with update. update is the received
+	// message itself, kept as evidence: it is read-only and must not be
+	// kept past the call.
 	ApplyUpdate(current, update []byte) ([]byte, error)
 	// ValidateUpdate judges an update proposed by another party. It must
 	// treat current as read-only and must not keep it: the middleware
-	// reuses that buffer for the ApplyUpdate call that follows.
+	// reuses that buffer for the ApplyUpdate call that follows. update is
+	// the received message itself, kept as evidence: it is read-only and
+	// must not be kept past the call either.
 	ValidateUpdate(proposer string, current, update []byte) error
 }
 

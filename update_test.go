@@ -1,11 +1,13 @@
 package b2b_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -396,6 +398,124 @@ func TestFlatOverwriteCopies(t *testing.T) {
 	}
 }
 
+// TestFlatOverwriteAllocs is the overwrite path's allocation bar at the
+// public API: every byte the process allocates while two members agree on
+// 1 MiB overwrites, divided by the run count. A run's buffers are the
+// application's GetState copy, the signed propose and the commit the
+// proposer writes, the network's copy of each (the frames the recipient
+// receives), and each member's install and snapshot copies: 9 × S. The
+// codec, the transport and the evidence log add no copy of their own. The
+// counter is process-global, so the test does not run in parallel.
+func TestFlatOverwriteAllocs(t *testing.T) {
+	const (
+		runs = 12
+		size = 1 << 20
+	)
+	ids := []string{"a", "b"}
+	objs := make(map[string]*flatBlob)
+	ctrls := boundPair(t, ids, func(id string) b2b.Object {
+		objs[id] = &flatBlob{state: seededState(size)}
+		return objs[id]
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	run := func(i int) {
+		ctrls["a"].Enter()
+		ctrls["a"].Overwrite()
+		objs["a"].Flip((i * 40961) % size)
+		if err := ctrls["a"].Leave(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		for _, id := range ids {
+			if err := ctrls[id].Settle(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(0) // warm the pools and the engines' first-run paths
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= runs; i++ {
+		run(i)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("per run: allocated %.0f B (%.2f x S)", perRun, perRun/size)
+	if got := ctrls["b"].AgreedSeq(); got != ctrls["a"].AgreedSeq() || got != runs+1 {
+		t.Fatalf("b agreed seq %d, a %d, want %d", got, ctrls["a"].AgreedSeq(), runs+1)
+	}
+	if perRun > 12*size {
+		t.Errorf("a 1 MiB overwrite allocated %.2f x S per run, want <= 12 x S", perRun/size)
+	}
+}
+
+// keptState is a plain Object whose ValidateState keeps every slice it is
+// shown, with a copy taken at the time — against the Object contract, to
+// watch the bytes: the proposed state a recipient validates aliases the
+// received message and its evidence.
+type keptState struct {
+	flatBlob
+	seen, copies [][]byte
+}
+
+func (o *keptState) ValidateState(_ string, state []byte) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.seen = append(o.seen, state)
+	o.copies = append(o.copies, bytes.Clone(state))
+	return nil
+}
+
+// TestReceivedStateIsNotRewritten guards the aliasing contract of the
+// receive path: decoding copies nothing, so the state ValidateState is
+// shown is the received frame itself, and nothing — a recycled receive
+// buffer, an owner writing what it was handed — may change those bytes
+// while later 1 MiB overwrites flow through the same party. Both evidence
+// logs must still verify.
+func TestReceivedStateIsNotRewritten(t *testing.T) {
+	const (
+		runs = 8
+		size = 1 << 20
+	)
+	ids := []string{"a", "b"}
+	objs := make(map[string]*keptState)
+	ctrls, parts := bindGroup(t, ids, func(id string) b2b.Object {
+		objs[id] = &keptState{flatBlob: flatBlob{state: seededState(size)}}
+		return objs[id]
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for i := 0; i < runs; i++ {
+		ctrls["a"].Enter()
+		ctrls["a"].Overwrite()
+		objs["a"].Flip((i * 40961) % size)
+		if err := ctrls["a"].Leave(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	for _, id := range ids {
+		if err := ctrls[id].Settle(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := objs["b"]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.seen) != runs {
+		t.Fatalf("b validated %d states, want %d", len(b.seen), runs)
+	}
+	for i := range b.seen {
+		if !bytes.Equal(b.seen[i], b.copies[i]) {
+			t.Errorf("the state b validated in run %d changed afterwards", i)
+		}
+	}
+	for _, id := range ids {
+		if err := parts[id].Log().Verify(); err != nil {
+			t.Errorf("%s: evidence log: %v", id, err)
+		}
+	}
+}
+
 // seededState returns size deterministic bytes.
 func seededState(size int) []byte {
 	state := make([]byte, size)
@@ -409,8 +529,16 @@ func seededState(size int) []byte {
 // in-memory network and bootstraps the group; it returns the controllers.
 func boundPair(t *testing.T, ids []string, mk func(id string) b2b.Object) map[string]*b2b.Controller {
 	t.Helper()
+	ctrls, _ := bindGroup(t, ids, mk)
+	return ctrls
+}
+
+// bindGroup is boundPair returning the participants too.
+func bindGroup(t *testing.T, ids []string, mk func(id string) b2b.Object) (map[string]*b2b.Controller, map[string]*b2b.Participant) {
+	t.Helper()
 	clk, td, net, idents, certs := updateFixture(t, ids)
 	ctrls := make(map[string]*b2b.Controller)
+	parts := make(map[string]*b2b.Participant)
 	for _, id := range ids {
 		conn, err := net.Endpoint(id)
 		if err != nil {
@@ -424,6 +552,7 @@ func boundPair(t *testing.T, ids []string, mk func(id string) b2b.Object) map[st
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = p.Close() })
+		parts[id] = p
 		if ctrls[id], err = p.Bind("blob", mk(id), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +562,7 @@ func boundPair(t *testing.T, ids []string, mk func(id string) b2b.Object) map[st
 			t.Fatal(err)
 		}
 	}
-	return ctrls
+	return ctrls, parts
 }
 
 func updateFixture(t *testing.T, ids []string) (*clock.Sim, *b2b.TrustDomain, *b2b.MemoryNetwork, map[string]*crypto.Identity, []crypto.Certificate) {
