@@ -500,6 +500,49 @@ func (d *Decoder) Strings() []string {
 	return out
 }
 
+// Scan walks b as a sequence of canonical tokens without interpreting
+// them: every token is a type tag and its payload, whatever value, struct
+// or list it belongs to, so any encoding this package produces is such a
+// sequence. For each Bytes token whose field holds refMin bytes or more —
+// the fields an Encoder references rather than copies — it calls large with
+// the token's span b[at:end], tag and length prefix included, and the field
+// itself, a sub-slice of b. Scan reports whether b is one or more complete
+// tokens; when it is not, large may already have been called.
+func Scan(b []byte, large func(at, end int, field []byte)) bool {
+	if len(b) == 0 {
+		return false
+	}
+	for off := 0; off < len(b); {
+		at := off
+		var n int
+		switch b[off] {
+		case tagUint64, tagInt64, tagTime:
+			n = 8
+		case tagBool:
+			n = 1
+		case tagList:
+			n = 4
+		case tagString, tagBytes, tagStruct:
+			if len(b)-off < 5 {
+				return false
+			}
+			off += 4
+			n = int(binary.BigEndian.Uint32(b[off-3:]))
+		default:
+			return false
+		}
+		off++
+		if n > len(b)-off {
+			return false
+		}
+		off += n
+		if b[at] == tagBytes && n >= refMin {
+			large(at, off, b[off-n:off])
+		}
+	}
+	return true
+}
+
 // Uint8 reads an unsigned integer and rejects values outside [0, 255]:
 // enums (message kinds, modes) must have exactly one encoding, so the
 // wider-integer representations of the same small value are not accepted.

@@ -363,3 +363,44 @@ func TestLargeFieldsWrittenOnce(t *testing.T) {
 		t.Fatal("decoded large field differs, was copied, or has spare capacity")
 	}
 }
+
+// TestScan: every encoding is one or more complete tokens; Scan reports
+// each Bytes field of refMin bytes or more with its token's span, in order,
+// and refuses empty, truncated or foreign input.
+func TestScan(t *testing.T) {
+	big1, big2 := bytes.Repeat([]byte{1}, refMin), bytes.Repeat([]byte{2}, 3*refMin)
+	enc := Marshal(func(e *Encoder) {
+		e.Struct("scan")
+		e.Uint64(1)
+		e.Int64(-1)
+		e.Bool(true)
+		e.Time(time.Unix(5, 0))
+		e.String("s")
+		e.Bytes(big1)
+		e.List(2)
+		e.Bytes(bytes.Repeat([]byte{3}, refMin-1))
+		e.Bytes(big2[:refMin], big2[refMin:])
+		e.Strings([]string{"a", "b"})
+	})
+	var got [][]byte
+	ok := Scan(enc, func(at, end int, field []byte) {
+		if enc[at] != tagBytes || end-at != 5+len(field) || &enc[end-len(field)] != &field[0] {
+			t.Fatalf("span [%d,%d) does not frame its %d-byte field", at, end, len(field))
+		}
+		got = append(got, field)
+	})
+	if !ok || len(got) != 2 || !bytes.Equal(got[0], big1) || !bytes.Equal(got[1], big2) {
+		t.Fatalf("Scan = %v with %d large fields, want the two fields of refMin bytes or more", ok, len(got))
+	}
+	none := func(int, int, []byte) {}
+	for name, in := range map[string][]byte{
+		"empty":     nil,
+		"truncated": enc[:len(enc)-1],
+		"cut field": enc[:100],
+		"text":      []byte("valid=true"),
+	} {
+		if Scan(in, none) {
+			t.Errorf("%s input scanned as complete tokens", name)
+		}
+	}
+}

@@ -593,7 +593,7 @@ func (en *Engine) resolveContest(pred tuple.State) {
 	}
 	// A full snapshot re-anchors the checkpoint chain: the branch switch
 	// invalidates any delta chained through the losing tuple.
-	fx := en.stageLocked(&agreedView{winTup, st}, wire.ModeOverwrite, nil, tuple.State{})
+	fx := en.stageLocked(&agreedView{winTup, st}, nil)
 	if fx.err == nil {
 		const won = "contested predecessor: won deterministic tie-break"
 		en.seen.ObserveRecovered(winTup)

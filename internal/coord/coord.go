@@ -213,7 +213,8 @@ type proposerRun struct {
 	runID     string
 	propose   wire.Propose
 	signed    wire.Signed
-	raw       []byte // signed.Marshal(), computed once and reused
+	raw       []byte   // signed.Marshal(), computed once and reused
+	digest    [32]byte // signed.BodyDigest(), taken once when signing
 	auth      []byte
 	newState  *pagestate.Paged // proposed state; immutable, pages shared COW
 	responses map[string]wire.Signed
@@ -241,6 +242,7 @@ type respondedRun struct {
 	runID    string
 	proposer string
 	propose  wire.Signed // exact signed propose we responded to
+	digest   [32]byte    // propose.BodyDigest(), taken once on receipt
 	respond  wire.Signed
 	decision wire.Decision
 	newState *pagestate.Paged // state a valid commit will install (shared COW)
@@ -698,13 +700,19 @@ func (en *Engine) recipientsLocked() []string {
 }
 
 // snapshotLocked builds a full checkpoint of the agreed state; en.mu held.
-// The O(S) materialization happens only here — once per SnapshotEvery
-// update-mode runs, or per overwrite — not per run.
-func (en *Engine) snapshotLocked() store.Checkpoint {
+// flat, when non-nil, is the agreed state's bytes as an overwrite propose
+// carried them — retained as evidence and never written — and becomes the
+// checkpoint's state as it is. Otherwise the O(S) materialization happens
+// here: once per SnapshotEvery update-mode runs, per tie-break or catch-up,
+// and for a membership checkpoint, never per run.
+func (en *Engine) snapshotLocked(flat []byte) store.Checkpoint {
+	if flat == nil {
+		flat = en.agreedState.Bytes()
+	}
 	return store.Checkpoint{
 		Object:  en.cfg.Object,
 		Tuple:   en.agreed,
-		State:   en.agreedState.Bytes(),
+		State:   flat,
 		Group:   en.group,
 		Members: append([]string(nil), en.members...),
 		Time:    en.cfg.Clock.Now(),
@@ -715,7 +723,7 @@ func (en *Engine) snapshotLocked() store.Checkpoint {
 // return; en.mu must be held.
 func (en *Engine) checkpointLocked() error {
 	en.deltaRuns = 0
-	return en.cfg.Store.SaveCheckpoint(en.snapshotLocked())
+	return en.cfg.Store.SaveCheckpoint(en.snapshotLocked(nil))
 }
 
 func (en *Engine) snapshotEvery() int {
@@ -726,15 +734,19 @@ func (en *Engine) snapshotEvery() int {
 }
 
 // commitCheckpointLocked stages stageLocked's checkpoint of a newly agreed
-// tuple for the executor's barrier. On a batched store (the durability
-// plane) update-mode runs persist a delta — the update bytes plus the
-// predecessor tuple — so the write cost tracks the change, not the object;
-// every SnapshotEvery deltas (and for every overwrite, tie-break or
-// catch-up) a full snapshot bounds the recovery chain. Non-batched stores
-// keep the original full-snapshot-per-commit behaviour. en.mu must be held:
-// holding it across the staging keeps the on-disk chain in agreed order.
-func (en *Engine) commitCheckpointLocked(mode wire.Mode, update []byte, pred tuple.State) error {
-	if mode == wire.ModeUpdate && en.bstore != nil && en.deltaRuns < en.snapshotEvery() {
+// tuple for the executor's barrier. prop is the run's proposal, decoded
+// from the signed propose this party keeps as evidence (nil for a
+// tie-break or catch-up). On a batched store (the durability plane)
+// update-mode runs persist a delta — the update bytes plus the predecessor
+// tuple — so the write cost tracks the change, not the object; every
+// SnapshotEvery deltas (and for every overwrite, tie-break or catch-up) a
+// full snapshot bounds the recovery chain. An overwrite's snapshot keeps
+// the state the proposal carried instead of materialising a copy.
+// Non-batched stores keep the original full-snapshot-per-commit behaviour.
+// en.mu must be held: holding it across the staging keeps the on-disk chain
+// in agreed order.
+func (en *Engine) commitCheckpointLocked(prop *wire.Propose) error {
+	if prop != nil && prop.Mode == wire.ModeUpdate && en.bstore != nil && en.deltaRuns < en.snapshotEvery() {
 		en.deltaRuns++
 		return en.bstore.SaveCheckpointDeferred(store.Checkpoint{
 			Object:  en.cfg.Object,
@@ -743,15 +755,19 @@ func (en *Engine) commitCheckpointLocked(mode wire.Mode, update []byte, pred tup
 			Members: append([]string(nil), en.members...),
 			Time:    en.cfg.Clock.Now(),
 			Delta:   true,
-			Update:  append([]byte(nil), update...),
-			Pred:    pred,
+			Update:  append([]byte(nil), prop.Update...),
+			Pred:    prop.Pred,
 		})
 	}
 	en.deltaRuns = 0
-	if en.bstore != nil {
-		return en.bstore.SaveCheckpointDeferred(en.snapshotLocked())
+	var flat []byte
+	if prop != nil && prop.Mode == wire.ModeOverwrite {
+		flat = prop.NewState
 	}
-	return en.cfg.Store.SaveCheckpoint(en.snapshotLocked())
+	if en.bstore != nil {
+		return en.bstore.SaveCheckpointDeferred(en.snapshotLocked(flat))
+	}
+	return en.cfg.Store.SaveCheckpoint(en.snapshotLocked(flat))
 }
 
 // barrier makes every record staged so far durable in one group-commit
@@ -775,18 +791,19 @@ func (en *Engine) barrier() error {
 // proposer finalisation, recipient commit, tie-break install and catch-up
 // all call it under en.mu (Bootstrap, Restore, AdoptMembership and Reset
 // initialise agreed directly). With next non-nil it advances agreed to next
-// and stages next's checkpoint; a staging failure reverts the advance, so a
-// checkpoint that never reached the store never moves agreed. Every call
-// takes the executor's next ticket and records the tuple to publish; the
-// caller fills in the remaining effects and hands the record to apply.
-func (en *Engine) stageLocked(next *agreedView, mode wire.Mode, update []byte, pred tuple.State) *effects {
+// and stages next's checkpoint (see commitCheckpointLocked for prop); a
+// staging failure reverts the advance, so a checkpoint that never reached
+// the store never moves agreed. Every call takes the executor's next ticket
+// and records the tuple to publish; the caller fills in the remaining
+// effects and hands the record to apply.
+func (en *Engine) stageLocked(next *agreedView, prop *wire.Propose) *effects {
 	fx := &effects{ticket: en.staged}
 	en.staged++
 	if next != nil {
 		prev := agreedView{en.agreed, en.agreedState}
 		en.agreed = next.t
 		en.agreedState = next.state
-		if fx.err = en.commitCheckpointLocked(mode, update, pred); fx.err != nil {
+		if fx.err = en.commitCheckpointLocked(prop); fx.err != nil {
 			en.agreed = prev.t
 			en.agreedState = prev.state
 		}
@@ -881,11 +898,13 @@ func (en *Engine) logEvidence(runID, kind string, dir nrlog.Direction, payload [
 
 // logEvidenceSeq is logEvidence tagged with the run's proposal sequence
 // number, chaining the evidence of a pipelined burst per sequence. The
-// entry is durable on return.
-func (en *Engine) logEvidenceSeq(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte) error {
+// entry is durable on return. hints carry the digests of large payload
+// fields this party already took (see nrlog.Hint); a log without
+// SeqAppender hashes everything itself.
+func (en *Engine) logEvidenceSeq(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte, hints ...nrlog.Hint) error {
 	var err error
 	if sl, ok := en.cfg.Log.(nrlog.SeqAppender); ok {
-		_, err = sl.AppendSeq(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload)
+		_, err = sl.AppendSeq(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload, hints...)
 	} else {
 		_, err = en.cfg.Log.Append(runID, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload)
 	}
@@ -899,11 +918,11 @@ func (en *Engine) logEvidenceSeq(runID string, seq uint64, kind string, dir nrlo
 // barrier: the entry is appended but only durable after the next barrier().
 // Callers MUST issue that barrier before externalizing anything (sending a
 // message) that depends on the evidence being on disk.
-func (en *Engine) logEvidenceStaged(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte) error {
+func (en *Engine) logEvidenceStaged(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte, hints ...nrlog.Hint) error {
 	if en.blog == nil {
-		return en.logEvidenceSeq(runID, seq, kind, dir, payload)
+		return en.logEvidenceSeq(runID, seq, kind, dir, payload, hints...)
 	}
-	if _, err := en.blog.AppendDeferred(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload); err != nil {
+	if _, err := en.blog.AppendDeferred(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload, hints...); err != nil {
 		return fmt.Errorf("coord: recording evidence: %w", err)
 	}
 	return nil
@@ -919,13 +938,14 @@ func (en *Engine) tailLocked() *proposerRun {
 
 // enterRunLocked registers a proposer run at the pipeline tail, chained to
 // pred (nil: it builds on the agreed state), its §7 deadline starting now.
-func (en *Engine) enterRunLocked(prop wire.Propose, signed wire.Signed, raw, auth []byte,
+func (en *Engine) enterRunLocked(prop wire.Propose, signed wire.Signed, raw []byte, digest [32]byte, auth []byte,
 	state *pagestate.Paged, recips []string, pred *proposerRun) *proposerRun {
 	run := &proposerRun{
 		runID:     prop.RunID,
 		propose:   prop,
 		signed:    signed,
 		raw:       raw,
+		digest:    digest,
 		auth:      auth,
 		newState:  state,
 		responses: make(map[string]wire.Signed, len(recips)),
@@ -1083,9 +1103,9 @@ func (en *Engine) InstallCatchUp(t tuple.State, state []byte) error {
 		en.mu.Unlock()
 		return ErrNotBootstrapd
 	}
-	if t.Seq <= en.agreed.Seq {
+	if have := en.agreed.Seq; t.Seq <= have {
 		en.mu.Unlock()
-		return fmt.Errorf("%w: have seq %d, offered seq %d", ErrStaleCatchUp, en.agreed.Seq, t.Seq)
+		return fmt.Errorf("%w: have seq %d, offered seq %d", ErrStaleCatchUp, have, t.Seq)
 	}
 	if len(en.pipeline) > 0 {
 		en.mu.Unlock()
@@ -1099,7 +1119,7 @@ func (en *Engine) InstallCatchUp(t tuple.State, state []byte) error {
 		return fmt.Errorf("coord: catch-up state does not match its tuple")
 	}
 	en.seen.ObserveRecovered(t)
-	fx := en.stageLocked(&agreedView{t, paged}, wire.ModeOverwrite, nil, tuple.State{})
+	fx := en.stageLocked(&agreedView{t, paged}, nil)
 	en.syncCurrentLocked()
 	fx.install = fx.publish
 	en.mu.Unlock()

@@ -195,8 +195,9 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 	}
 	// The proposal is encoded once, straight into its signed wrapper: the
 	// same bytes serve as evidence, run-record raw form, and broadcast
-	// payload, and signed.Body is a sub-slice of them.
-	signed, raw := wire.SignEncoded(wire.KindPropose, prop.Encode, en.cfg.Ident, en.cfg.TSA)
+	// payload, and signed.Body is a sub-slice of them. Its body is hashed
+	// once too: the signature's digest also binds it in the evidence chain.
+	signed, raw, digest := wire.SignEncoded(wire.KindPropose, prop.Encode, en.cfg.Ident, en.cfg.TSA)
 
 	// The proposer is committed at initiation: current becomes the proposed
 	// state and cannot be unilaterally withdrawn (§4.3).
@@ -209,7 +210,7 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 		return nil, err
 	}
 
-	run := en.enterRunLocked(prop, signed, raw, auth, newPaged, recips, pred)
+	run := en.enterRunLocked(prop, signed, raw, digest, auth, newPaged, recips, pred)
 	en.stats.RunsProposed++
 	en.mu.Unlock()
 
@@ -238,7 +239,8 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 	// signed propose (Raw) already holds the overwrite state or the update
 	// bytes, and recovery reconstructs the proposed state from it (delta
 	// chains replay through Validator.ApplyUpdate).
-	if err := en.logEvidenceStaged(runID, seq, wire.KindPropose.String(), nrlog.DirSent, raw); err != nil {
+	if err := en.logEvidenceStaged(runID, seq, wire.KindPropose.String(), nrlog.DirSent, raw,
+		nrlog.Hint{Field: signed.Body, Sum: digest}); err != nil {
 		return fail(err)
 	}
 	if err := en.saveRun(store.RunRecord{
@@ -417,6 +419,8 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 		}
 	}
 	payload := commit.Marshal()
+	sent, _ := wire.UnmarshalCommit(payload)
+	hints := proposeHint(sent, run.signed.Body, run.digest)
 
 	// Stage under en.mu: checkpoints must reach the store in agreed order or
 	// a delta would not chain. If even staging fails the run must NOT count
@@ -424,11 +428,17 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 	// a persisted checkpoint would let successors commit on top of a state
 	// no recipient ever received the commit for.
 	var next *agreedView
+	var carried *wire.Propose
 	if out.Valid {
 		next = &agreedView{run.propose.Proposed, run.newState}
+		// The checkpoint is built from the signed proposal the evidence log
+		// keeps, never from the buffer the application handed to Propose.
+		if p, err := wire.UnmarshalPropose(run.signed.Body); err == nil {
+			carried = &p
+		}
 	}
 	base := en.agreedState
-	fx := en.stageLocked(next, run.propose.Mode, run.propose.Update, run.predTuple)
+	fx := en.stageLocked(next, carried)
 	if fx.err != nil {
 		out.Valid = false
 		out.Diagnostic = "checkpoint persistence failed: " + fx.err.Error()
@@ -476,7 +486,7 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 	if fx.err == nil {
 		// The executor's one barrier makes the checkpoint and the commit
 		// evidence durable together before the commit is externalized.
-		fx.err = en.logEvidenceStaged(run.runID, seq, wire.KindCommit.String(), nrlog.DirSent, payload)
+		fx.err = en.logEvidenceStaged(run.runID, seq, wire.KindCommit.String(), nrlog.DirSent, payload, hints...)
 	}
 	run.outErr = en.apply(ctx, fx)
 	if run.outErr == nil && !out.Valid {
@@ -600,18 +610,20 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 	}
 	en.mu.Unlock()
 
-	if err := en.logEvidenceStaged(prop.RunID, prop.Proposed.Seq, wire.KindPropose.String(), nrlog.DirReceived, payload); err != nil {
+	// The body is hashed once: its digest binds the proposal in the
+	// evidence entry, is what the signature is checked against, and binds
+	// the proposal again in the commit's evidence entry.
+	digest := en.memo.digest(signed)
+	if err := en.logEvidenceStaged(prop.RunID, prop.Proposed.Seq, wire.KindPropose.String(), nrlog.DirReceived, payload,
+		nrlog.Hint{Field: signed.Body, Sum: digest}); err != nil {
 		return
 	}
 
 	// The integrity assertion over the received content is computed once and
-	// serves both the respond message and evaluatePropose's tuple check (for
-	// overwrite mode it is the paged Merkle root of the received state — the
-	// only O(S) hash a recipient pays, and only when a full state travelled:
-	// the state it would install is rebased onto its base's pages, which
-	// rehashes only the pages that changed).
-	recvHash := en.receivedHash(prop)
-	decision, newState := en.evaluatePropose(from, signed, prop, recvHash)
+	// serves both the respond message and evaluatePropose's tuple check.
+	recv := en.receivedContent(prop)
+	recv.digest = digest
+	decision, newState := en.evaluatePropose(from, signed, prop, recv)
 
 	en.mu.Lock()
 	if _, dup := en.responded[prop.RunID]; dup {
@@ -634,7 +646,7 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 		Group:             en.group,
 		Proposed:          prop.Proposed,
 		Current:           en.current,
-		ReceivedStateHash: recvHash,
+		ReceivedStateHash: recv.hash,
 		Decision:          decision,
 	}
 	signedResp := wire.Sign(wire.KindRespond, resp.Marshal(), en.cfg.Ident, en.cfg.TSA)
@@ -645,6 +657,7 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 		runID:    prop.RunID,
 		proposer: prop.Proposer,
 		propose:  signed,
+		digest:   digest,
 		respond:  signedResp,
 		decision: decision,
 		newState: newState,
@@ -718,16 +731,44 @@ func (en *Engine) dispatchCommits(msgs []pendingMsg) {
 	}
 }
 
-// receivedHash computes the recipient's integrity assertion over the state
+// received is what a recipient derives once from an inbound proposal and
+// hands from check to check: the signed body's digest, the integrity
+// assertion over the carried content, and — for an overwrite — the
+// received state already paged onto its base.
+type received struct {
+	digest [32]byte
+	hash   [32]byte
+	state  *pagestate.Paged
+}
+
+// receivedContent computes the recipient's integrity assertion over the state
 // content actually received (§4.3: h(s') in the respond message). In update
-// mode it is the flat hash of the update bytes (O(delta)); in overwrite mode
-// it is the paged Merkle root of the received state, matching the HashState
-// the proposer bound into the tuple.
-func (en *Engine) receivedHash(prop wire.Propose) [32]byte {
+// mode it is the flat hash of the update bytes (O(delta)). In overwrite
+// mode it is the paged Merkle root of the received state, matching the
+// HashState the proposer bound into the tuple: the state is rebased onto
+// the base evaluatePropose validates against — the agreed state or the
+// answered predecessor's — so only the pages that differ are copied and
+// rehashed, and the rebased state is the one a commit installs. Holding no
+// such base (a proposal evaluatePropose rejects unless the chain moves
+// meanwhile), it roots the flat bytes.
+func (en *Engine) receivedContent(prop wire.Propose) received {
 	if prop.Mode == wire.ModeUpdate {
-		return crypto.Hash(prop.Update)
+		return received{hash: crypto.Hash(prop.Update)}
 	}
-	return pagestate.Root(prop.NewState, en.pageSize())
+	en.mu.Lock()
+	base := en.agreedState
+	if prop.Pred != en.agreed {
+		base = nil
+		if rr := en.respondedByTupleLocked(prop.Pred); rr != nil {
+			base = rr.newState
+		}
+	}
+	en.mu.Unlock()
+	if base == nil {
+		return received{hash: pagestate.Root(prop.NewState, en.pageSize())}
+	}
+	st := base.Rebase(prop.NewState)
+	return received{hash: st.Root(), state: st}
 }
 
 // evaluatePropose performs all §4.2/§4.4 consistency checks plus the
@@ -736,10 +777,11 @@ func (en *Engine) receivedHash(prop wire.Propose) [32]byte {
 // successor the checks run against the speculative chain: the predecessor
 // must be the agreed state or a pending answered proposal, and the
 // application validates against the state that predecessor would install.
-// recvHash is the integrity hash of the received content (receivedHash), so
-// the O(S) overwrite-mode root is computed once per proposal.
-func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Propose, recvHash [32]byte) (wire.Decision, *pagestate.Paged) {
-	if err := en.verifySigned(signed); err != nil {
+// recv carries the body digest the signature is checked against and the
+// integrity hash of the received content (receivedContent), so neither the
+// body nor an overwrite's state is hashed twice.
+func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Propose, recv received) (wire.Decision, *pagestate.Paged) {
+	if err := en.verifySignedDigest(signed, recv.digest); err != nil {
 		return wire.Rejected(fmt.Sprintf("signature verification failed: %v", err)), nil
 	}
 	if signed.Signer() != prop.Proposer || from != prop.Proposer {
@@ -809,10 +851,13 @@ func (en *Engine) evaluatePropose(from string, signed wire.Signed, prop wire.Pro
 	// decided.
 	switch prop.Mode {
 	case wire.ModeOverwrite:
-		if !prop.Proposed.MatchesRoot(recvHash) {
+		if !prop.Proposed.MatchesRoot(recv.hash) {
 			return wire.Rejected("proposed state does not match its tuple hash"), nil
 		}
-		newState := base.Rebase(prop.NewState)
+		newState := recv.state
+		if newState == nil {
+			newState = base.Rebase(prop.NewState)
+		}
 		return en.cfg.Validator.ValidateState(prop.Proposer, base, prop.NewState), newState
 	case wire.ModeUpdate:
 		if crypto.Hash(prop.Update) != prop.UpdateHash {
@@ -1007,10 +1052,12 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 	en.mu.Unlock()
 
 	var seq uint64
+	var hints []nrlog.Hint
 	if responded {
 		seq = rr.proposed.Seq
+		hints = proposeHint(commit, rr.propose.Body, rr.digest)
 	}
-	if err := en.logEvidenceStaged(commit.RunID, seq, wire.KindCommit.String(), nrlog.DirReceived, payload); err != nil {
+	if err := en.logEvidenceStaged(commit.RunID, seq, wire.KindCommit.String(), nrlog.DirReceived, payload, hints...); err != nil {
 		return
 	}
 
@@ -1054,8 +1101,13 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 		Decisions: decisionsOf(commit)}
 	var next *agreedView
 	var prop wire.Propose
+	var carried *wire.Propose
 	if verdict == commitValid {
-		prop, _ = wire.UnmarshalPropose(commit.Propose.Body)
+		// The embedded proposal equals the answered one (verifyCommit); the
+		// answered one is decoded, so the checkpoint keeps the propose
+		// frame's bytes rather than the commit's copy of them.
+		prop, _ = wire.UnmarshalPropose(rr.propose.Body)
+		carried = &prop
 		// Remember the install (with the pre-install base): a late
 		// vote-valid rival for the same predecessor reopens this window
 		// through the contest plane.
@@ -1063,7 +1115,7 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 		next = &agreedView{prop.Proposed, rr.newState}
 	}
 	// Update-mode commits persist only the update (delta checkpoint).
-	fx := en.stageLocked(next, prop.Mode, prop.Update, rr.pred)
+	fx := en.stageLocked(next, carried)
 	delete(en.responded, commit.RunID)
 	delete(en.propWaited, commit.RunID)
 	en.completeLocked(commit.RunID, out)
@@ -1096,6 +1148,17 @@ const (
 	commitInvalid
 	commitInvalidSilent // forged/inconsistent: ignore, keep evidence
 )
+
+// proposeHint is the evidence hint for the proposal a commit embeds: the
+// digest d this party took of the propose body it signed or answered,
+// handed over only when the embedded bytes equal that body, and bound to
+// the embedded bytes' own memory.
+func proposeHint(commit wire.Commit, body []byte, d [32]byte) []nrlog.Hint {
+	if !bytes.Equal(commit.Propose.Body, body) {
+		return nil
+	}
+	return []nrlog.Hint{{Field: commit.Propose.Body, Sum: d}}
+}
 
 // verifyCommit re-derives the group decision from the commit's evidence.
 // Any party can compute the decision over the authenticator and the
@@ -1476,7 +1539,7 @@ func (en *Engine) RecoverPendingRuns(ctx context.Context) ([]Outcome, error) {
 		}
 		en.seen.ObserveRecovered(r.prop.Proposed)
 		// The §7 deadline restarts post-crash: started is now.
-		run := en.enterRunLocked(r.prop, r.signed, append([]byte(nil), r.rec.Raw...),
+		run := en.enterRunLocked(r.prop, r.signed, append([]byte(nil), r.rec.Raw...), crypto.Hash(r.signed.Body),
 			append([]byte(nil), r.rec.Auth...), newState, recipients, prev)
 		chain = append(chain, run)
 		prev = run

@@ -60,9 +60,11 @@ func sigMemoKey(s wire.Signed, d [32]byte) [32]byte {
 		s.TS.Hash[:], s.TS.Sig, s.Sig.Sig, d[:])
 }
 
-// digest takes the one body digest of a verifySigned or memoOwnSigned call.
+// digest takes the one body digest of a verifySigned or memoOwnSigned call,
+// or of a received proposal (handlePropose shares it between the evidence
+// entry and verifySignedDigest).
 //
-//b2b:unverified digest derivation: feeds sigMemoKey and Signed.VerifyDigest in the same verifySigned call, before any field is trusted
+//b2b:unverified digest derivation: feeds sigMemoKey and Signed.VerifyDigest, and binds the body in the evidence chain, before any field is trusted
 func (m *sigMemo) digest(s wire.Signed) [32]byte {
 	m.digests.Add(1)
 	return s.BodyDigest()
@@ -110,7 +112,13 @@ func (m *sigMemo) stats() (hits, misses uint64) {
 // and timestamp are checked against. A hit skips the two ed25519
 // operations; a verified miss is recorded for next time.
 func (en *Engine) verifySigned(s wire.Signed) error {
-	d := en.memo.digest(s)
+	return en.verifySignedDigest(s, en.memo.digest(s))
+}
+
+// verifySignedDigest is verifySigned for a caller that already took the
+// body digest, d = en.memo.digest(s), to use it for the evidence entry as
+// well: handlePropose, whose proposal body may be a whole state.
+func (en *Engine) verifySignedDigest(s wire.Signed, d [32]byte) error {
 	k := sigMemoKey(s, d)
 	if en.memo.seen(k) {
 		return nil

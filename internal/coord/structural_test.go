@@ -89,7 +89,8 @@ func TestStructuralRejectWinsOverValidation(t *testing.T) {
 			b.val.mu.Unlock()
 
 			signed, prop := signedUpdate(t, c, "structural-"+tc.name, uint64(10+i), []byte("delta"))
-			decision, newState := b.engine.evaluatePropose("a", signed, prop, crypto.Hash(prop.Update))
+			decision, newState := b.engine.evaluatePropose("a", signed, prop,
+				received{digest: signed.BodyDigest(), hash: crypto.Hash(prop.Update)})
 
 			b.val.mu.Lock()
 			validated := b.val.validated - before

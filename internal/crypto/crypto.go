@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"b2b/internal/canon"
@@ -38,19 +39,34 @@ var (
 // Hash is the protocol's secure hash (SHA-256) over the concatenation of the
 // given byte slices. The single-slice form — the overwhelmingly common call —
 // takes the stdlib's allocation-free fast path; the variadic form sums into a
-// stack buffer instead of allocating through h.Sum(nil).
+// stack buffer instead of allocating through h.Sum(nil). Every call adds its
+// input length to the process-wide counter Stats reports.
 func Hash(parts ...[]byte) [32]byte {
 	if len(parts) == 1 {
+		statHashed.Add(uint64(len(parts[0])))
 		return sha256.Sum256(parts[0])
 	}
 	h := sha256.New()
+	n := 0
 	for _, p := range parts {
+		n += len(p)
 		h.Write(p)
 	}
+	statHashed.Add(uint64(n))
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }
+
+// statHashed counts the bytes Hash has digested, process-wide.
+var statHashed atomic.Uint64
+
+// Stats returns the number of input bytes Hash has digested since the last
+// ResetStats: the protocol's SHA-256 cost, independent of the host.
+func Stats() (hashed uint64) { return statHashed.Load() }
+
+// ResetStats zeroes the hashed-bytes counter (test and benchmark setup).
+func ResetStats() { statHashed.Store(0) }
 
 // Nonce returns 32 statistically random, unpredictable bytes (the paper's
 // secure pseudo-random sequence generator).

@@ -300,3 +300,18 @@ func TestHashEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHashCountsInput: Stats counts every byte Hash digests, one- and
+// many-part calls alike, from the last ResetStats.
+func TestHashCountsInput(t *testing.T) {
+	ResetStats()
+	Hash(make([]byte, 100))
+	Hash([]byte("ab"), nil, make([]byte, 30))
+	if got := Stats(); got != 132 {
+		t.Fatalf("Stats = %d, want 132", got)
+	}
+	ResetStats()
+	if got := Stats(); got != 0 {
+		t.Fatalf("Stats after ResetStats = %d", got)
+	}
+}

@@ -1,6 +1,7 @@
 package nrlog
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -81,4 +82,35 @@ func BenchmarkByRunIndexed(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPayloadDigest: D on a respond-sized payload (one SHA-256 of the
+// payload, like the plain hash beside it) and on a 1 MiB signed body, with
+// and without the hint its signature step supplies.
+func BenchmarkPayloadDigest(b *testing.B) {
+	small, large := signedLike(body(600)), signedLike(body(1<<20))
+	field := largeField(b, large)
+	hint := []Hint{{Field: field, Sum: sha256.Sum256(field)}}
+	b.Run("sha256-small", func(b *testing.B) {
+		b.SetBytes(int64(len(small)))
+		for i := 0; i < b.N; i++ {
+			_ = sha256.Sum256(small)
+		}
+	})
+	b.Run("small", func(b *testing.B) {
+		b.SetBytes(int64(len(small)))
+		for i := 0; i < b.N; i++ {
+			_ = payloadDigest(small, nil)
+		}
+	})
+	b.Run("1MiB", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = payloadDigest(large, nil)
+		}
+	})
+	b.Run("1MiB-hinted", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = payloadDigest(large, hint)
+		}
+	})
 }

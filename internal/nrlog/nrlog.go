@@ -4,6 +4,14 @@
 // so that truncation or in-place modification of the record is detectable,
 // and indexed by protocol run so the evidence for a disputed run can be
 // handed to extra-protocol arbitration.
+//
+// An entry's hash binds its payload through a digest in which every bytes
+// field of 4 KiB or more — a signed body carrying a whole state — enters by
+// its own SHA-256 (docs/PROTOCOL.md §8.1). The appender may supply that
+// digest as a Hint, taken from the signature step that already hashed the
+// body, so a large message is hashed once per party however many entries
+// carry it. Verification, segmented replay and ReadArchive take no hints:
+// they recompute every digest from the stored bytes.
 package nrlog
 
 import (
@@ -30,7 +38,8 @@ const (
 )
 
 // Entry is one evidence record. Hash covers (Seq, RunSeq, PrevHash, Time,
-// RunID, Object, Kind, Party, Direction, Payload); PrevHash chains entries.
+// RunID, Object, Kind, Party, Direction) and the payload through its digest
+// (payloadDigest); PrevHash chains entries.
 // RunSeq is the proposal sequence number of the coordination run the
 // evidence belongs to (zero when not applicable), so the evidence of a
 // pipelined burst is chained per sequence: the records of run k and of its
@@ -59,8 +68,11 @@ type Entry struct {
 //
 // The metadata is framed canonically (every string length-prefixed), so no
 // two entries whose fields differ can share a hash input by moving bytes
-// from one field into its neighbour.
-func entryHash(e *Entry) [32]byte {
+// from one field into its neighbour. The payload enters through its fixed-
+// size digest D (payloadDigest), which binds a large field by that field's
+// own SHA-256. Only an append passes hints; Verify, segmented replay and
+// ReadArchive recompute every digest from the stored bytes.
+func entryHash(e *Entry, hints ...Hint) [32]byte {
 	meta := canon.Marshal(func(enc *canon.Encoder) {
 		enc.Struct("nrlog-entry")
 		enc.Uint64(e.Seq)
@@ -72,7 +84,8 @@ func entryHash(e *Entry) [32]byte {
 		enc.String(string(e.Direction))
 		enc.Int64(e.Time.UTC().UnixNano())
 	})
-	return crypto.Hash(e.PrevHash[:], meta, e.Payload)
+	d := payloadDigest(e.Payload, hints)
+	return crypto.Hash(e.PrevHash[:], meta, d[:])
 }
 
 // Errors reported by logs.
@@ -100,9 +113,11 @@ type Log interface {
 // SeqAppender is an optional Log extension: evidence tagged with the
 // coordination run's proposal sequence number, so the record of a pipelined
 // burst is indexed per sequence (see Entry.RunSeq). Both built-in logs
-// implement it; Append is AppendSeq with RunSeq zero.
+// implement it; Append is AppendSeq with RunSeq zero and no hints. hints
+// name the SHA-256 of large payload fields the caller already digested (see
+// Hint); only the coordinator's evidence helpers pass them.
 type SeqAppender interface {
-	AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error)
+	AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error)
 }
 
 // BySeq filters entries down to one object's runs at one proposal sequence.
@@ -146,7 +161,7 @@ func (l *Memory) Append(runID, object, kind, party string, dir Direction, payloa
 }
 
 // AppendSeq implements SeqAppender.
-func (l *Memory) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error) {
+func (l *Memory) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := Entry{
@@ -163,7 +178,7 @@ func (l *Memory) AppendSeq(runID string, runSeq uint64, object, kind, party stri
 	if len(l.entries) > 0 {
 		e.PrevHash = l.tail
 	}
-	e.Hash = entryHash(&e)
+	e.Hash = entryHash(&e, hints...)
 	l.byRun[e.RunID] = append(l.byRun[e.RunID], len(l.entries))
 	l.entries = append(l.entries, e)
 	l.tail = e.Hash

@@ -168,14 +168,14 @@ type segmentedConsumer Segmented
 // appends that stage the entry without waiting for the disk, plus a Barrier
 // making everything staged durable in one group-commit fsync.
 type Batched interface {
-	AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error)
+	AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error)
 	Barrier() error
 }
 
 // stage forms, indexes and caches the next entry under mu; the WAL append
 // happens outside the lock (the plane orders records by arrival, and replay
 // re-sorts by Seq).
-func (l *Segmented) stage(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) Entry {
+func (l *Segmented) stage(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints []Hint) Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e := Entry{
@@ -194,7 +194,7 @@ func (l *Segmented) stage(runID string, runSeq uint64, object, kind, party strin
 	} else {
 		e.PrevHash = l.baseHash
 	}
-	e.Hash = entryHash(&e)
+	e.Hash = entryHash(&e, hints...)
 	l.byRun[e.RunID] = append(l.byRun[e.RunID], len(l.entries))
 	l.entries = append(l.entries, e)
 	l.tail = e.Hash
@@ -209,8 +209,8 @@ func (l *Segmented) Append(runID, object, kind, party string, dir Direction, pay
 // AppendSeq implements SeqAppender. The durability wait happens outside
 // appendMu so concurrent durable appenders still share group-commit
 // fsyncs.
-func (l *Segmented) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error) {
-	e, err := l.AppendDeferred(runID, runSeq, object, kind, party, dir, payload)
+func (l *Segmented) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error) {
+	e, err := l.AppendDeferred(runID, runSeq, object, kind, party, dir, payload, hints...)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -222,9 +222,9 @@ func (l *Segmented) AppendSeq(runID string, runSeq uint64, object, kind, party s
 
 // AppendDeferred implements Batched: the entry is staged and appended, but
 // only durable after the next Barrier.
-func (l *Segmented) AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte) (Entry, error) {
+func (l *Segmented) AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error) {
 	l.appendMu.Lock()
-	e := l.stage(runID, runSeq, object, kind, party, dir, payload)
+	e := l.stage(runID, runSeq, object, kind, party, dir, payload, hints)
 	err := l.pl.AppendDeferred(store.RecNrlogEntry, encodeEntry(e))
 	l.appendMu.Unlock()
 	if err != nil {

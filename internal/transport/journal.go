@@ -46,7 +46,7 @@ func (c *journalConsumer) Replay(kind store.RecordKind, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		r.outbox[msgID] = &outRec{to: to, payload: [][]byte{body}, frame: encodeRel(relData, msgID, body), durable: true}
+		r.outbox[msgID] = &outRec{to: to, payload: [][]byte{body}, frame: encodeRel(relData, msgID, body), sent: true}
 	case store.RecOutboxAcked:
 		ids, err := decodeStrings("racked", payload)
 		if err != nil {

@@ -128,10 +128,12 @@ type outRec struct {
 	to      string
 	payload [][]byte
 	frame   frame
-	sentAt  time.Time // last wire transmission
-	// durable is false while the journal append is in flight: the record is
-	// in the outbox (so a racing compaction keeps it) but not on the wire.
-	durable bool
+	sentAt  time.Time // when the last wire transmission was made
+	// sent is false until the first transmission has returned: while the
+	// journal append or the first copy is in flight the record is in the
+	// outbox (so a racing compaction keeps it and an early ack retires it),
+	// but it is not due for retransmission.
+	sent bool
 }
 
 // peerBackoff is one peer's retransmission pacing state.
@@ -212,7 +214,7 @@ func (r *Reliable) Send(ctx context.Context, to string, payload []byte) error {
 // only where the datagram leaves the process — or into the journal record.
 func (r *Reliable) SendFrame(ctx context.Context, to string, payload [][]byte) error {
 	msgID := r.nextMsgID()
-	rec := &outRec{to: to, payload: payload, frame: encodeRel(relData, msgID, payload...), sentAt: time.Now(), durable: r.journal == nil}
+	rec := &outRec{to: to, payload: payload, frame: encodeRel(relData, msgID, payload...)}
 
 	r.mu.Lock()
 	if r.closed {
@@ -224,21 +226,23 @@ func (r *Reliable) SendFrame(ctx context.Context, to string, payload [][]byte) e
 
 	if r.journal != nil {
 		err := r.journal.Append(store.RecOutboxSave, marshalOutRecord(msgID, to, payload...))
-		r.mu.Lock()
 		if err != nil {
+			r.mu.Lock()
 			delete(r.outbox, msgID)
-		} else {
-			rec.durable, rec.sentAt = true, time.Now()
-		}
-		r.mu.Unlock()
-		if err != nil {
+			r.mu.Unlock()
 			return fmt.Errorf("transport: journaling outgoing: %w", err)
 		}
 	}
 	// First transmission. Errors are ignored deliberately: the retransmit
 	// loop will retry, and an unreachable peer is indistinguishable from a
-	// lossy link at this layer.
+	// lossy link at this layer. The retransmit clock starts when the
+	// transmission returns: writing a large frame (a 1 MiB copy into the
+	// in-memory network, a blocking socket write) is not time in which its
+	// ack could have been lost.
 	r.transmit(ctx, to, rec.frame)
+	r.mu.Lock()
+	rec.sent, rec.sentAt = true, time.Now()
+	r.mu.Unlock()
 	return nil
 }
 
@@ -436,9 +440,10 @@ func (r *Reliable) Close() error {
 
 // retransmitLoop sweeps the outbox at the retry floor, but each peer is
 // only put back on the wire when its backoff interval has elapsed: the
-// first retransmission fires one floor interval after Send, then a silent
-// peer's interval doubles (with jitter) up to the cap. A peer that was
-// merely slow resets to the floor the moment any of its frames arrives.
+// first retransmission fires one floor interval after the first copy went
+// out, then a silent peer's interval doubles (with jitter) up to the cap.
+// A peer that was merely slow resets to the floor the moment any of its
+// frames arrives.
 func (r *Reliable) retransmitLoop() {
 	defer r.wg.Done()
 	ticker := time.NewTicker(r.retry)
@@ -451,9 +456,10 @@ func (r *Reliable) retransmitLoop() {
 			now := time.Now()
 			r.mu.Lock()
 			byPeer := make(map[string][]frame)
+			var resent []*outRec
 			for _, rec := range r.outbox {
-				if !rec.durable {
-					continue // journal append in flight: not on the wire yet
+				if !rec.sent {
+					continue // journal append or first copy in flight
 				}
 				if pb := r.backoff[rec.to]; pb != nil && now.Before(pb.next) {
 					continue // peer not due yet
@@ -467,6 +473,7 @@ func (r *Reliable) retransmitLoop() {
 				}
 				rec.sentAt = now
 				byPeer[rec.to] = append(byPeer[rec.to], rec.frame)
+				resent = append(resent, rec)
 			}
 			for to := range byPeer {
 				pb := r.backoff[to]
@@ -487,6 +494,13 @@ func (r *Reliable) retransmitLoop() {
 					r.sendFrame(context.Background(), to, f)
 				}
 			}
+			// As for a first copy, the clock restarts once the copies are
+			// out, so a slow large send is not itself taken for a lost ack.
+			r.mu.Lock()
+			for _, rec := range resent {
+				rec.sentAt = time.Now()
+			}
+			r.mu.Unlock()
 		}
 	}
 }

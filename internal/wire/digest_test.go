@@ -106,17 +106,18 @@ func FuzzSignedVerify(f *testing.F) {
 }
 
 // TestVerifyDigestCallers: VerifyDigest trusts the digest it is handed, so
-// only the two functions that compute it from Body in the same call may use
-// it — Signed.Verify and the coordinator's memoised verifySigned. Every Go
-// file in the module (tests included) is scanned.
+// only the two functions handed it by a caller that computed it from Body
+// may use it — Signed.Verify and the coordinator's memoised
+// verifySignedDigest. Every Go file in the module (tests included) is
+// scanned.
 func TestVerifyDigestCallers(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[string]bool{
-		"internal/wire/wire.go:Verify":           true,
-		"internal/coord/sigmemo.go:verifySigned": true,
+		"internal/wire/wire.go:Verify":                 true,
+		"internal/coord/sigmemo.go:verifySignedDigest": true,
 	}
 	fset := token.NewFileSet()
 	found := map[string]bool{}

@@ -170,14 +170,17 @@ func Sign(kind Kind, body []byte, ident *crypto.Identity, tsa Stamper) Signed {
 // the body is encoded once, straight into the signed wrapper. raw is the
 // wrapper's canonical encoding (what s.Marshal returns) and s.Body is the
 // sub-slice of raw holding the body, so a large field of the body — a whole
-// state — is copied exactly once, into raw.
-func SignEncoded(kind Kind, encode func(*canon.Encoder), ident *crypto.Identity, tsa Stamper) (s Signed, raw []byte) {
+// state — is copied exactly once, into raw. d is the body digest the
+// signature binds (s.BodyDigest() at return), for a caller that needs it
+// again — the evidence log binds the body by it — without rehashing.
+func SignEncoded(kind Kind, encode func(*canon.Encoder), ident *crypto.Identity, tsa Stamper) (s Signed, raw []byte, d [32]byte) {
 	parts := canon.MarshalSegments(encode)
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
-	s = signDigest(kind, n, crypto.Hash(parts...), ident, tsa)
+	d = crypto.Hash(parts...)
+	s = signDigest(kind, n, d, ident, tsa)
 	var end int
 	raw = canon.Marshal(func(e *canon.Encoder) {
 		e.Struct("signed")
@@ -188,7 +191,7 @@ func SignEncoded(kind Kind, encode func(*canon.Encoder), ident *crypto.Identity,
 		s.TS.Encode(e)
 	})
 	s.Body = raw[end-n : end : end]
-	return s, raw
+	return s, raw, d
 }
 
 // signDigest signs a body of bodyLen bytes with digest d.
@@ -230,9 +233,9 @@ func (s Signed) Verify(v *crypto.Verifier) error {
 
 // VerifyDigest is Verify with the body digest d supplied by the caller, for
 // a caller that needs the digest for something else as well (the
-// coordinator's signature memo key). d must be s.BodyDigest() computed in
-// the same call; the only callers are Verify and coord's verifySigned
-// (enforced by TestVerifyDigestCallers).
+// coordinator's signature memo key and evidence entry). d must be
+// s.BodyDigest() of this very s; the only callers are Verify and coord's
+// verifySignedDigest (enforced by TestVerifyDigestCallers).
 func (s Signed) VerifyDigest(v *crypto.Verifier, d [32]byte) error {
 	if err := v.VerifySignature(signInput(s.Kind, len(s.Body), d), s.Sig, s.TS.Time); err != nil {
 		return fmt.Errorf("wire: %s from %s: %w", s.Kind, s.Sig.Signer, err)

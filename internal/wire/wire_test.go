@@ -114,15 +114,19 @@ func TestSignedVerify(t *testing.T) {
 }
 
 // TestSignEncodedWritesBodyOnce: SignEncoded produces the signature Sign
-// does over the marshalled body, raw is exactly Marshal's bytes, and the
-// body — a whole 1 MiB state here — lives inside raw, not beside it.
+// does over the marshalled body, raw is exactly Marshal's bytes, the body —
+// a whole 1 MiB state here — lives inside raw, not beside it, and the
+// digest it returns is the body digest the signature binds.
 func TestSignEncodedWritesBodyOnce(t *testing.T) {
 	fx := newFixture(t)
 	p := sampleProposal("alice")
 	p.NewState = bytes.Repeat([]byte{0x5a}, 1<<20)
-	s, raw := SignEncoded(KindPropose, p.Encode, fx.alice, fx.tsa)
+	s, raw, d := SignEncoded(KindPropose, p.Encode, fx.alice, fx.tsa)
 	if err := s.Verify(fx.v); err != nil {
 		t.Fatalf("Verify: %v", err)
+	}
+	if d != s.BodyDigest() {
+		t.Fatal("SignEncoded returned a digest other than the body's")
 	}
 	if !bytes.Equal(s.Body, p.Marshal()) {
 		t.Fatal("signed body differs from the marshalled proposal")
