@@ -110,7 +110,7 @@ type deployment struct {
 
 func newDeployment(t *testing.T, ids []string, opts ...b2b.Option) *deployment {
 	t.Helper()
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestPublicAPIDeferredSynchronous(t *testing.T) {
 }
 
 func TestPublicAPIAsynchronousCallback(t *testing.T) {
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +378,7 @@ func TestPublicAPIAsynchronousCallback(t *testing.T) {
 
 func TestPublicAPIMembership(t *testing.T) {
 	// Founding pair plus a late joiner via Connect; then voluntary leave.
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +532,7 @@ func (f *failingApplyDoc) ApplyState(state []byte) error {
 // reports ErrDivergent, new proposals are refused, and Restore clears the
 // condition once installation succeeds again.
 func TestApplyStateFailureSurfaces(t *testing.T) {
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)

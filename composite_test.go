@@ -139,7 +139,7 @@ func TestCompositeCoordinatedAtomically(t *testing.T) {
 	// Two parties share a composite of two owned components; a single run
 	// installs changes to both components atomically, and a change touching
 	// a foreign component vetoes the whole proposal.
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestReplicaConsistencyRandomised(t *testing.T) {
 // coordinating with its peer.
 func TestFullStackCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestFullStackCrashRecovery(t *testing.T) {
 
 // TestCoordinationOverTCP: the full protocol across real TCP endpoints.
 func TestCoordinationOverTCP(t *testing.T) {
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestEvidenceIsPortable(t *testing.T) {
 // participants over TCP+reliable, each with a separate control TCP endpoint
 // serving RMI, driven by an ephemeral CLI client.
 func TestNodeTopologyOverTCP(t *testing.T) {
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +559,7 @@ type deployedNode struct {
 // same directories, id and address, and coordination continues. Every party
 // must converge on the same agreed state and every evidence log must verify.
 func TestDeployedNodeRestartMidPipeline(t *testing.T) {
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ func TestSimDeterministic(t *testing.T) {
 		t.Fatalf("Now = %v", s.Now())
 	}
 	// Time does not pass on its own.
+	time.Sleep(time.Millisecond)
 	if !s.Now().Equal(start) {
 		t.Fatal("sim clock advanced spontaneously")
 	}
@@ -28,11 +29,6 @@ func TestSimDeterministic(t *testing.T) {
 	want := start.Add(90 * time.Minute)
 	if !got.Equal(want) || !s.Now().Equal(want) {
 		t.Fatalf("after Advance: %v, want %v", s.Now(), want)
-	}
-	jump := time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC)
-	s.Set(jump)
-	if !s.Now().Equal(jump) {
-		t.Fatalf("after Set: %v", s.Now())
 	}
 }
 

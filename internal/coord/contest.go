@@ -371,7 +371,7 @@ func (en *Engine) gossipInterval() time.Duration {
 }
 
 // armRegossip schedules one bounded re-broadcast of pred's digest (and a
-// re-resolution) per remaining round, on the configured clock's scheduler.
+// re-resolution) per remaining round, on the configured clock.
 // Rounds stop when the contest retires or the budget is spent; peers that
 // still disagree pull through digest replies instead.
 func (en *Engine) armRegossip(pred tuple.State) {
@@ -383,7 +383,7 @@ func (en *Engine) armRegossip(pred tuple.State) {
 	}
 	c.armed = true
 	en.mu.Unlock()
-	clock.After(en.cfg.Clock, en.gossipInterval(), func() {
+	en.cfg.Clock.AfterFunc(en.gossipInterval(), func() {
 		en.mu.Lock()
 		c := en.contests[pred]
 		if c == nil {
@@ -672,7 +672,9 @@ func (en *Engine) leaseHolderLocked() string {
 // the slot, waking the next holder in turn) before proposing. Purely a
 // liveness optimization — the wait is bounded and the tie-break stays
 // correct without it — and a no-op for single-writer workloads, where
-// contention is never marked.
+// contention is never marked. A commit landing while this party defers is
+// contention the lease absorbed and re-marks it: the lease lapses one
+// contention window after proposers stop overlapping.
 func (en *Engine) leaseDefer(ctx context.Context) {
 	en.mu.Lock()
 	if !en.bootstrapped || len(en.members) < 2 || !en.contendedLocked() {
@@ -683,12 +685,16 @@ func (en *Engine) leaseDefer(ctx context.Context) {
 		en.mu.Unlock()
 		return
 	}
+	deferredAt := en.agreed.Seq
 	en.mu.Unlock()
 
 	waitCtx, cancel := clock.WithTimeout(ctx, en.cfg.Clock, en.leaseWait())
 	defer cancel()
 	for {
 		en.mu.Lock()
+		if en.agreed.Seq != deferredAt {
+			en.markContentionLocked()
+		}
 		ch := en.changed
 		holder := en.leaseHolderLocked() == en.cfg.Ident.ID()
 		contended := en.contendedLocked()

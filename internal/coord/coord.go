@@ -248,7 +248,6 @@ type respondedRun struct {
 	newState *pagestate.Paged // state a valid commit will install (shared COW)
 	proposed tuple.State
 	pred     tuple.State
-	started  time.Time
 	// durable marks that the run record and response evidence reached the
 	// store/log (the durability barrier succeeded). The signed response is
 	// only ever sent while durable; until then a duplicate propose
@@ -556,6 +555,7 @@ func (en *Engine) ApplyMembership(g tuple.Group, members []string) error {
 	en.members = append([]string(nil), members...)
 	en.group = g
 	en.frozen = false
+	en.notifyChangedLocked()
 	return en.checkpointLocked()
 }
 
@@ -603,12 +603,13 @@ func (en *Engine) AgreedTuple() tuple.State {
 }
 
 // Watch returns a channel that is closed at the engine's next observable
-// coordination transition (agreed tuple publication or resolution of an
-// answered-but-uncommitted run). Callers wanting to wait for a condition
-// grab the channel FIRST, then read the state they care about, then select
-// on the channel: a transition between the read and the select has already
-// closed the returned channel, so no wakeup is ever missed. Each returned
-// channel fires once; re-arm by calling Watch again.
+// coordination transition (agreed tuple publication, resolution of an
+// answered-but-uncommitted run, or an applied membership change). Callers
+// wanting to wait for a condition grab the channel FIRST, then read the
+// state they care about, then select on the channel: a transition between
+// the read and the select has already closed the returned channel, so no
+// wakeup is ever missed. Each returned channel fires once; re-arm by
+// calling Watch again.
 func (en *Engine) Watch() <-chan struct{} {
 	en.mu.Lock()
 	defer en.mu.Unlock()
@@ -951,7 +952,7 @@ func (en *Engine) enterRunLocked(prop wire.Propose, signed wire.Signed, raw []by
 		responses: make(map[string]wire.Signed, len(recips)),
 		parsed:    make(map[string]wire.Respond, len(recips)),
 		recips:    recips,
-		started:   time.Now(),
+		started:   en.cfg.Clock.Now(),
 		done:      make(chan struct{}),
 		pred:      pred,
 		predTuple: prop.Pred,

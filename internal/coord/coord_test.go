@@ -109,7 +109,7 @@ type node struct {
 type cluster struct {
 	t     *testing.T
 	net   *transport.Network
-	clk   *clock.Sim
+	clk   clock.Clock
 	ca    *crypto.CA
 	tsa   *crypto.TSA
 	nodes map[string]*node
@@ -128,7 +128,7 @@ func withTTP(name string) clusterOpt {
 
 func newCluster(t *testing.T, ids []string, initial []byte, opts ...clusterOpt) *cluster {
 	t.Helper()
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	ca, err := crypto.NewCA("ca", clk, 365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)

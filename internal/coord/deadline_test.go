@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"b2b/internal/clock"
 )
 
 // These tests pin the §7 response-deadline semantics: under majority
@@ -73,5 +75,46 @@ func TestResponseDeadlineMinorityCannotConclude(t *testing.T) {
 	_, err := c.node("a").engine.Propose(ctx, []byte("v1"))
 	if !errors.Is(err, ErrBlocked) {
 		t.Fatalf("err = %v, want ErrBlocked", err)
+	}
+}
+
+// TestEngineTimersFollowClock: the retry round and the §7 response deadline
+// run on the engine's configured clock. On a simulated clock that never
+// moves, a majority-termination run with a silent recipient waits however
+// long the process clock runs; it concludes once the clock is advanced
+// past the deadline.
+func TestEngineTimersFollowClock(t *testing.T) {
+	sim := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	c := newCluster(t, []string{"a", "b", "c"}, []byte("v0"),
+		withTermination(Majority), withResponseDeadline(100*time.Millisecond),
+		func(cfg *Config) { cfg.Clock = sim })
+	defer c.close()
+	// c is silent; a and b are a strict majority of three.
+	c.net.Partition([]string{"a", "b"}, []string{"c"})
+
+	ctx, cancel := ctxTO(10 * time.Second)
+	defer cancel()
+	type result struct {
+		out Outcome
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := c.node("a").engine.Propose(ctx, []byte("v1"))
+		done <- result{out, err}
+	}()
+	select {
+	case r := <-done:
+		t.Fatalf("run concluded before the engine's clock moved: %+v, %v", r.out, r.err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	sim.Advance(150 * time.Millisecond)
+	select {
+	case r := <-done:
+		if r.err != nil || !r.out.Valid {
+			t.Fatalf("majority outcome after the deadline: %+v, %v", r.out, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run did not conclude after the clock passed the response deadline")
 	}
 }

@@ -89,8 +89,8 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 		// stop honest parties from further coordination, so after the grace
 		// period we proceed — a stale proposal is merely vetoed and retried.
 		// Mid-pipeline the wait is skipped: the burst already owns the chain.
-		// The deadline runs on the configured clock's scheduler when it has
-		// one, so seed-driven replays control the contention window.
+		// The deadline runs on the configured clock, so a simulated clock
+		// controls the grace window.
 		graceCtx, cancel := clock.WithTimeout(ctx, en.cfg.Clock, en.pendingGrace())
 		_ = en.waitNoPending(graceCtx)
 		cancel()
@@ -278,7 +278,7 @@ func (en *Engine) awaitRun(ctx context.Context, run *proposerRun) (Outcome, erro
 	var retryC <-chan time.Time
 	var deadline time.Duration
 	if en.cfg.RetryInterval > 0 {
-		ticker := time.NewTicker(en.cfg.RetryInterval)
+		ticker := en.cfg.Clock.NewTicker(en.cfg.RetryInterval)
 		defer ticker.Stop()
 		retryC = ticker.C
 		if en.cfg.Termination == Majority && en.cfg.ResponseDeadline > 0 {
@@ -300,7 +300,7 @@ func (en *Engine) awaitRun(ctx context.Context, run *proposerRun) (Outcome, erro
 	// pipelined proposer, which often collects an outcome long after the
 	// deadline already lapsed and must not wait out a fresh retry round.
 	tryConclude := func() {
-		if deadline == 0 || time.Since(run.started) < deadline {
+		if deadline == 0 || en.cfg.Clock.Now().Sub(run.started) < deadline {
 			return
 		}
 		en.mu.Lock()
@@ -585,7 +585,7 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 		en.waitProps[pred] = append(en.waitProps[pred], pendingMsg{from: from, payload: payload, runID: prop.RunID})
 		en.mu.Unlock()
 		runID := prop.RunID
-		clock.After(en.cfg.Clock, en.pendingGrace(), func() {
+		en.cfg.Clock.AfterFunc(en.pendingGrace(), func() {
 			// Expire only this proposal: others buffered on the same tuple
 			// keep their own full grace period.
 			en.mu.Lock()
@@ -663,7 +663,6 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 		newState: newState,
 		proposed: prop.Proposed,
 		pred:     pred,
-		started:  en.cfg.Clock.Now(),
 	}
 	en.responded[prop.RunID] = rr
 	delete(en.propWaited, prop.RunID)

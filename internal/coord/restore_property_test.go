@@ -39,7 +39,7 @@ func runRestoreProperty(t *testing.T, seed uint64) {
 	snapshotEvery := 1 + rng.IntN(8)
 	runs := 5 + rng.IntN(25)
 
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	ca, err := crypto.NewCA("ca", clk, 365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)

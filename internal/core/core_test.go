@@ -18,7 +18,7 @@ import (
 	"b2b/internal/wire"
 )
 
-func newParticipant(t *testing.T, nw *transport.Network, clk *clock.Sim,
+func newParticipant(t *testing.T, nw *transport.Network, clk clock.Clock,
 	ca *crypto.CA, tsa *crypto.TSA, id string, certs []crypto.Certificate) *core.Participant {
 	t.Helper()
 	ident, err := crypto.NewIdentity(id)
@@ -56,7 +56,7 @@ func newParticipant(t *testing.T, nw *transport.Network, clk *clock.Sim,
 }
 
 func TestParticipantBindErrors(t *testing.T) {
-	clk := clock.NewSim(time.Unix(0, 0))
+	clk := clock.Wall{}
 	ca, err := crypto.NewCA("ca", clk, time.Hour)
 	if err != nil {
 		t.Fatal(err)

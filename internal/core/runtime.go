@@ -546,7 +546,7 @@ func (p *Participant) throttlePeers(ctx context.Context, b *binding, max int) er
 		case <-ctx.Done():
 			return fmt.Errorf("%w: %s: backlog to %s is %d frames (cap %d): %v",
 				ErrQuotaExceeded, b.object, peer, worst, max, ctx.Err())
-		case <-time.After(interval):
+		case <-p.cfg.Clock.After(interval):
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // newQuotaParticipant is the core_test harness with a quota policy attached.
-func newQuotaParticipant(t *testing.T, nw *transport.Network, clk *clock.Sim,
+func newQuotaParticipant(t *testing.T, nw *transport.Network, clk clock.Clock,
 	ca *crypto.CA, tsa *crypto.TSA, id string, certs []crypto.Certificate,
 	q core.QuotaPolicy) *core.Participant {
 	t.Helper()
@@ -59,9 +59,9 @@ func newQuotaParticipant(t *testing.T, nw *transport.Network, clk *clock.Sim,
 	return p
 }
 
-func testWorldDeps(t *testing.T) (*transport.Network, *clock.Sim, *crypto.CA, *crypto.TSA) {
+func testWorldDeps(t *testing.T) (*transport.Network, clock.Clock, *crypto.CA, *crypto.TSA) {
 	t.Helper()
-	clk := clock.NewSim(time.Unix(0, 0))
+	clk := clock.Wall{}
 	ca, err := crypto.NewCA("ca", clk, time.Hour)
 	if err != nil {
 		t.Fatal(err)

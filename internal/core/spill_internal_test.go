@@ -53,7 +53,7 @@ func (c *spillFakeConn) sentCount() int {
 
 func newSpillParticipant(t *testing.T, conn Conn, log nrlog.Log, q QuotaPolicy) *Participant {
 	t.Helper()
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	ca, err := crypto.NewCA("ca", clk, 24*time.Hour)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -331,15 +332,7 @@ func (m *Manager) Leave(ctx context.Context) error {
 		delete(m.leaves, ch)
 		m.mu.Unlock()
 	}()
-	var notice wire.DiscNotice
-	err := m.requestDeparture(ctx, []string{self}, true, func() bool {
-		select {
-		case notice = <-ch:
-			return true
-		default:
-			return false
-		}
-	})
+	notice, err := m.requestDeparture(ctx, []string{self}, ch)
 	if err != nil {
 		return err
 	}
@@ -375,35 +368,31 @@ func (m *Manager) Evict(ctx context.Context, evictees ...string) error {
 			return fmt.Errorf("%w: use Leave for voluntary disconnection", ErrBadSubject)
 		}
 	}
-	return m.requestDeparture(ctx, evictees, false, func() bool {
-		_, members := m.cfg.Engine.Group()
-		for _, e := range evictees {
-			if contains(members, e) {
-				return false
-			}
-		}
-		return true
-	})
+	_, err := m.requestDeparture(ctx, evictees, nil)
+	return err
 }
 
 // requestDeparture is the requester side of a disconnection, shared by Leave
 // and Evict: it signs the request and sends it to the sponsor — or, when
 // this member is the sponsor, drives the run itself (§4.5.4: request step
-// omitted) — until done reports completion or ctx expires. The sponsor
+// omitted) — until the departure completes or ctx expires. A leave (notices
+// non-nil) completes when the sponsor's DiscNotice arrives there; an
+// eviction completes when no evictee is left in the local membership view,
+// re-checked at every engine transition (Engine.Watch). The sponsor
 // silently refuses requests while another membership change is deciding and
 // sends no completion signal back to an evicting proposer, so the request
-// is re-sent periodically. Completion is polled on a fast ticker, decoupled
-// from the slower re-send period, and a sponsor change (e.g. our own
-// just-applied membership commit rotating sponsorship) re-sends at once.
-func (m *Manager) requestDeparture(ctx context.Context, evictees []string, voluntary bool, done func() bool) error {
+// is re-sent periodically, and a sponsor change (e.g. our own just-applied
+// membership commit rotating sponsorship) re-sends at once.
+func (m *Manager) requestDeparture(ctx context.Context, evictees []string, notices <-chan wire.DiscNotice) (wire.DiscNotice, error) {
+	voluntary := notices != nil
 	_, members := m.cfg.Engine.Group()
 	sponsor, err := SponsorOf(members, evictees...)
 	if err != nil {
-		return err
+		return wire.DiscNotice{}, err
 	}
 	nonce, err := crypto.Nonce()
 	if err != nil {
-		return err
+		return wire.DiscNotice{}, err
 	}
 	self := m.cfg.Ident.ID()
 	op := "-evict-"
@@ -420,7 +409,7 @@ func (m *Manager) requestDeparture(ctx context.Context, evictees []string, volun
 	}
 	signed := wire.Sign(wire.KindDiscRequest, req.Marshal(), m.cfg.Ident, m.cfg.TSA)
 	if err := m.logEvidence(req.ReqID, wire.KindDiscRequest.String(), nrlog.DirSent, signed.Marshal()); err != nil {
-		return err
+		return wire.DiscNotice{}, err
 	}
 	dispatch := func(to string) {
 		if to == self {
@@ -429,27 +418,30 @@ func (m *Manager) requestDeparture(ctx context.Context, evictees []string, volun
 		}
 		_ = m.send(ctx, to, wire.KindDiscRequest, signed.Marshal())
 	}
-	resend := time.NewTicker(m.cfg.ResponseTimeout / 20)
+	resend := m.cfg.Clock.NewTicker(m.cfg.ResponseTimeout / 20)
 	defer resend.Stop()
-	poll := time.NewTicker(2 * time.Millisecond)
-	defer poll.Stop()
 	dispatch(sponsor)
-	for !done() {
+	for {
+		changed := m.cfg.Engine.Watch()
 		_, members = m.cfg.Engine.Group()
+		if !voluntary && !slices.ContainsFunc(evictees, func(e string) bool { return contains(members, e) }) {
+			return wire.DiscNotice{}, nil
+		}
 		if s, err := SponsorOf(members, evictees...); err == nil && s != sponsor {
 			sponsor = s
 			dispatch(sponsor)
 			continue
 		}
 		select {
-		case <-poll.C:
+		case notice := <-notices:
+			return notice, nil
+		case <-changed:
 		case <-resend.C:
 			dispatch(sponsor)
 		case <-ctx.Done():
-			return fmt.Errorf("group: disconnection request %s: %w", req.ReqID, ctx.Err())
+			return wire.DiscNotice{}, fmt.Errorf("group: disconnection request %s: %w", req.ReqID, ctx.Err())
 		}
 	}
-	return nil
 }
 
 // contains reports membership of s in ss.

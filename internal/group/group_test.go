@@ -83,7 +83,7 @@ type gnode struct {
 type gcluster struct {
 	t     *testing.T
 	net   *transport.Network
-	clk   *clock.Sim
+	clk   clock.Clock
 	ca    *crypto.CA
 	tsa   *crypto.TSA
 	nodes map[string]*gnode
@@ -93,7 +93,7 @@ type gcluster struct {
 // the founding group, the rest remain outsiders who may Join.
 func newGCluster(t *testing.T, ids, founding []string, initial []byte) *gcluster {
 	t.Helper()
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	ca, err := crypto.NewCA("ca", clk, 365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)

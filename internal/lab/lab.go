@@ -100,9 +100,6 @@ type Options struct {
 	// Batching enables the reliable layer's throughput path: per-peer frame
 	// coalescing and cumulative acks (transport.WithBatching).
 	Batching bool
-	// Start is the origin of the world's simulated clock (zero: 2002-06-23
-	// UTC).
-	Start time.Time
 	// StorageDir, when set, gives every party durable storage under
 	// <StorageDir>/<id>: the durability plane, one segment WAL shared by
 	// checkpoints, run records and evidence.
@@ -172,7 +169,7 @@ func (s DiskSchedule) arm(d *faults.DiskFS) {
 // World is a lab deployment.
 type World struct {
 	Net     *transport.Network
-	Clk     *clock.Sim
+	Clk     clock.Clock
 	CA      *crypto.CA
 	TSA     *crypto.TSA
 	Parties map[string]*Party
@@ -199,14 +196,12 @@ type binder struct {
 // CA/TSA and holds every other party's certificate (certificates are
 // exchanged out of band between contracting organisations).
 func NewWorld(opts Options, ids ...string) (*World, error) {
-	start := opts.Start
-	if start.IsZero() {
-		start = time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC)
-	}
 	if opts.RetryInterval == 0 {
 		opts.RetryInterval = 25 * time.Millisecond
 	}
-	clk := clock.NewSim(start)
+	// A world runs on the time a deployment runs on: grace periods,
+	// contention windows and retry rounds all expire on their own.
+	clk := clock.Wall{}
 	seed32 := func(name string) []byte {
 		h := crypto.Hash([]byte(fmt.Sprintf("lab-seed-%d-%s", opts.Seed, name)))
 		return h[:]
@@ -626,8 +621,7 @@ func (w *World) Bootstrap(object string, initial []byte, founding []string) erro
 // read — a transition landing between read and park has already closed
 // that channel, so wakeups cannot be missed.
 func (w *World) WaitAgreed(object string, parties []string, want []byte, d time.Duration) error {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timeout := w.Clk.After(d)
 	for {
 		var waitCh <-chan struct{}
 		for _, id := range parties {
@@ -642,7 +636,7 @@ func (w *World) WaitAgreed(object string, parties []string, want []byte, d time.
 			return nil
 		}
 		select {
-		case <-timer.C:
+		case <-timeout:
 			return fmt.Errorf("lab: replicas did not converge to %d-byte state within %v", len(want), d)
 		case <-waitCh:
 		}
@@ -654,8 +648,7 @@ func (w *World) WaitAgreed(object string, parties []string, want []byte, d time.
 // form of WaitAgreed) and returns the common state. Event-driven like
 // WaitAgreed.
 func (w *World) WaitConverged(object string, parties []string, d time.Duration) ([]byte, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timeout := w.Clk.After(d)
 	for {
 		// When parties 0 and i disagree, one of the two must transition
 		// before the group can be equal — parking on both channels is a
@@ -681,7 +674,7 @@ func (w *World) WaitConverged(object string, parties []string, d time.Duration) 
 			return firstState, nil
 		}
 		select {
-		case <-timer.C:
+		case <-timeout:
 			return nil, fmt.Errorf("lab: %d replicas did not converge within %v", len(parties), d)
 		case <-waitCh:
 		case <-refCh:

@@ -97,3 +97,18 @@ func TestRunFig7Transcript(t *testing.T) {
 		t.Fatalf("final order wrong:\n%s", out)
 	}
 }
+
+// TestWorldRunsOnProcessTime: a world's clock is the clock a deployment
+// runs on, so its grace periods and contention windows expire on their own.
+func TestWorldRunsOnProcessTime(t *testing.T) {
+	w, err := NewWorld(Options{Seed: 1}, "x", "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	before := w.Clk.Now()
+	time.Sleep(20 * time.Millisecond)
+	if moved := w.Clk.Now().Sub(before); moved < 20*time.Millisecond {
+		t.Fatalf("world clock moved %v across a 20ms sleep", moved)
+	}
+}

@@ -44,7 +44,7 @@ type ClientConfig struct {
 	// hosting runtime's normal inbound dispatch — drained traffic is
 	// verified by exactly the handlers that verify live traffic.
 	Inject func(from string, envelope []byte)
-	// Clock times drains (nil: wall clock).
+	// Clock times drains and poll re-sends (nil: wall clock).
 	Clock clock.Clock
 	// Metrics, when set, receives the client's counters under "relay.*".
 	Metrics *metrics.Registry
@@ -208,8 +208,8 @@ func (c *Client) pollOnce(ctx context.Context) (wire.RelayBatch, error) {
 
 	poll := wire.RelayPoll{Recipient: c.cfg.Ident.ID(), AckThrough: acked, Max: wire.MaxRelayBatchEntries}
 	signed := wire.Sign(wire.KindRelayPoll, poll.Marshal(), c.cfg.Ident, c.cfg.TSA)
-	timer := time.NewTimer(pollTimeout)
-	defer timer.Stop()
+	resend := c.cfg.Clock.NewTicker(pollTimeout)
+	defer resend.Stop()
 	for {
 		if err := sendEnvelope(ctx, c.cfg.Conn, c.cfg.Relay, wire.KindRelayPoll, signed.Marshal()); err != nil {
 			return wire.RelayBatch{}, err
@@ -219,8 +219,7 @@ func (c *Client) pollOnce(ctx context.Context) (wire.RelayBatch, error) {
 			return b, nil
 		case <-ctx.Done():
 			return wire.RelayBatch{}, ctx.Err()
-		case <-timer.C:
-			timer.Reset(pollTimeout)
+		case <-resend.C:
 		}
 	}
 }

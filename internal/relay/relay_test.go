@@ -204,7 +204,7 @@ func (c *loopConn) Send(_ context.Context, to string, payload []byte) error {
 // fixture bundles the crypto scaffolding every relay test needs.
 type fixture struct {
 	t      *testing.T
-	clk    *clock.Sim
+	clk    clock.Clock
 	ca     *crypto.CA
 	tsa    *crypto.TSA
 	idents map[string]*crypto.Identity
@@ -212,7 +212,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, ids ...string) *fixture {
 	t.Helper()
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	ca, err := crypto.NewCA("ca", clk, 365*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)

@@ -360,7 +360,7 @@ func (ex *executor) resynced(id string) {
 // after schedules a fault revert; endPhase waits for all of them.
 func (ex *executor) after(d time.Duration, fn func()) {
 	ex.wg.Add(1)
-	time.AfterFunc(d, func() {
+	ex.w.Clk.AfterFunc(d, func() {
 		defer ex.wg.Done()
 		ex.mu.Lock()
 		dead := ex.aborted
@@ -468,7 +468,7 @@ func (ex *executor) drivePatchStep(ctx context.Context, i int, st Step) error {
 			select {
 			case <-ctx.Done():
 			case <-en.Watch():
-			case <-time.After(100 * time.Millisecond):
+			case <-ex.w.Clk.After(100 * time.Millisecond):
 			}
 			continue
 		}
@@ -971,13 +971,14 @@ func (ex *executor) endPhase(ctx context.Context) error {
 	// used — omitted-commit attacks pin responded runs at their recipients
 	// until an abort certificate, but agreed-state convergence does not
 	// depend on those resolving.
-	deadline := time.Now().Add(30 * time.Second)
+	clk := ex.w.Clk
+	deadline := clk.Now().Add(30 * time.Second)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d.Add(-2 * time.Second)
 	}
 	var lastErr error
 	converged := false
-	for !converged && time.Now().Before(deadline) {
+	for !converged && clk.Now().Before(deadline) {
 		if _, err := ex.w.WaitConverged(scenarioObject, ex.ids, 2*time.Second); err == nil {
 			converged = true
 			break
@@ -1005,7 +1006,7 @@ func (ex *executor) endPhase(ctx context.Context) error {
 	// nudges close that gap.
 	for _, sib := range ex.siblings {
 		sibDone := false
-		for !sibDone && time.Now().Before(deadline) {
+		for !sibDone && clk.Now().Before(deadline) {
 			if _, err := ex.w.WaitConverged(sib, ex.ids, 2*time.Second); err == nil {
 				sibDone = true
 				break
@@ -1029,7 +1030,7 @@ func (ex *executor) endPhase(ctx context.Context) error {
 	// the precondition of invariant 7.
 	if ex.s.Relay {
 		hub := ex.w.Party(relayHostID).RelayServer
-		for time.Now().Before(deadline) {
+		for clk.Now().Before(deadline) {
 			if msgs, _ := hub.TotalParked(); msgs == 0 {
 				break
 			}
@@ -1047,7 +1048,7 @@ func (ex *executor) endPhase(ctx context.Context) error {
 					ex.mu.Unlock()
 				}
 			}
-			time.Sleep(50 * time.Millisecond)
+			<-clk.After(50 * time.Millisecond)
 		}
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"b2b/internal/canon"
+	"b2b/internal/clock"
 	"b2b/internal/store"
 	"b2b/internal/wire"
 )
@@ -241,7 +242,7 @@ func (r *Reliable) SendFrame(ctx context.Context, to string, payload [][]byte) e
 	// ack could have been lost.
 	r.transmit(ctx, to, rec.frame)
 	r.mu.Lock()
-	rec.sent, rec.sentAt = true, time.Now()
+	rec.sent, rec.sentAt = true, clock.Wall{}.Now()
 	r.mu.Unlock()
 	return nil
 }
@@ -287,7 +288,7 @@ func (r *Reliable) enqueue(to string, f frame, ackID string) {
 	}
 	if !pb.armed {
 		pb.armed = true
-		time.AfterFunc(r.batchWindow, func() { r.flushPeer(to) })
+		clock.Wall{}.AfterFunc(r.batchWindow, func() { r.flushPeer(to) })
 	}
 	r.bmu.Unlock()
 }
@@ -402,7 +403,7 @@ func (r *Reliable) SendStream(ctx context.Context, to string, payload []byte, li
 		var fallback <-chan time.Time
 		for r.PendingTo(to) >= limit {
 			if fallback == nil {
-				tick := time.NewTicker(50 * time.Millisecond)
+				tick := clock.Wall{}.NewTicker(50 * time.Millisecond)
 				defer tick.Stop()
 				fallback = tick.C
 			}
@@ -446,14 +447,14 @@ func (r *Reliable) Close() error {
 // frames arrives.
 func (r *Reliable) retransmitLoop() {
 	defer r.wg.Done()
-	ticker := time.NewTicker(r.retry)
+	ticker := clock.Wall{}.NewTicker(r.retry)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-r.stop:
 			return
 		case <-ticker.C:
-			now := time.Now()
+			now := clock.Wall{}.Now()
 			r.mu.Lock()
 			byPeer := make(map[string][]frame)
 			var resent []*outRec
@@ -498,7 +499,7 @@ func (r *Reliable) retransmitLoop() {
 			// out, so a slow large send is not itself taken for a lost ack.
 			r.mu.Lock()
 			for _, rec := range resent {
-				rec.sentAt = time.Now()
+				rec.sentAt = clock.Wall{}.Now()
 			}
 			r.mu.Unlock()
 		}

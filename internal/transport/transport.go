@@ -23,6 +23,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"time"
+
+	"b2b/internal/clock"
 )
 
 // Handler consumes an inbound payload. Handlers for a given endpoint are
@@ -276,7 +278,7 @@ func (n *Network) route(from, to string, segs [][]byte) error {
 	body := bytes.Join(segs, nil)
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
-			time.AfterFunc(delay, func() {
+			clock.Wall{}.AfterFunc(delay, func() {
 				defer n.deliver.Done()
 				dst.enqueue(from, body)
 			})

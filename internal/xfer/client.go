@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"b2b/internal/crypto"
 	"b2b/internal/nrlog"
@@ -362,7 +361,7 @@ func (m *Manager) Fetch(ctx context.Context, peer string, have, want tuple.State
 		select {
 		case <-s.progress:
 			stalls = 0
-		case <-time.After(m.pol.RequestTimeout):
+		case <-m.cfg.Clock.After(m.pol.RequestTimeout):
 			if progress == lastProgress {
 				stalls++
 				if stalls >= maxStalls {

@@ -3,7 +3,6 @@ package xfer
 import (
 	"context"
 	"hash/crc32"
-	"time"
 
 	"b2b/internal/crypto"
 	"b2b/internal/nrlog"
@@ -334,7 +333,7 @@ func (m *Manager) serve(s *serverSession) {
 				doneSent = false
 			}
 			m.mu.Unlock()
-		case <-time.After(m.pol.RequestTimeout):
+		case <-m.cfg.Clock.After(m.pol.RequestTimeout):
 			idle++
 			if idle >= 3 {
 				m.dropServer(s.id)

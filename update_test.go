@@ -587,9 +587,9 @@ func bindGroup(t *testing.T, ids []string, mk func(id string) b2b.Object) (map[s
 	return ctrls, parts
 }
 
-func updateFixture(t *testing.T, ids []string) (*clock.Sim, *b2b.TrustDomain, *b2b.MemoryNetwork, map[string]*crypto.Identity, []crypto.Certificate) {
+func updateFixture(t *testing.T, ids []string) (clock.Clock, *b2b.TrustDomain, *b2b.MemoryNetwork, map[string]*crypto.Identity, []crypto.Certificate) {
 	t.Helper()
-	clk := clock.NewSim(time.Date(2002, 6, 23, 0, 0, 0, 0, time.UTC))
+	clk := clock.Wall{}
 	td, err := b2b.NewTrustDomain(clk)
 	if err != nil {
 		t.Fatal(err)
