@@ -159,6 +159,9 @@ func TestPipelineVetoRollsBackSuffix(t *testing.T) {
 	}
 
 	// Every party converges to run 1's state; the suffix left no residue.
+	// A rolled-back run's store record is deleted after the engine lock is
+	// released (finishRollbacks), so it may outlive the active-run entry
+	// briefly: wait for both under the one deadline.
 	if err := c.waitAgreed([]byte("ok1"), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +173,15 @@ func TestPipelineVetoRollsBackSuffix(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		pending, err := c.node(id).store.PendingRuns()
-		if err != nil || len(pending) != 0 {
-			t.Fatalf("%s pending runs = %v (%v)", id, pending, err)
+		for {
+			pending, err := c.node(id).store.PendingRuns()
+			if err == nil && len(pending) == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s pending runs = %v (%v)", id, pending, err)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	// The recipients recorded the suffix rollback as their own verdicts.

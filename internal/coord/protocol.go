@@ -198,6 +198,13 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 	// payload, and signed.Body is a sub-slice of them. Its body is hashed
 	// once too: the signature's digest also binds it in the evidence chain.
 	signed, raw, digest := wire.SignEncoded(wire.KindPropose, prop.Encode, en.cfg.Ident, en.cfg.TSA)
+	// The run keeps the proposal decoded once from those bytes, so the
+	// checkpoint built from it at finalization holds the evidence log's
+	// memory, never the buffer the application handed to Propose.
+	if prop, err = wire.UnmarshalPropose(signed.Body); err != nil {
+		en.mu.Unlock()
+		return nil, err
+	}
 
 	// The proposer is committed at initiation: current becomes the proposed
 	// state and cannot be unilaterally withdrawn (§4.3).
@@ -418,9 +425,8 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 			commit.Responds = append(commit.Responds, s)
 		}
 	}
-	payload := commit.Marshal()
-	sent, _ := wire.UnmarshalCommit(payload)
-	hints := proposeHint(sent, run.signed.Body, run.digest)
+	payload, embedded := commit.MarshalEmbedding()
+	hints := proposeHint(embedded, run.signed.Body, run.digest)
 
 	// Stage under en.mu: checkpoints must reach the store in agreed order or
 	// a delta would not chain. If even staging fails the run must NOT count
@@ -430,12 +436,10 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 	var next *agreedView
 	var carried *wire.Propose
 	if out.Valid {
-		next = &agreedView{run.propose.Proposed, run.newState}
-		// The checkpoint is built from the signed proposal the evidence log
-		// keeps, never from the buffer the application handed to Propose.
-		if p, err := wire.UnmarshalPropose(run.signed.Body); err == nil {
-			carried = &p
-		}
+		// run.propose was decoded from the signed proposal the evidence log
+		// keeps, so the checkpoint never holds the buffer the application
+		// handed to Propose.
+		next, carried = &agreedView{run.propose.Proposed, run.newState}, &run.propose
 	}
 	base := en.agreedState
 	fx := en.stageLocked(next, carried)
@@ -1054,7 +1058,7 @@ func (en *Engine) handleCommit(from string, payload []byte) {
 	var hints []nrlog.Hint
 	if responded {
 		seq = rr.proposed.Seq
-		hints = proposeHint(commit, rr.propose.Body, rr.digest)
+		hints = proposeHint(commit.Propose.Body, rr.propose.Body, rr.digest)
 	}
 	if err := en.logEvidenceStaged(commit.RunID, seq, wire.KindCommit.String(), nrlog.DirReceived, payload, hints...); err != nil {
 		return
@@ -1148,15 +1152,15 @@ const (
 	commitInvalidSilent // forged/inconsistent: ignore, keep evidence
 )
 
-// proposeHint is the evidence hint for the proposal a commit embeds: the
-// digest d this party took of the propose body it signed or answered,
+// proposeHint is the evidence hint for the proposal body a commit embeds:
+// the digest d this party took of the propose body it signed or answered,
 // handed over only when the embedded bytes equal that body, and bound to
 // the embedded bytes' own memory.
-func proposeHint(commit wire.Commit, body []byte, d [32]byte) []nrlog.Hint {
-	if !bytes.Equal(commit.Propose.Body, body) {
+func proposeHint(embedded, body []byte, d [32]byte) []nrlog.Hint {
+	if !bytes.Equal(embedded, body) {
 		return nil
 	}
-	return []nrlog.Hint{{Field: commit.Propose.Body, Sum: d}}
+	return []nrlog.Hint{{Field: embedded, Sum: d}}
 }
 
 // verifyCommit re-derives the group decision from the commit's evidence.

@@ -34,20 +34,24 @@ const (
 type ReliableOption func(*Reliable)
 
 // WithRetryInterval sets the retransmission floor (default 50ms): the
-// interval of the first retransmission to a peer, and the sweep
-// granularity of the retransmit loop. Subsequent retransmissions to a
-// silent peer back off exponentially from this floor (see
-// WithRetryBackoff).
+// lower bound of every peer's retransmission timeout, which is the timeout
+// itself until the peer's acks have measured its round trip, and the grid
+// on which the outbox is swept. The retransmit loop does not tick at this
+// period: it sleeps while nothing is outstanding and otherwise wakes at the
+// first grid point at or after the earliest unacknowledged frame falls due.
+// Retransmissions to a silent peer back off exponentially from its timeout
+// (see WithRetryBackoff).
 func WithRetryInterval(d time.Duration) ReliableOption {
 	return func(r *Reliable) { r.retry = d }
 }
 
-// WithRetryBackoff caps the per-peer exponential retransmission backoff
-// (default 1s, never below the retry floor). Each consecutive unacked
-// sweep doubles a peer's retransmit interval from the floor up to this
-// cap, with jitter, so a long-offline peer costs a trickle instead of a
-// full-rate retransmit storm; any frame from the peer — ack or data —
-// resets it to the floor, so a reconnecting peer is served promptly.
+// WithRetryBackoff caps the per-peer retransmission timeout and its
+// exponential backoff (default 1s, never below the retry floor). Each
+// consecutive unanswered retransmission round doubles a peer's interval,
+// starting from its timeout, up to this cap, with jitter, so a
+// long-offline peer costs a trickle instead of a full-rate retransmit
+// storm; any frame from the peer — ack or data — drops it back to its
+// measured timeout, so a reconnecting peer is served promptly.
 func WithRetryBackoff(cap time.Duration) ReliableOption {
 	return func(r *Reliable) { r.retryCap = cap }
 }
@@ -101,18 +105,26 @@ type Reliable struct {
 	seen    map[string]struct{}
 	handler Handler
 	closed  bool
-	// backoff tracks per-peer retransmission pacing: consecutive unacked
-	// sweeps and the next instant the peer's outbox is due on the wire.
-	backoff map[string]*peerBackoff
+	// peers holds each peer's round-trip estimate and retransmission
+	// backoff.
+	peers map[string]*peerLink
+	// The retransmit loop's alarm: timer kicks the loop at wakeAt, the
+	// earliest instant a sent frame may fall due, rounded up to the grid a
+	// ticker at the floor started at epoch would keep. wakeAt is zero, and
+	// the timer stopped, while nothing is outstanding.
+	timer  clock.Timer
+	wakeAt time.Time
+	epoch  time.Time
+	sweeps uint64 // outbox sweeps performed
+	// acked, once a SendStream waiter has made it, is closed when
+	// acknowledgements retire outbox entries, waking every waiter to
+	// re-check its peer's count.
+	acked chan struct{}
 
 	bmu      sync.Mutex
 	batchers map[string]*peerBatch
 
-	// ackNotify wakes SendStream waiters when acknowledgements retire
-	// outbox entries (capacity 1: a coalescing edge trigger, with a slow
-	// fallback tick covering waiters a single signal missed).
-	ackNotify chan struct{}
-
+	wake chan struct{} // capacity 1: the alarm's kick to the retransmit loop
 	stop chan struct{}
 	wg   sync.WaitGroup
 	// Message ids are "<incarnation>-<counter>": the incarnation, random per
@@ -135,12 +147,26 @@ type outRec struct {
 	// outbox (so a racing compaction keeps it and an early ack retires it),
 	// but it is not due for retransmission.
 	sent bool
+	// resent is set once the frame has been retransmitted: its ack may
+	// answer any copy, so it is no round-trip sample (Karn's rule).
+	resent bool
 }
 
-// peerBackoff is one peer's retransmission pacing state.
-type peerBackoff struct {
-	attempts int       // consecutive sweeps without a frame from the peer
-	next     time.Time // next retransmission due
+// peerLink is one peer's retransmission timing (RFC 6298): the smoothed
+// round trip and its variation from clean samples, the retransmission
+// timeout they give, and the backoff while the peer stays silent.
+type peerLink struct {
+	srtt, rttvar time.Duration
+	sampled      bool // a clean sample has been taken
+	// rto is the age at which an unacknowledged frame falls due: the floor
+	// until the first clean sample, then srtt + max(floor, 4·rttvar),
+	// capped (sampleLocked). Until that first sample it keeps whatever
+	// backoff the peer's silence reached (Karn's algorithm): on a path
+	// whose round trip exceeds the floor every frame would otherwise be
+	// resent before its ack came back, and no sample would ever be clean.
+	rto      time.Duration
+	attempts int       // consecutive retransmission rounds without contact
+	next     time.Time // while attempts > 0: the next round is not due before this
 }
 
 // peerBatch accumulates frames and pending acks bound for one peer until the
@@ -161,10 +187,11 @@ func NewReliable(ep Endpoint, opts ...ReliableOption) (*Reliable, error) {
 		outbox:      make(map[string]*outRec),
 		seen:        make(map[string]struct{}),
 		batchers:    make(map[string]*peerBatch),
-		backoff:     make(map[string]*peerBackoff),
-		ackNotify:   make(chan struct{}, 1),
+		peers:       make(map[string]*peerLink),
+		wake:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		incarnation: strconv.FormatUint(rand.Uint64(), 36),
+		epoch:       clock.Wall{}.Now(),
 	}
 	for _, o := range opts {
 		o(r)
@@ -176,6 +203,14 @@ func NewReliable(ep Endpoint, opts ...ReliableOption) (*Reliable, error) {
 		r.journal.Attach((*journalConsumer)(r))
 		if err := r.journal.Start(); err != nil {
 			return nil, fmt.Errorf("transport: restoring journal: %w", err)
+		}
+		if len(r.outbox) > 0 {
+			// Restored frames are retransmitted one floor after the restart.
+			now := clock.Wall{}.Now()
+			for _, rec := range r.outbox {
+				rec.sentAt = now
+			}
+			r.armLocked(now, now.Add(r.retry))
 		}
 	}
 	ep.SetHandler(r.onRaw)
@@ -241,8 +276,12 @@ func (r *Reliable) SendFrame(ctx context.Context, to string, payload [][]byte) e
 	// in-memory network, a blocking socket write) is not time in which its
 	// ack could have been lost.
 	r.transmit(ctx, to, rec.frame)
+	now := clock.Wall{}.Now()
 	r.mu.Lock()
-	rec.sent, rec.sentAt = true, clock.Wall{}.Now()
+	rec.sent, rec.sentAt = true, now
+	if r.outbox[msgID] == rec { // not acknowledged already
+		r.armLocked(now, r.dueLocked(rec))
+	}
 	r.mu.Unlock()
 	return nil
 }
@@ -383,6 +422,10 @@ func (r *Reliable) Pending() int {
 func (r *Reliable) PendingTo(to string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.pendingToLocked(to)
+}
+
+func (r *Reliable) pendingToLocked(to string) int {
 	n := 0
 	for _, rec := range r.outbox {
 		if rec.to == to {
@@ -396,25 +439,27 @@ func (r *Reliable) PendingTo(to string) int {
 // peer already has `limit` or more unacknowledged messages queued, so a
 // large state transfer feeds the outbox at the receiver's pace instead of
 // flooding it — coordination messages sharing the connection keep their
-// retransmission slots and the outbox stays bounded. Waiters wake on ack
-// arrival (with a slow fallback tick); limit < 1 degrades to plain Send.
+// retransmission slots and the outbox stays bounded. Every waiter re-checks
+// whenever acknowledgements retire messages; limit < 1 degrades to plain
+// Send.
 func (r *Reliable) SendStream(ctx context.Context, to string, payload []byte, limit int) error {
-	if limit >= 1 {
-		var fallback <-chan time.Time
-		for r.PendingTo(to) >= limit {
-			if fallback == nil {
-				tick := clock.Wall{}.NewTicker(50 * time.Millisecond)
-				defer tick.Stop()
-				fallback = tick.C
-			}
-			select {
-			case <-r.ackNotify:
-			case <-fallback:
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-r.stop:
-				return ErrClosed
-			}
+	for limit >= 1 {
+		r.mu.Lock()
+		if r.pendingToLocked(to) < limit {
+			r.mu.Unlock()
+			break
+		}
+		if r.acked == nil {
+			r.acked = make(chan struct{})
+		}
+		acked := r.acked
+		r.mu.Unlock()
+		select {
+		case <-acked:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-r.stop:
+			return ErrClosed
 		}
 	}
 	return r.Send(ctx, to, payload)
@@ -430,6 +475,7 @@ func (r *Reliable) Close() error {
 		return nil
 	}
 	r.closed = true
+	r.disarmLocked()
 	r.mu.Unlock()
 	close(r.stop)
 	r.wg.Wait()
@@ -439,78 +485,162 @@ func (r *Reliable) Close() error {
 	return r.ep.Close()
 }
 
-// retransmitLoop sweeps the outbox at the retry floor, but each peer is
-// only put back on the wire when its backoff interval has elapsed: the
-// first retransmission fires one floor interval after the first copy went
-// out, then a silent peer's interval doubles (with jitter) up to the cap.
-// A peer that was merely slow resets to the floor the moment any of its
-// frames arrives.
+// retransmitLoop sweeps the outbox each time the alarm (armLocked) goes
+// off, and sleeps otherwise: with nothing outstanding no alarm is set.
 func (r *Reliable) retransmitLoop() {
 	defer r.wg.Done()
-	ticker := clock.Wall{}.NewTicker(r.retry)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-r.stop:
 			return
-		case <-ticker.C:
-			now := clock.Wall{}.Now()
-			r.mu.Lock()
-			byPeer := make(map[string][]frame)
-			var resent []*outRec
-			for _, rec := range r.outbox {
-				if !rec.sent {
-					continue // journal append or first copy in flight
-				}
-				if pb := r.backoff[rec.to]; pb != nil && now.Before(pb.next) {
-					continue // peer not due yet
-				}
-				// A frame younger than the floor is not due either: its
-				// first copy (or its ack) may still be in flight, and
-				// resending it on the next sweep tick would double the
-				// wire cost of every large frame sent to a healthy peer.
-				if now.Sub(rec.sentAt) < r.retry {
-					continue
-				}
-				rec.sentAt = now
-				byPeer[rec.to] = append(byPeer[rec.to], rec.frame)
-				resent = append(resent, rec)
-			}
-			for to := range byPeer {
-				pb := r.backoff[to]
-				if pb == nil {
-					pb = &peerBackoff{}
-					r.backoff[to] = pb
-				}
-				pb.attempts++
-				pb.next = now.Add(r.backoffInterval(pb.attempts))
-			}
-			r.mu.Unlock()
-			for to, frames := range byPeer {
-				if r.batching {
-					r.sendCoalesced(to, frames, nil)
-					continue
-				}
-				for _, f := range frames {
-					r.sendFrame(context.Background(), to, f)
-				}
-			}
-			// As for a first copy, the clock restarts once the copies are
-			// out, so a slow large send is not itself taken for a lost ack.
-			r.mu.Lock()
-			for _, rec := range resent {
-				rec.sentAt = clock.Wall{}.Now()
-			}
-			r.mu.Unlock()
+		case <-r.wake:
+		}
+		now := clock.Wall{}.Now()
+		r.mu.Lock()
+		due := !r.wakeAt.IsZero() && !now.Before(r.wakeAt)
+		r.mu.Unlock()
+		if due { // otherwise the kick is stale: the alarm was moved since
+			r.sweep(now)
 		}
 	}
 }
 
+// kick wakes the retransmit loop.
+func (r *Reliable) kick() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// armLocked sets the alarm for the first tick of the floor's grid at or
+// after `at`, unless it is already set to go off earlier. The grid keeps
+// the loop's timing what a ticker at the floor gave — sweeps a floor
+// apart, a frame going out at the first tick once it falls due — so an ack
+// that a busy process reads a little late is not raced by a resend the
+// instant the timeout passes.
+func (r *Reliable) armLocked(now, at time.Time) {
+	if r.closed {
+		return
+	}
+	if off := at.Sub(r.epoch) % r.retry; off > 0 {
+		at = at.Add(r.retry - off)
+	}
+	if !r.wakeAt.IsZero() && !at.Before(r.wakeAt) {
+		return
+	}
+	r.wakeAt = at
+	if r.timer == nil {
+		r.timer = clock.Wall{}.AfterFunc(at.Sub(now), r.kick)
+	} else {
+		r.timer.Reset(at.Sub(now))
+	}
+}
+
+// disarmLocked clears the alarm: nothing is outstanding.
+func (r *Reliable) disarmLocked() {
+	if !r.wakeAt.IsZero() {
+		r.timer.Stop()
+		r.wakeAt = time.Time{}
+	}
+}
+
+// dueLocked is when rec falls due for retransmission: once its age reaches
+// its peer's timeout, and for a backed-off peer not before the peer's next
+// round.
+func (r *Reliable) dueLocked(rec *outRec) time.Time {
+	p := r.peers[rec.to]
+	if p == nil {
+		return rec.sentAt.Add(r.retry)
+	}
+	due := rec.sentAt.Add(p.rto)
+	if p.attempts > 0 && due.Before(p.next) {
+		due = p.next
+	}
+	return due
+}
+
+// peerLocked returns to's timing state, creating it at the floor.
+func (r *Reliable) peerLocked(to string) *peerLink {
+	p := r.peers[to]
+	if p == nil {
+		p = &peerLink{rto: r.retry}
+		r.peers[to] = p
+	}
+	return p
+}
+
+// sweep retransmits every frame that is due, each peer's in one round,
+// and re-arms the alarm for the earliest frame still outstanding. The
+// first retransmission to a peer fires once a frame's age reaches the
+// peer's timeout; then a silent peer's interval doubles (with jitter) up
+// to the cap, and any frame from the peer ends the backoff (resetBackoff).
+func (r *Reliable) sweep(now time.Time) {
+	r.mu.Lock()
+	r.disarmLocked()
+	r.sweeps++
+	var next time.Time
+	var byPeer map[string][]frame
+	var resent []string
+	for id, rec := range r.outbox {
+		if !rec.sent {
+			continue // journal append or first copy in flight
+		}
+		if due := r.dueLocked(rec); now.Before(due) {
+			next = earliest(next, due)
+			continue
+		}
+		if byPeer == nil {
+			byPeer = make(map[string][]frame)
+		}
+		rec.resent = true
+		byPeer[rec.to] = append(byPeer[rec.to], rec.frame)
+		resent = append(resent, id)
+	}
+	for to := range byPeer {
+		p := r.peerLocked(to)
+		p.attempts++
+		p.next = now.Add(r.backoffInterval(p.rto, p.attempts))
+	}
+	r.mu.Unlock()
+	for to, frames := range byPeer {
+		if r.batching {
+			r.sendCoalesced(to, frames, nil)
+			continue
+		}
+		for _, f := range frames {
+			r.sendFrame(context.Background(), to, f)
+		}
+	}
+	// As for a first copy, the clock restarts once the copies are out, so
+	// a slow large send is not itself taken for a lost ack.
+	sentAt := clock.Wall{}.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, id := range resent {
+		if rec := r.outbox[id]; rec != nil { // not acknowledged meanwhile
+			rec.sentAt = sentAt
+			next = earliest(next, r.dueLocked(rec))
+		}
+	}
+	if !next.IsZero() {
+		r.armLocked(sentAt, next)
+	}
+}
+
+// earliest returns the earlier of a and b, treating zero as unset.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || b.Before(a) {
+		return b
+	}
+	return a
+}
+
 // backoffInterval computes the wait after the n-th consecutive unanswered
-// sweep: floor·2^(n-1), capped, plus up to 25% jitter so peers retrying
+// round: base·2^(n-1), capped, plus up to 25% jitter so peers retrying
 // the same dead endpoint don't synchronize into bursts.
-func (r *Reliable) backoffInterval(attempts int) time.Duration {
-	d := r.retry
+func (r *Reliable) backoffInterval(base time.Duration, attempts int) time.Duration {
+	d := base
 	for i := 1; i < attempts && d < r.retryCap; i++ {
 		d *= 2
 	}
@@ -523,14 +653,41 @@ func (r *Reliable) backoffInterval(attempts int) time.Duration {
 	return d
 }
 
-// resetBackoff returns a peer to floor-rate retransmission: any frame from
-// it proves the link is live again.
+// resetBackoff ends a peer's backoff — any frame from it proves the link
+// is live again — and returns it to its timeout: the measured estimate,
+// or, before the first clean sample, the interval its backoff had reached.
 func (r *Reliable) resetBackoff(from string) {
 	r.mu.Lock()
-	if pb := r.backoff[from]; pb != nil && pb.attempts > 0 {
-		delete(r.backoff, from)
+	if p := r.peers[from]; p != nil && p.attempts > 0 {
+		if !p.sampled {
+			p.rto = min(p.rto<<p.attempts, r.retryCap)
+		}
+		p.attempts, p.next = 0, time.Time{}
+		now := clock.Wall{}.Now()
+		r.armLocked(now, now) // its frames may be due sooner now
 	}
 	r.mu.Unlock()
+}
+
+// sampleLocked folds one round-trip sample into p's estimate (RFC 6298
+// §2) and derives its timeout: srtt + max(floor, 4·rttvar), capped. The
+// floor stands in for RFC 6298's clock granularity G — the loop acts no
+// more finely — and, as TCP's minimum RTO does in Linux, it keeps the
+// timeout a floor clear of the round trip once rttvar has decayed on a
+// steady path, where an ack a millisecond late would otherwise trigger a
+// resend.
+func (r *Reliable) sampleLocked(p *peerLink, rtt time.Duration) {
+	if !p.sampled {
+		p.srtt, p.rttvar, p.sampled = rtt, rtt/2, true
+	} else {
+		dev := p.srtt - rtt
+		if dev < 0 {
+			dev = -dev
+		}
+		p.rttvar = (3*p.rttvar + dev) / 4
+		p.srtt = (7*p.srtt + rtt) / 8
+	}
+	p.rto = min(p.srtt+max(r.retry, 4*p.rttvar), r.retryCap)
 }
 
 func (r *Reliable) onRaw(from string, raw []byte) {
@@ -538,7 +695,7 @@ func (r *Reliable) onRaw(from string, raw []byte) {
 	if err != nil {
 		return // garbage at this layer is dropped; signed layers above detect tampering
 	}
-	r.resetBackoff(from) // the peer is reachable again: retransmit at the floor
+	r.resetBackoff(from) // the peer is reachable again: end its backoff
 	switch kind {
 	case relAck:
 		r.handleAcks([]string{msgID})
@@ -641,8 +798,11 @@ func (r *Reliable) handleBatch(from string, subs [][]byte) {
 }
 
 // handleAcks retires acknowledged messages: outbox, then one journal
-// tombstone for the whole set.
+// tombstone for the whole set. The ack of a frame sent once is a sample of
+// its peer's round trip; one that beat its own transmission's return
+// samples it as zero.
 func (r *Reliable) handleAcks(msgIDs []string) {
+	var now time.Time
 	r.mu.Lock()
 	acked := msgIDs[:0:0]
 	for _, id := range msgIDs {
@@ -650,17 +810,29 @@ func (r *Reliable) handleAcks(msgIDs []string) {
 		if !ok {
 			continue
 		}
-		delete(r.backoff, rec.to) // progress: drop the peer back to the floor
+		if !rec.resent {
+			var rtt time.Duration
+			if rec.sent {
+				if now.IsZero() {
+					now = clock.Wall{}.Now()
+				}
+				rtt = now.Sub(rec.sentAt)
+			}
+			r.sampleLocked(r.peerLocked(rec.to), rtt)
+		}
 		delete(r.outbox, id)
 		acked = append(acked, id)
 	}
-	r.mu.Unlock()
 	if len(acked) > 0 {
-		select {
-		case r.ackNotify <- struct{}{}:
-		default:
+		if len(r.outbox) == 0 {
+			r.disarmLocked()
+		}
+		if r.acked != nil {
+			close(r.acked)
+			r.acked = nil
 		}
 	}
+	r.mu.Unlock()
 	if r.journal != nil && len(acked) > 0 {
 		_ = r.journal.Append(store.RecOutboxAcked, encodeStrings("racked", acked))
 	}

@@ -253,12 +253,18 @@ func (s Signed) VerifyDigest(v *crypto.Verifier, d [32]byte) error {
 func (s Signed) Signer() string { return s.Sig.Signer }
 
 // Encode appends the signed wrapper to e.
-func (s Signed) Encode(e *canon.Encoder) {
+func (s Signed) Encode(e *canon.Encoder) { s.encode(e) }
+
+// encode appends the signed wrapper to e and returns the length of the
+// encoding up to the end of the body.
+func (s Signed) encode(e *canon.Encoder) (bodyEnd int) {
 	e.Struct("signed")
 	e.Uint64(uint64(s.Kind))
 	e.Bytes(s.Body)
+	bodyEnd = e.Len()
 	s.Sig.Encode(e)
 	s.TS.Encode(e)
+	return bodyEnd
 }
 
 // DecodeSigned reads a Signed from d.
@@ -510,18 +516,27 @@ type Commit struct {
 
 // Marshal returns the canonical bytes.
 func (c Commit) Marshal() []byte {
-	return canon.Marshal(func(e *canon.Encoder) {
+	payload, _ := c.MarshalEmbedding()
+	return payload
+}
+
+// MarshalEmbedding is Marshal that also returns the embedded proposal's
+// body as the sub-slice of the payload that holds it.
+func (c Commit) MarshalEmbedding() (payload, propose []byte) {
+	var end int
+	payload = canon.Marshal(func(e *canon.Encoder) {
 		e.Struct("commit")
 		e.String(c.RunID)
 		e.String(c.Proposer)
 		e.String(c.Object)
 		e.Bytes(c.Auth)
-		c.Propose.Encode(e)
+		end = c.Propose.encode(e)
 		e.List(len(c.Responds))
 		for _, r := range c.Responds {
 			r.Encode(e)
 		}
 	})
+	return payload, payload[end-len(c.Propose.Body) : end : end]
 }
 
 // UnmarshalCommit parses a Commit.

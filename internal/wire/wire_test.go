@@ -566,3 +566,28 @@ func TestMultiCorruptCountRejected(t *testing.T) {
 		t.Fatal("corrupt frame count accepted")
 	}
 }
+
+// TestCommitMarshalEmbedding: the embedded proposal body MarshalEmbedding
+// reports is the payload's own memory, holding the proposal's bytes.
+func TestCommitMarshalEmbedding(t *testing.T) {
+	fx := newFixture(t)
+	sp := Sign(KindPropose, sampleProposal("alice").Marshal(), fx.alice, fx.tsa)
+	sr := Sign(KindRespond, Respond{RunID: "run-1", Responder: "bob", Object: "order"}.Marshal(), fx.bob, fx.tsa)
+	c := Commit{RunID: "run-1", Proposer: "alice", Object: "order", Auth: []byte("authenticator"),
+		Propose: sp, Responds: []Signed{sr}}
+
+	payload, embedded := c.MarshalEmbedding()
+	if !bytes.Equal(payload, c.Marshal()) {
+		t.Fatal("MarshalEmbedding's payload differs from Marshal's")
+	}
+	if !bytes.Equal(embedded, sp.Body) {
+		t.Fatal("the reported proposal is not the proposal's body")
+	}
+	got, err := UnmarshalCommit(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &embedded[0] != &got.Propose.Body[0] || cap(embedded) != len(embedded) {
+		t.Fatal("the reported proposal is not the payload's sub-slice that holds the body")
+	}
+}
