@@ -26,12 +26,9 @@ type Clock interface {
 }
 
 // Timer is a scheduled callback. Stop reports whether it prevented the
-// call (false: it already fired or was stopped before). Reset schedules the
-// call again, d from now, whether or not it has fired or been stopped, and
-// reports whether it was still pending.
+// call (false: it already fired or was stopped before).
 type Timer interface {
 	Stop() bool
-	Reset(d time.Duration) bool
 }
 
 // Ticker is a periodic channel timer; see Clock.NewTicker.
@@ -208,15 +205,4 @@ func (t *simTimer) Stop() bool {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	return t.s.removeLocked(t)
-}
-
-// Reset puts the timer back on the schedule, due d after the simulated
-// instant.
-func (t *simTimer) Reset(d time.Duration) bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	pending := t.s.removeLocked(t)
-	t.when = t.s.now.Add(d)
-	t.s.pending = append(t.s.pending, t)
-	return pending
 }

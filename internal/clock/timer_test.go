@@ -208,45 +208,3 @@ func TestWallTimersRunOnProcessTime(t *testing.T) {
 		t.Fatal("Stop on a pending wall timer must report true")
 	}
 }
-
-// TestTimerResetReschedules: Reset re-arms a timer that has fired or been
-// stopped, d after the clock's instant, on both clocks.
-func TestTimerResetReschedules(t *testing.T) {
-	s := NewSim(time.Unix(0, 0))
-	fired := 0
-	tm := s.AfterFunc(10*time.Millisecond, func() { fired++ })
-	s.Advance(10 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired %d times at its deadline, want 1", fired)
-	}
-	if tm.Reset(10 * time.Millisecond) {
-		t.Fatal("Reset of a fired timer reported it pending")
-	}
-	s.Advance(5 * time.Millisecond)
-	if !tm.Reset(10*time.Millisecond) || fired != 1 {
-		t.Fatalf("Reset of a pending timer: fired %d, want it pending and unfired", fired)
-	}
-	s.Advance(9 * time.Millisecond)
-	if fired != 1 {
-		t.Fatal("a reset timer fired at its old deadline")
-	}
-	s.Advance(time.Millisecond)
-	if fired != 2 {
-		t.Fatalf("fired %d times after the reset deadline, want 2", fired)
-	}
-	tm.Stop()
-	tm.Reset(time.Millisecond)
-	s.Advance(time.Millisecond)
-	if fired != 3 {
-		t.Fatalf("a stopped timer did not fire after Reset (fired %d)", fired)
-	}
-
-	done := make(chan struct{}, 2)
-	wt := Wall{}.AfterFunc(time.Hour, func() { done <- struct{}{} })
-	wt.Reset(time.Millisecond)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("a wall timer reset to 1ms did not fire")
-	}
-}

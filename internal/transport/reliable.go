@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,10 +36,10 @@ type ReliableOption func(*Reliable)
 
 // WithRetryInterval sets the retransmission floor (default 50ms): the
 // lower bound of every peer's retransmission timeout, which is the timeout
-// itself until the peer's acks have measured its round trip, and the grid
-// on which the outbox is swept. The retransmit loop does not tick at this
-// period: it sleeps while nothing is outstanding and otherwise wakes at the
-// first grid point at or after the earliest unacknowledged frame falls due.
+// itself until the peer's acks have measured its round trip, and the
+// shortest interval between two outbox sweeps. The retransmit loop does
+// not tick at this period: it sleeps while nothing is outstanding and
+// otherwise wakes when the earliest unacknowledged frame falls due.
 // Retransmissions to a silent peer back off exponentially from its timeout
 // (see WithRetryBackoff).
 func WithRetryInterval(d time.Duration) ReliableOption {
@@ -109,13 +110,14 @@ type Reliable struct {
 	// backoff.
 	peers map[string]*peerLink
 	// The retransmit loop's alarm: timer kicks the loop at wakeAt, the
-	// earliest instant a sent frame may fall due, rounded up to the grid a
-	// ticker at the floor started at epoch would keep. wakeAt is zero, and
-	// the timer stopped, while nothing is outstanding.
-	timer  clock.Timer
-	wakeAt time.Time
-	epoch  time.Time
-	sweeps uint64 // outbox sweeps performed
+	// earliest instant a sent frame falls due, but not sooner than a floor
+	// after the last sweep. wakeAt is zero, and no timer is pending, while
+	// nothing is outstanding.
+	timer     clock.Timer
+	alarm     func() // kick, bound once for every timer
+	wakeAt    time.Time
+	lastSweep time.Time
+	sweeps    uint64 // outbox sweeps performed
 	// acked, once a SendStream waiter has made it, is closed when
 	// acknowledgements retire outbox entries, waking every waiter to
 	// re-check its peer's count.
@@ -147,9 +149,13 @@ type outRec struct {
 	// outbox (so a racing compaction keeps it and an early ack retires it),
 	// but it is not due for retransmission.
 	sent bool
-	// resent is set once the frame has been retransmitted: its ack may
-	// answer any copy, so it is no round-trip sample (Karn's rule).
-	resent bool
+	// resend is the frame every retransmission sends, encoded at the
+	// first: the payload under the msgID marked as a retransmitted copy
+	// (resendMark). Receivers echo the id they were sent, so an ack says
+	// whether it answers the first copy or a retransmitted one, and
+	// firstSentAt keeps the first copy's sentAt.
+	resend      frame
+	firstSentAt time.Time
 }
 
 // peerLink is one peer's retransmission timing (RFC 6298): the smoothed
@@ -168,6 +174,11 @@ type peerLink struct {
 	attempts int       // consecutive retransmission rounds without contact
 	next     time.Time // while attempts > 0: the next round is not due before this
 }
+
+// resendMark ends the msgID a retransmitted copy travels under. Message
+// ids ("<incarnation>-<counter>") never contain it; receivers deduplicate
+// on the id without it, and acknowledge the id as sent.
+const resendMark = "+"
 
 // peerBatch accumulates frames and pending acks bound for one peer until the
 // flush window closes or the size cap is reached.
@@ -191,8 +202,8 @@ func NewReliable(ep Endpoint, opts ...ReliableOption) (*Reliable, error) {
 		wake:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		incarnation: strconv.FormatUint(rand.Uint64(), 36),
-		epoch:       clock.Wall{}.Now(),
 	}
+	r.alarm = r.kick
 	for _, o := range opts {
 		o(r)
 	}
@@ -513,31 +524,25 @@ func (r *Reliable) kick() {
 	}
 }
 
-// armLocked sets the alarm for the first tick of the floor's grid at or
-// after `at`, unless it is already set to go off earlier. The grid keeps
-// the loop's timing what a ticker at the floor gave — sweeps a floor
-// apart, a frame going out at the first tick once it falls due — so an ack
-// that a busy process reads a little late is not raced by a resend the
-// instant the timeout passes.
+// armLocked sets the alarm for `at`, unless it is already set to go off
+// earlier. Sweeps stay at least a floor apart, as a ticker at the floor
+// kept them, so frames falling due in quick succession go out in one round.
 func (r *Reliable) armLocked(now, at time.Time) {
 	if r.closed {
 		return
 	}
-	if off := at.Sub(r.epoch) % r.retry; off > 0 {
-		at = at.Add(r.retry - off)
+	if floor := r.lastSweep.Add(r.retry); at.Before(floor) {
+		at = floor
 	}
 	if !r.wakeAt.IsZero() && !at.Before(r.wakeAt) {
 		return
 	}
+	r.disarmLocked()
 	r.wakeAt = at
-	if r.timer == nil {
-		r.timer = clock.Wall{}.AfterFunc(at.Sub(now), r.kick)
-	} else {
-		r.timer.Reset(at.Sub(now))
-	}
+	r.timer = clock.Wall{}.AfterFunc(at.Sub(now), r.alarm)
 }
 
-// disarmLocked clears the alarm: nothing is outstanding.
+// disarmLocked clears the alarm: nothing is outstanding, or it moves.
 func (r *Reliable) disarmLocked() {
 	if !r.wakeAt.IsZero() {
 		r.timer.Stop()
@@ -579,6 +584,7 @@ func (r *Reliable) sweep(now time.Time) {
 	r.mu.Lock()
 	r.disarmLocked()
 	r.sweeps++
+	r.lastSweep = now
 	var next time.Time
 	var byPeer map[string][]frame
 	var resent []string
@@ -593,8 +599,11 @@ func (r *Reliable) sweep(now time.Time) {
 		if byPeer == nil {
 			byPeer = make(map[string][]frame)
 		}
-		rec.resent = true
-		byPeer[rec.to] = append(byPeer[rec.to], rec.frame)
+		if rec.resend == nil {
+			rec.resend = encodeRel(relData, id+resendMark, rec.payload...)
+			rec.firstSentAt = rec.sentAt
+		}
+		byPeer[rec.to] = append(byPeer[rec.to], rec.resend)
 		resent = append(resent, id)
 	}
 	for to := range byPeer {
@@ -640,17 +649,20 @@ func earliest(a, b time.Time) time.Time {
 // round: base·2^(n-1), capped, plus up to 25% jitter so peers retrying
 // the same dead endpoint don't synchronize into bursts.
 func (r *Reliable) backoffInterval(base time.Duration, attempts int) time.Duration {
-	d := base
-	for i := 1; i < attempts && d < r.retryCap; i++ {
-		d *= 2
-	}
-	if d > r.retryCap {
-		d = r.retryCap
-	}
+	d := r.doubled(base, attempts-1)
 	if d > 4 {
 		d += time.Duration(rand.Int64N(int64(d) / 4))
 	}
 	return d
+}
+
+// doubled returns d·2^n, capped. The doubling stops at the cap, so no
+// number of silent rounds overflows it.
+func (r *Reliable) doubled(d time.Duration, n int) time.Duration {
+	for ; n > 0 && d < r.retryCap; n-- {
+		d *= 2
+	}
+	return min(d, r.retryCap)
 }
 
 // resetBackoff ends a peer's backoff — any frame from it proves the link
@@ -660,7 +672,7 @@ func (r *Reliable) resetBackoff(from string) {
 	r.mu.Lock()
 	if p := r.peers[from]; p != nil && p.attempts > 0 {
 		if !p.sampled {
-			p.rto = min(p.rto<<p.attempts, r.retryCap)
+			p.rto = r.doubled(p.rto, p.attempts)
 		}
 		p.attempts, p.next = 0, time.Time{}
 		now := clock.Wall{}.Now()
@@ -729,17 +741,18 @@ func (r *Reliable) onRaw(from string, raw []byte) {
 	}
 }
 
-// ackAndMark acknowledges a data frame — always, even for duplicates, since
-// the previous ack may have been lost (coalesced under batching, immediate
-// otherwise) — and check-and-sets the dedup key. isNew is false for
-// duplicates, which must not reach the handler again.
+// ackAndMark acknowledges a data frame under the id it came with — always,
+// even for duplicates, since the previous ack may have been lost (coalesced
+// under batching, immediate otherwise) — and check-and-sets the dedup key
+// of its message. isNew is false for duplicates, which must not reach the
+// handler again.
 func (r *Reliable) ackAndMark(from, msgID string) (key string, isNew bool) {
 	if r.batching {
 		r.enqueue(from, nil, msgID)
 	} else {
 		r.sendFrame(context.Background(), from, encodeRel(relAck, msgID, nil))
 	}
-	key = from + "/" + msgID
+	key = from + "/" + strings.TrimSuffix(msgID, resendMark)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.seen[key]; dup {
@@ -798,25 +811,32 @@ func (r *Reliable) handleBatch(from string, subs [][]byte) {
 }
 
 // handleAcks retires acknowledged messages: outbox, then one journal
-// tombstone for the whole set. The ack of a frame sent once is a sample of
-// its peer's round trip; one that beat its own transmission's return
-// samples it as zero.
+// tombstone for the whole set. An ack of the first copy is a sample of its
+// peer's round trip — one that beat its own transmission's return samples
+// it as zero — also when the frame has been retransmitted since: that
+// retransmission was spurious, and its sample is the one that shows the
+// estimate too low. An ack of a retransmitted copy may answer any of them,
+// so it is no sample (Karn's rule).
 func (r *Reliable) handleAcks(msgIDs []string) {
 	var now time.Time
 	r.mu.Lock()
 	acked := msgIDs[:0:0]
-	for _, id := range msgIDs {
+	for _, sentID := range msgIDs {
+		id, ofResend := strings.CutSuffix(sentID, resendMark)
 		rec, ok := r.outbox[id]
 		if !ok {
 			continue
 		}
-		if !rec.resent {
+		if !ofResend {
 			var rtt time.Duration
 			if rec.sent {
 				if now.IsZero() {
 					now = clock.Wall{}.Now()
 				}
 				rtt = now.Sub(rec.sentAt)
+				if rec.resend != nil {
+					rtt = now.Sub(rec.firstSentAt)
+				}
 			}
 			r.sampleLocked(r.peerLocked(rec.to), rtt)
 		}

@@ -157,7 +157,8 @@ func TestIdleReliableSleeps(t *testing.T) {
 // measured round trip: 50 sequential messages cost exactly 50 data and 50
 // ack datagrams. A sender that resends at the floor puts each frame on the
 // wire about eight times. A message whose own ack the path delivered later
-// than the round trip plus the floor is excused a resend, and logged.
+// than the round trip plus the floor is excused a resend, and logged, up to
+// five resends in all.
 func TestRetransmitWaitsForMeasuredRTT(t *testing.T) {
 	d := newDelayedPair(t, 20*time.Millisecond, 5*time.Millisecond)
 	for i := 0; i < 5; i++ {
@@ -176,6 +177,11 @@ func TestRetransmitWaitsForMeasuredRTT(t *testing.T) {
 			excused += copies - 1
 		}
 	}
+	// A late delivery now and then is the host's doing; one resend in ten
+	// messages is the estimator's.
+	if excused > 5 {
+		t.Fatalf("%d of 50 messages were resent after a late ack, want at most 5", excused)
+	}
 	time.Sleep(2 * d.oneWay)
 	if st := d.nw.Stats(); st.Sent != uint64(100+2*excused) || st.Dropped != 0 {
 		t.Fatalf("50 messages put %d datagrams on the network (%d dropped), want 50 data + 50 acks and %d excused resends with their acks",
@@ -187,10 +193,10 @@ func TestRetransmitWaitsForMeasuredRTT(t *testing.T) {
 }
 
 // TestRetransmitLearnsPastBackoff: from a cold start on a path whose round
-// trip is eight times the floor, every early frame is resent before its ack
-// can return, so no sample is clean; the backed-off timeout carried from
-// one frame to the next lets a frame outwait its ack, and from the fifth
-// message on nothing is retransmitted.
+// trip is eight times the floor, the first frame is resent before its ack
+// can return. The ack of its first copy, and failing that the backed-off
+// timeout carried from one frame to the next, teach the estimate the
+// round trip: from the fifth message on nothing is retransmitted.
 func TestRetransmitLearnsPastBackoff(t *testing.T) {
 	const floor = 5 * time.Millisecond
 	d := newDelayedPair(t, 4*floor, floor)
@@ -235,6 +241,34 @@ func TestRetransmitSamplesFirstCopiesOnly(t *testing.T) {
 	}
 	for i := 11; i < 21; i++ {
 		d.sendOnce(t, i)
+	}
+}
+
+// TestRetransmitLearnsFromSpuriousResend: the path's round trip grows
+// from 20 ms to 80 ms, past the warmed-up timeout, so the next frame is
+// resent although its first copy arrives. That copy's ack comes back under
+// the first copy's id, so it is a round-trip sample although the frame was
+// resent, and from it the estimate learns the longer path. Were every ack
+// of a resent frame passed over, no later frame would outwait its ack and
+// the estimate would never move.
+func TestRetransmitLearnsFromSpuriousResend(t *testing.T) {
+	d := newDelayedPair(t, 10*time.Millisecond, 5*time.Millisecond)
+	for i := 0; i < 10; i++ {
+		d.send(t, i)
+	}
+	before := d.ra.link("b")
+	d.oneWay = 40 * time.Millisecond
+	d.nw.SetLinkFaults("a", "b", Faults{MinDelay: d.oneWay})
+	d.nw.SetLinkFaults("b", "a", Faults{MinDelay: d.oneWay})
+	if copies, _ := d.send(t, 10); copies < 2 {
+		t.Fatalf("the first frame on the longer path went out %d times, want a resend: the test does not exercise a spurious retransmission", copies)
+	}
+	waitFor(t, 5*time.Second, func() bool { return d.ra.link("b").srtt > before.srtt }, "a sample from the second ack")
+	for i := 11; i < 16; i++ {
+		d.sendOnce(t, i)
+	}
+	if p := d.ra.link("b"); p.rto < 2*d.oneWay {
+		t.Fatalf("estimate on the longer path: srtt %v rto %v, want a timeout of at least the %v round trip", p.srtt, p.rto, 2*d.oneWay)
 	}
 }
 
@@ -295,5 +329,36 @@ func TestSendStreamWakesEveryWaiter(t *testing.T) {
 	}
 	if p := ra.PendingTo("b"); p != 2 {
 		t.Fatalf("pending to b = %d, want the two waiters' messages", p)
+	}
+}
+
+// TestReliableBackoffBoundedForLongSilence: a peer that never gave a clean
+// sample comes back after many silent rounds. Its timeout resumes from the
+// backoff its silence reached, which stops at the cap — doubling the floor
+// once per round would overflow a time.Duration after about 40 rounds, and
+// a negative or zero timeout would resend every frame at once.
+func TestReliableBackoffBoundedForLongSilence(t *testing.T) {
+	const floor, ceiling = 50 * time.Millisecond, time.Second
+	nw := NewNetwork(9)
+	defer nw.Close()
+	r, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(floor), WithRetryBackoff(ceiling))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, c := range []struct {
+		rounds int
+		want   time.Duration
+	}{{1, 2 * floor}, {4, 16 * floor}, {5, ceiling}, {38, ceiling}, {64, ceiling}, {70, ceiling}} {
+		r.mu.Lock()
+		r.peers["b"] = &peerLink{rto: floor, attempts: c.rounds}
+		r.mu.Unlock()
+		r.resetBackoff("b")
+		if p := r.link("b"); p.rto != c.want || p.attempts != 0 {
+			t.Fatalf("after %d silent rounds: rto %v attempts %d, want rto %v and the backoff ended", c.rounds, p.rto, p.attempts, c.want)
+		}
+		if d := r.backoffInterval(floor, c.rounds); d < floor || d > ceiling+ceiling/4 {
+			t.Fatalf("backoff interval after %d rounds = %v, want within [%v, %v]", c.rounds, d, floor, ceiling+ceiling/4)
+		}
 	}
 }
