@@ -1,5 +1,6 @@
 // b2bnode runs one organisation's B2BObjects participant as a long-lived
-// process over TCP, with a small RMI control interface for clients.
+// process over TCP, with a control interface on a Unix-domain socket in its
+// storage directory.
 //
 // Generate shared demo trust material once:
 //
@@ -14,7 +15,6 @@
 //	{
 //	  "id": "alice",
 //	  "listen": "127.0.0.1:7001",
-//	  "control": "127.0.0.1:7101",
 //	  "peers": {"bob": "127.0.0.1:7002"},
 //	  "object": "document",
 //	  "members": ["alice", "bob"],
@@ -22,12 +22,14 @@
 //	  "trust_file": "trust.json"
 //	}
 //
-// Control clients use the same binary:
+// Control clients use the same binary and config; the node serves them on
+// <storage_dir>/control.sock, mode 0600, so only its user can connect:
 //
-//	b2bnode -call get     -control 127.0.0.1:7101
-//	b2bnode -call set     -control 127.0.0.1:7101 -value '{"hello":"world"}'
-//	b2bnode -call members -control 127.0.0.1:7101
-//	b2bnode -call metrics -control 127.0.0.1:7101
+//	b2bnode -call get      -config alice.json
+//	b2bnode -call set      -config alice.json -value '{"hello":"world"}'
+//	b2bnode -call members  -config alice.json
+//	b2bnode -call evidence -config alice.json
+//	b2bnode -call metrics  -config alice.json
 //
 // NOTE: the generated trust file contains every party's key seed; it is a
 // single-trust-domain DEMO deployment aid, not a production PKI. In
@@ -44,8 +46,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -54,7 +59,7 @@ import (
 	b2b "b2b"
 	"b2b/internal/clock"
 	"b2b/internal/crypto"
-	"b2b/internal/rmi"
+	"b2b/internal/store"
 	"b2b/internal/transport"
 )
 
@@ -67,7 +72,6 @@ type trustFile struct {
 type nodeConfig struct {
 	ID         string            `json:"id"`
 	Listen     string            `json:"listen"`
-	Control    string            `json:"control"`
 	Peers      map[string]string `json:"peers"`
 	Object     string            `json:"object"`
 	Members    []string          `json:"members"`
@@ -87,8 +91,7 @@ func main() {
 		genTrust = flag.Bool("gen-trust", false, "generate demo trust material")
 		parties  = flag.String("parties", "", "comma-separated party ids for -gen-trust")
 		cfgPath  = flag.String("config", "", "node configuration file")
-		call     = flag.String("call", "", "control call: get | set | members | evidence | metrics")
-		control  = flag.String("control", "", "control address of a running node")
+		call     = flag.String("call", "", "control call on the node -config names: get | set | members | evidence | metrics")
 		value    = flag.String("value", "", "value for -call set")
 	)
 	flag.Parse()
@@ -97,8 +100,11 @@ func main() {
 	switch {
 	case *genTrust:
 		err = runGenTrust(*parties)
-	case *call != "":
-		err = runCall(*control, *call, *value)
+	case *call != "" && *cfgPath != "":
+		var res []byte
+		if res, err = callControl(*cfgPath, *call, []byte(*value)); err == nil {
+			fmt.Println(string(res))
+		}
 	case *cfgPath != "":
 		err = runNode(*cfgPath)
 	default:
@@ -219,15 +225,36 @@ func (o *blobObject) ValidateConnect(string) error { return nil }
 
 func (o *blobObject) ValidateDisconnect(string, bool) error { return nil }
 
+// controlSocket is the node's control socket, in its storage directory.
+const controlSocket = "control.sock"
+
+// readConfig decodes a node config. An unknown key, such as the "control"
+// address older nodes read, is an error rather than silently ignored.
+func readConfig(path string) (cfg nodeConfig, err error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return cfg, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("parsing config: %w", err)
+	}
+	return cfg, nil
+}
+
 func runNode(cfgPath string) error {
-	raw, err := os.ReadFile(cfgPath)
+	cfg, err := readConfig(cfgPath)
 	if err != nil {
 		return err
 	}
-	var cfg nodeConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return fmt.Errorf("parsing config: %w", err)
+	// Bound before anything touches the storage directory or starts a
+	// goroutine; closed last, so the directory stays claimed until then.
+	ctl, err := listenControl(cfg.StorageDir)
+	if err != nil {
+		return err
 	}
+	defer func() { _ = ctl.Close() }()
 	traw, err := os.ReadFile(cfg.TrustFile)
 	if err != nil {
 		return fmt.Errorf("reading trust file: %w", err)
@@ -260,8 +287,8 @@ func runNode(cfgPath string) error {
 	if err != nil {
 		return err
 	}
-	// Deferred first, so it runs last: the participant's Close closes the
-	// Reliable, which must stop appending before its journal closes.
+	// Deferred before the participant's Close, which closes the Reliable:
+	// that must stop appending before its journal closes.
 	defer func() { _ = journal.Close() }()
 	rel, err := transport.NewReliable(tcp,
 		transport.WithRetryInterval(100*time.Millisecond),
@@ -315,24 +342,36 @@ func runNode(cfgPath string) error {
 	if err != nil {
 		return err
 	}
-	// Recover from a previous run if a checkpoint exists; otherwise found
-	// the group.
-	if err := ctrl.Restore(); err != nil {
-		if err := ctrl.Bootstrap(cfg.Members); err != nil {
-			return fmt.Errorf("bootstrap: %w", err)
-		}
+	if founded, err := restoreOrFound(ctrl.Restore, func() error { return ctrl.Bootstrap(cfg.Members) }); err != nil {
+		return err
+	} else if founded {
 		fmt.Printf("%s: founded group %v on object %q\n", cfg.ID, cfg.Members, cfg.Object)
 	} else {
 		fmt.Printf("%s: recovered state seq=%d, members %v\n", cfg.ID, ctrl.AgreedSeq(), ctrl.Members())
 	}
 
-	// Control interface over RMI on its own TCP endpoint.
-	ctl, err := transport.ListenTCP(cfg.ID+".control", cfg.Control)
-	if err != nil {
-		return err
+	go serveControl(ctl, controlHandler(part, ctrl, obj))
+	fmt.Printf("%s: protocol on %s, control on %s\n", cfg.ID, cfg.Listen, ctl.Addr())
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	fmt.Printf("%s: shutting down\n", cfg.ID)
+	return nil
+}
+
+// restoreOrFound recovers the node's object from its checkpoint chain, or
+// founds the group if there is none. Any other restore error (a rejected
+// chain, a failed install) is returned: a new group would bury the history.
+func restoreOrFound(restore, found func() error) (founded bool, err error) {
+	if err := restore(); !errors.Is(err, store.ErrNoCheckpoint) {
+		return false, err
 	}
-	reg := rmi.New(ctl)
-	reg.Register("node", func(method string, args []byte) ([]byte, error) {
+	return true, found()
+}
+
+// controlHandler answers the node's control calls.
+func controlHandler(part *b2b.Participant, ctrl *b2b.Controller, obj *blobObject) func(method string, value []byte) ([]byte, error) {
+	return func(method string, value []byte) ([]byte, error) {
 		switch method {
 		case "get":
 			return ctrl.AgreedState(), nil
@@ -342,7 +381,7 @@ func runNode(cfgPath string) error {
 			}
 			ctrl.Enter()
 			ctrl.Overwrite()
-			if err := obj.ApplyState(args); err != nil {
+			if err := obj.ApplyState(value); err != nil {
 				_ = ctrl.Leave()
 				return nil, err
 			}
@@ -368,34 +407,82 @@ func runNode(cfgPath string) error {
 		default:
 			return nil, fmt.Errorf("unknown method %q", method)
 		}
-	})
-
-	fmt.Printf("%s: protocol on %s, control on %s\n", cfg.ID, cfg.Listen, cfg.Control)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Printf("%s: shutting down\n", cfg.ID)
-	return nil
+	}
 }
 
-func runCall(controlAddr, method, value string) error {
-	if controlAddr == "" {
-		return errors.New("-call requires -control host:port")
+// listenControl binds dir's control socket, creating dir if need be. The
+// socket claims dir: one that answers a dial is a live node's, and one that
+// refuses it was left by a killed node and is replaced.
+func listenControl(dir string) (net.Listener, error) {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return nil, err
 	}
-	ep, err := transport.ListenTCP("cli", "127.0.0.1:0")
-	if err != nil {
-		return err
+	path := filepath.Join(dir, controlSocket)
+	if c, err := net.Dial("unix", path); err == nil {
+		_ = c.Close()
+		return nil, fmt.Errorf("another node is serving %s", dir)
+	} else if errors.Is(err, syscall.ECONNREFUSED) {
+		_ = os.Remove(path) // a killed node's; if it stays, the bind fails
 	}
-	defer func() { _ = ep.Close() }()
-	ep.AddPeer("node", controlAddr)
-	reg := rmi.New(ep)
+	// A 0o177 umask makes the socket 0600 from its first instant, unlike a
+	// later chmod. It is process-wide: runNode binds before any goroutine.
+	defer syscall.Umask(syscall.Umask(0o177))
+	return net.Listen("unix", path)
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := reg.Call(ctx, "node", "node", method, []byte(value))
-	if err != nil {
-		return err
+// controlMsg is the control protocol's message: one JSON request per
+// connection, {method, value} and at most transport.MaxFrame bytes,
+// answered by one JSON reply, {result | error}.
+type controlMsg struct {
+	Method string `json:"method,omitempty"`
+	Value  []byte `json:"value,omitempty"`
+	Result []byte `json:"result,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
+
+// serveControl answers control calls on l until l is closed.
+func serveControl(l net.Listener, handle func(method string, value []byte) ([]byte, error)) {
+	for {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer func() { _ = c.Close() }()
+			var req, rep controlMsg
+			err := json.NewDecoder(io.LimitReader(c, transport.MaxFrame)).Decode(&req)
+			if err != nil {
+				err = fmt.Errorf("bad control request (at most %d bytes): %w", transport.MaxFrame, err)
+			} else {
+				rep.Result, err = handle(req.Method, req.Value)
+			}
+			if err != nil {
+				rep.Error = err.Error()
+			}
+			_ = json.NewEncoder(c).Encode(rep) // fails only if the caller left
+		}()
 	}
-	fmt.Println(string(res))
-	return nil
+}
+
+// callControl makes one control call on the node configured at cfgPath.
+func callControl(cfgPath, method string, value []byte) ([]byte, error) {
+	cfg, err := readConfig(cfgPath)
+	if err != nil {
+		return nil, err
+	}
+	c, err := net.Dial("unix", filepath.Join(cfg.StorageDir, controlSocket))
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = c.Close() }()
+	_ = c.SetDeadline(time.Now().Add(30 * time.Second)) // fails only on a closed conn
+	var rep controlMsg
+	err = json.NewEncoder(c).Encode(controlMsg{Method: method, Value: value})
+	if err == nil {
+		err = json.NewDecoder(c).Decode(&rep)
+	}
+	if err == nil && rep.Error != "" {
+		err = errors.New(rep.Error)
+	}
+	return rep.Result, err
 }

@@ -191,8 +191,7 @@
 //     makes per-run cost O(delta), independent of object size (tune with
 //     WithPaging; see docs/ARCHITECTURE.md, "State identity").
 //   - internal/lab, internal/faults — test worlds and adversarial fault
-//     injection; internal/ttp, internal/rmi, internal/apps — §7 extensions,
-//     remote invocation, example applications.
+//     injection; internal/ttp, internal/apps — §7 extensions, examples.
 //
 // Commands: cmd/b2bnode (a networked node), cmd/b2bdemo (a scripted demo),
 // cmd/b2bsoak (the randomized scenario soak) and cmd/b2blint (the protocol

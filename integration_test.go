@@ -21,7 +21,6 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/crypto"
 	"b2b/internal/lab"
-	"b2b/internal/rmi"
 	"b2b/internal/transport"
 )
 
@@ -322,125 +321,6 @@ func TestEvidenceIsPortable(t *testing.T) {
 	if _, err := json.Marshal(report); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestNodeTopologyOverTCP reproduces cmd/b2bnode's exact wiring: two
-// participants over TCP+reliable, each with a separate control TCP endpoint
-// serving RMI, driven by an ephemeral CLI client.
-func TestNodeTopologyOverTCP(t *testing.T) {
-	clk := clock.Wall{}
-	td, err := b2b.NewTrustDomain(clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []string{"alice", "bob"}
-	idents := make(map[string]*crypto.Identity)
-	var certs []crypto.Certificate
-	for _, id := range ids {
-		ident, err := td.Issue(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idents[id] = ident
-		certs = append(certs, ident.Certificate())
-	}
-
-	// Protocol endpoints.
-	eps := make(map[string]*transport.TCPEndpoint)
-	for _, id := range ids {
-		ep, err := transport.ListenTCP(id, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[id] = ep
-	}
-	eps["alice"].AddPeer("bob", eps["bob"].Addr())
-	eps["bob"].AddPeer("alice", eps["alice"].Addr())
-
-	ctrls := make(map[string]*b2b.Controller)
-	docs := make(map[string]*document)
-	for _, id := range ids {
-		rel, err := transport.NewReliable(eps[id], transport.WithRetryInterval(50*time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := b2b.NewParticipant(idents[id], td, rel,
-			b2b.WithClock(clk),
-			b2b.WithPeerCertificates(certs...),
-			b2b.WithFileStorage(t.TempDir()),
-			b2b.WithOperationTimeout(15*time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = p.Close() })
-		doc := newDocument()
-		ctrl, err := p.Bind("document", doc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrls[id] = ctrl
-		docs[id] = doc
-	}
-	for _, id := range ids {
-		if err := ctrls[id].Bootstrap(ids); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Control endpoint on alice, like cmd/b2bnode.
-	controlEP, err := transport.ListenTCP("alice.control", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = controlEP.Close() })
-	reg := rmi.New(controlEP)
-	reg.Register("node", func(method string, args []byte) ([]byte, error) {
-		switch method {
-		case "set":
-			if err := ctrls["alice"].Settle(context.Background()); err != nil {
-				return nil, err
-			}
-			ctrls["alice"].Enter()
-			ctrls["alice"].Overwrite()
-			docs["alice"].Set("k", string(args))
-			if err := ctrls["alice"].Leave(); err != nil {
-				return nil, err
-			}
-			return []byte("ok"), nil
-		case "get":
-			return []byte(docs["alice"].Get("k")), nil
-		default:
-			return nil, fmt.Errorf("unknown method %q", method)
-		}
-	})
-
-	// Ephemeral CLI client.
-	cliEP, err := transport.ListenTCP("cli", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = cliEP.Close() })
-	cliEP.AddPeer("node", controlEP.Addr())
-	cli := rmi.New(cliEP)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	res, err := cli.Call(ctx, "node", "node", "set", []byte("v-from-cli"))
-	if err != nil {
-		t.Fatalf("set via control: %v", err)
-	}
-	if string(res) != "ok" {
-		t.Fatalf("set result = %q", res)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if docs["bob"].Get("k") == "v-from-cli" {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("bob's replica = %q, want v-from-cli", docs["bob"].Get("k"))
 }
 
 // TestBatchedCoordinationUnderFaults: full-stack coordination with the

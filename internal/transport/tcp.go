@@ -267,9 +267,9 @@ func (ep *TCPEndpoint) serveConn(c net.Conn) {
 	from := string(hello)
 
 	// Register the inbound connection as the reply path to this peer, so
-	// endpoints can answer peers they have no dial address for (e.g. an
-	// RMI client on an ephemeral port). An existing outgoing connection
-	// keeps precedence.
+	// endpoints can answer peers they have no dial address for (e.g. a
+	// peer that dialled from an ephemeral port). An existing outgoing
+	// connection keeps precedence.
 	lc := &lockedConn{Conn: c}
 	ep.mu.Lock()
 	if _, exists := ep.conns[from]; !exists {
