@@ -32,15 +32,18 @@
 // A Paged that has been shared (stored in an engine field, passed to another
 // component) is immutable by convention: all mutation happens on a fresh
 // Clone before the value is published. Methods are not internally locked,
-// with one exception: Bytes and Adopt share an atomic hand-over slot, so
-// they may be called on a shared Paged from any goroutine.
+// with one exception: Bytes, BytesFrom and Adopt share an atomic hand-over
+// slot, so they may be called on a shared Paged from any goroutine.
 //
 // Bytes hands its caller a flat buffer the caller owns. Materialising costs
 // O(S), and a flat boundary that needs the same state more than once in one
 // run (validate, then apply, then install) would pay it each time; Adopt
 // lets the owner of a flat copy of p's content park it on p, and the next
 // Bytes call takes it instead of copying — once, by atomic swap, so no two
-// callers ever receive the same buffer.
+// callers ever receive the same buffer. A flat boundary that needs a later
+// state next run need not pay O(S) either: BytesFrom brings a dead flat copy
+// of an earlier state up to date by copying only the pages the two states do
+// not share, which copy-on-write makes exactly the pages that may differ.
 package pagestate
 
 import (
@@ -148,8 +151,8 @@ type Paged struct {
 	root     [32]byte     // cached wrapped root, maintained on every mutation
 
 	// adopted is a flat copy of this state's content that nobody else
-	// references, parked by Adopt for the next Bytes call to take. Clone
-	// never carries it; WriteAt and Resize drop it.
+	// references, parked by Adopt for the next Bytes or BytesFrom call to
+	// take. Clone never carries it; WriteAt and Resize drop it.
 	adopted atomic.Pointer[[]byte]
 }
 
@@ -295,6 +298,31 @@ func (p *Paged) Bytes() []byte {
 	}
 	statCopied.Add(uint64(p.size))
 	return bytes.Join(p.pages, nil)
+}
+
+// BytesFrom is Bytes into spare, a flat buffer the caller owns that holds
+// exactly of's content: it copies into spare only the pages p does not
+// share with of and returns spare, so a state a few pages away from of
+// costs O(pages) pointer compares plus O(delta) copying. A page two Paged
+// values share is one immutable array, so the result is p's content. A
+// pending adoption still wins, and a geometry mismatch (size, page size or
+// page count) falls back to Bytes; either way spare is left untouched.
+func (p *Paged) BytesFrom(spare []byte, of *Paged) []byte {
+	if flat := p.adopted.Swap(nil); flat != nil {
+		return *flat
+	}
+	if of == nil || len(spare) != p.size || of.size != p.size ||
+		of.pageSize != p.pageSize || len(of.pages) != len(p.pages) {
+		return p.Bytes()
+	}
+	for i, page := range p.pages {
+		if theirs := of.pages[i]; len(theirs) == len(page) && &theirs[0] == &page[0] {
+			continue
+		}
+		copy(spare[i*p.pageSize:], page)
+		statCopied.Add(uint64(len(page)))
+	}
+	return spare
 }
 
 // Adopt parks flat for the next Bytes call to return instead of copying.

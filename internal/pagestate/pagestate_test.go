@@ -470,3 +470,138 @@ func TestAdoptConcurrentBytesDistinct(t *testing.T) {
 		}
 	}
 }
+
+// checkBytesFrom materialises p into a spare holding ofModel (of's
+// content) and asserts the BytesFrom contract: the result is want (p's
+// content); with matching geometry it is the spare, patched by copying
+// exactly the pages p does not share with of; otherwise it is a fresh copy
+// and the spare is untouched. Writing into the result then changes no page
+// and no root of p or of.
+func checkBytesFrom(t *testing.T, p, of *Paged, want, ofModel []byte) {
+	t.Helper()
+	spare := append([]byte(nil), ofModel...)
+	same := p.size == of.size && p.pageSize == of.pageSize && len(p.pages) == len(of.pages)
+	var unshared uint64
+	for i := range p.pages {
+		if !same || !aliases(p.pages[i], of.pages[i]) {
+			unshared += uint64(len(p.pages[i]))
+		}
+	}
+	roots := [2][32]byte{p.Root(), of.Root()}
+	_, before := Stats()
+	got := p.BytesFrom(spare, of)
+	_, after := Stats()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("BytesFrom (%d bytes from %d) differs from Bytes", len(want), len(ofModel))
+	}
+	if copied := after - before; copied != unshared {
+		t.Fatalf("BytesFrom copied %d bytes, want the %d unshared", copied, unshared)
+	}
+	if same && len(want) > 0 && !aliases(got, spare) {
+		t.Fatal("BytesFrom copied afresh although the geometry matches")
+	}
+	if !same && (aliases(got, spare) || !bytes.Equal(spare, ofModel)) {
+		t.Fatal("BytesFrom touched the spare on a geometry mismatch")
+	}
+	for i := range got {
+		got[i] ^= 0xff
+	}
+	if !bytes.Equal(p.Bytes(), want) || !bytes.Equal(of.Bytes(), ofModel) || roots != [2][32]byte{p.Root(), of.Root()} {
+		t.Fatal("writing into the BytesFrom result changed a page or root")
+	}
+}
+
+// TestBytesFromMatchesBytes grows a family of states by random WriteAt,
+// Append, Resize, Rebase and Clone steps from one build, plus unrelated
+// builds, and materialises every state from a spare of each of its
+// ancestors and of random siblings and strangers: the result equals Bytes
+// byte for byte, and only the pages the two states do not share are copied.
+func TestBytesFromMatchesBytes(t *testing.T) {
+	for _, ps := range []int{1, 7, 64, 4096} {
+		rng := rand.New(rand.NewSource(int64(ps) + 42))
+		model := make([]byte, rng.Intn(5*ps+100))
+		rng.Read(model)
+		states, models, parents := []*Paged{FromBytes(model, ps)}, [][]byte{model}, []int{-1}
+		for step := 0; step < 40; step++ {
+			i := rng.Intn(len(states))
+			m := append([]byte(nil), models[i]...)
+			var q *Paged
+			switch op := rng.Intn(4); {
+			case op == 0 && len(m) > 0: // an edited flat copy re-enters by Rebase
+				for n := rng.Intn(3) + 1; n > 0; n-- {
+					m[rng.Intn(len(m))] ^= byte(rng.Intn(255) + 1)
+				}
+				q = states[i].Rebase(m)
+			case op == 1: // a stranger of the same size
+				rng.Read(m)
+				q = FromBytes(m, ps)
+			default:
+				q = states[i].Clone()
+				m = mutate(t, rng, m, q)
+			}
+			states, models, parents = append(states, q), append(models, m), append(parents, i)
+		}
+		for k, p := range states {
+			var ofs []int
+			for a := parents[k]; a >= 0; a = parents[a] {
+				ofs = append(ofs, a)
+			}
+			for n := 0; n < 4; n++ {
+				ofs = append(ofs, rng.Intn(len(states)))
+			}
+			for _, o := range ofs {
+				checkBytesFrom(t, p, states[o], models[k], models[o])
+			}
+		}
+	}
+}
+
+// TestBytesFromTakesAdoptionFirst: with an adoption pending, BytesFrom
+// returns the adopted buffer and leaves the spare untouched; the next call
+// patches the spare.
+func TestBytesFromTakesAdoptionFirst(t *testing.T) {
+	state := bytes.Repeat([]byte("0123456789"), 1000)
+	of := FromBytes(state, 256)
+	edited := append([]byte(nil), state...)
+	copy(edited[300:], "patched")
+	p := of.Rebase(edited)
+	adopted := append([]byte(nil), edited...)
+	p.Adopt(adopted)
+	spare := append([]byte(nil), state...)
+	ResetStats()
+	if got := p.BytesFrom(spare, of); !aliases(got, adopted) || !bytes.Equal(spare, state) {
+		t.Fatal("BytesFrom did not take the pending adoption first")
+	}
+	if _, copied := Stats(); copied != 0 {
+		t.Fatalf("taking the adoption copied %d bytes", copied)
+	}
+	if got := p.BytesFrom(spare, of); !aliases(got, spare) || !bytes.Equal(got, edited) {
+		t.Fatal("BytesFrom after the adoption did not patch the spare")
+	}
+}
+
+// TestBytesFromGeometryMismatch: a spare of another length, or one said to
+// hold a state of another size, page size or page count (or no state),
+// falls back to Bytes and leaves the spare untouched.
+func TestBytesFromGeometryMismatch(t *testing.T) {
+	state := bytes.Repeat([]byte("abcdefgh"), 100)
+	p := FromBytes(state, 64)
+	cases := map[string]struct {
+		spare []byte
+		of    *Paged
+	}{
+		"spare length": {append([]byte(nil), state[:len(state)-1]...), p},
+		"size":         {append([]byte(nil), state[:len(state)-1]...), FromBytes(state[:len(state)-1], 64)},
+		"page size":    {append([]byte(nil), state...), FromBytes(state, 32)},
+		"nil state":    {append([]byte(nil), state...), nil},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			keep := append([]byte(nil), tc.spare...)
+			got := p.BytesFrom(tc.spare, tc.of)
+			if !bytes.Equal(got, state) || aliases(got, tc.spare) || !bytes.Equal(tc.spare, keep) {
+				t.Fatal("BytesFrom did not fall back to Bytes with the spare untouched")
+			}
+		})
+	}
+}

@@ -3,6 +3,8 @@ package b2b
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"b2b/internal/coord"
 	"b2b/internal/pagestate"
@@ -45,7 +47,9 @@ type UpdatableObject interface {
 	// ApplyUpdate computes, WITHOUT mutating the object, the state that
 	// results from applying update to current. current is a copy the
 	// application owns for the duration of the call: it may patch current
-	// in place and return it. The returned slice passes to the middleware,
+	// in place and return it. If it returns any other slice, it must leave
+	// current unmodified, because the middleware reuses that buffer to
+	// materialise a later state. The returned slice passes to the middleware,
 	// which may hand that same buffer back through ApplyState, so the
 	// application must not keep or modify it after returning — nor return
 	// a slice that shares memory with update. update is the received
@@ -125,6 +129,16 @@ type objectAdapter struct {
 
 	mu        sync.Mutex
 	divergent error
+
+	// spare is a flat copy nobody else references, parked by ApplyUpdate
+	// for flat to bring up to date; a taker swaps it out and owns it.
+	spare atomic.Pointer[spareFlat]
+}
+
+// spareFlat is a dead flat buffer and the state whose content it holds.
+type spareFlat struct {
+	buf []byte
+	of  *pagestate.Paged
 }
 
 // apply installs state into the application object, recording success or
@@ -169,10 +183,42 @@ var _ coord.Validator = (*objectAdapter)(nil)
 // the application's flat bytes: a state is materialized only for an
 // application call that takes it, and a flat ApplyUpdate result re-enters
 // the paged world through Rebase (copying and rehashing changed pages only).
-// One flat copy serves a party's whole update run: ValidateUpdate adopts the
-// flat it materialised back into current, ApplyUpdate takes it and adopts
-// the application's result into the state it returns, and Installed hands
-// that same buffer to the application.
+// Every flat the adapter hands out comes from flat. Within a run,
+// ValidateUpdate adopts the flat it materialised back into current,
+// ApplyUpdate takes it and adopts the application's result into the state
+// it returns, and Installed hands that same buffer to the application.
+// Across runs, the current ApplyUpdate was given is dead once the
+// application returns another slice: it is parked as the spare with the
+// state it holds, and the next materialisation of a state of that size
+// patches it (pagestate.Paged.BytesFrom), copying only the pages the two
+// states do not share. An application that breaks the ApplyUpdate contract
+// and writes into a current it does not return gives itself a wrong base
+// later; the engine's check that an applied update yields the proposed root
+// turns that into a veto, never into an agreed divergent state.
+
+// flat materialises state for an application call that takes it, from the
+// spare when there is one. When state's pending adoption is taken instead,
+// the spare goes back for the next call; one of another size is dropped.
+func (a *objectAdapter) flat(state *pagestate.Paged) []byte {
+	s := a.spare.Swap(nil)
+	if s == nil {
+		return state.Bytes()
+	}
+	flat := state.BytesFrom(s.buf, s.of)
+	if len(s.buf) == state.Size() && !sharesMemory(flat, s.buf) {
+		a.spare.CompareAndSwap(nil, s)
+	}
+	return flat
+}
+
+// sharesMemory reports whether the backing arrays of x and y, up to their
+// capacities, overlap.
+func sharesMemory(x, y []byte) bool {
+	x, y = x[:cap(x)], y[:cap(y)]
+	return len(x) > 0 && len(y) > 0 &&
+		uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
+}
 
 func (a *objectAdapter) ValidateState(proposer string, _ *pagestate.Paged, proposed []byte) wire.Decision {
 	if err := a.obj.ValidateState(proposer, proposed); err != nil {
@@ -186,7 +232,7 @@ func (a *objectAdapter) ValidateUpdate(proposer string, current *pagestate.Paged
 	if !ok {
 		return wire.Rejected("object does not support update coordination")
 	}
-	flat := current.Bytes()
+	flat := a.flat(current)
 	err := uo.ValidateUpdate(proposer, flat, update)
 	current.Adopt(flat) // read-only to the application, so still current's content
 	if err != nil {
@@ -200,19 +246,23 @@ func (a *objectAdapter) ApplyUpdate(current *pagestate.Paged, update []byte) (*p
 	if !ok {
 		return nil, ErrNotUpdatable
 	}
-	flat, err := uo.ApplyUpdate(current.Bytes(), update)
+	in := a.flat(current)
+	out, err := uo.ApplyUpdate(in, update)
 	if err != nil {
 		return nil, err
 	}
-	next := current.Rebase(flat)
-	next.Adopt(flat) // handed over by the application: Installed passes it back
+	next := current.Rebase(out)
+	next.Adopt(out) // handed over by the application: Installed passes it back
+	if !sharesMemory(in, out) {
+		a.spare.Store(&spareFlat{buf: in, of: current}) // left unmodified by contract
+	}
 	return next, nil
 }
 
 func (a *objectAdapter) Installed(state *pagestate.Paged, t tuple.State) {
 	a.applyMu.Lock()
 	a.installed = t.Seq
-	err := a.applyLocked(state.Bytes())
+	err := a.applyLocked(a.flat(state))
 	a.applyMu.Unlock()
 	if a.cb != nil {
 		a.cb(Event{Type: EventInstalled, Object: a.object, Valid: err == nil, Err: err})
@@ -220,7 +270,7 @@ func (a *objectAdapter) Installed(state *pagestate.Paged, t tuple.State) {
 }
 
 func (a *objectAdapter) RolledBack(state *pagestate.Paged, _ tuple.State) {
-	err := a.apply(state.Bytes())
+	err := a.apply(a.flat(state))
 	if a.cb != nil {
 		a.cb(Event{Type: EventRolledBack, Object: a.object, Err: err})
 	}
