@@ -26,7 +26,9 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/crypto"
 	"b2b/internal/group"
+	"b2b/internal/metrics"
 	"b2b/internal/nrlog"
+	"b2b/internal/relay"
 	"b2b/internal/store"
 	"b2b/internal/transport"
 	"b2b/internal/wire"
@@ -48,15 +50,27 @@ var (
 	ErrObjectUnknown = errors.New("core: object not bound")
 )
 
-// Config assembles a participant's dependencies.
+// Config assembles a participant: identity, trust, connection and the
+// policies its caller chose. New builds the mechanism from it — the
+// party's storage and its relay plane — so every assembly of a party
+// (the public participant, lab worlds) runs the same code.
 type Config struct {
 	Ident    *crypto.Identity
 	Verifier *crypto.Verifier
 	TSA      wire.Stamper
-	Conn     Conn
-	Log      nrlog.Log
-	Store    store.Store
-	Clock    clock.Clock
+	// Conn is the endpoint connection. The relay client and server use it
+	// as given; the protocol engines send through the spill bound.
+	Conn  Conn
+	Clock clock.Clock
+	// PlaneDir, when set, opens the party's durability plane there: one
+	// segment WAL shared by checkpoints, run records and evidence. Empty
+	// keeps the checkpoint store and evidence log in memory.
+	PlaneDir string
+	// FS injects a filesystem under the plane (nil: the real one).
+	FS store.FS
+	// Durability tunes the plane and a durable hosted mailbox (zero:
+	// defaults).
+	Durability store.Policy
 	// Termination applies to all objects bound by this participant.
 	Termination coord.Termination
 	// TTP names the trusted third party for certified aborts (optional).
@@ -71,7 +85,7 @@ type Config struct {
 	// See coord.Config.ResponseDeadline.
 	ResponseDeadline time.Duration
 	// SnapshotEvery bounds each engine's delta checkpoint chain (zero:
-	// the coord default).
+	// Durability.SnapshotEvery, else the coord default).
 	SnapshotEvery int
 	// Transfer tunes the state-transfer plane (chunk size, flow-control
 	// window, progress timeout). Zero selects the defaults.
@@ -84,13 +98,27 @@ type Config struct {
 	// Quotas caps what any single group may consume on this endpoint and
 	// enables admission control (zero: no quotas, see QuotaPolicy).
 	Quotas QuotaPolicy
-	// Prekeys is the relay plane's prekey directory (optional): sponsors
-	// snapshot it into Welcomes, joiners learn carried publications.
-	Prekeys group.PrekeyDirectory
-	// Drain, when set, empties this member's relay mailbox (relay client's
-	// Drain); the transfer plane invokes it at the start of a catch-up so
-	// parked traffic lands before state transfer decides what is missing.
-	Drain func(ctx context.Context) (int, error)
+	// Relay names the relay host this participant uses as a member ("":
+	// none): traffic over Quotas.MaxPendingToPeer parks in the recipient's
+	// mailbox there, catch-up drains this party's own mailbox first, and
+	// sponsors forward the prekey directory inside Welcomes.
+	Relay string
+	// RelayHost, when set, hosts the relay mailbox service here.
+	RelayHost *RelayHost
+	// Metrics, when set, receives the relay plane's counters under
+	// "relay.*" names.
+	Metrics *metrics.Registry
+}
+
+// RelayHost configures a hosted relay mailbox service.
+type RelayHost struct {
+	// Dir, when set, keeps mailboxes durable in a plane of their own
+	// there; empty keeps them in memory.
+	Dir string
+	// MaxMailboxMsgs / MaxMailboxBytes cap one recipient's mailbox (zero:
+	// the relay defaults).
+	MaxMailboxMsgs  int
+	MaxMailboxBytes int64
 }
 
 // inboundEnv is one routed protocol message awaiting its object's turn.
@@ -160,19 +188,28 @@ type Participant struct {
 	// on cfg.Conn's handler.
 	sendConn Conn
 
+	log    nrlog.Log
+	store  store.Store
+	plane  *store.Plane     // nil: memory storage
+	segLog *nrlog.Segmented // nil: memory storage
+	// relayCl is the member side of the relay plane (nil without
+	// Config.Relay), relaySrv the hosted mailbox service (nil without
+	// Config.RelayHost).
+	relayCl  *relay.Client
+	relaySrv *relay.Server
+
 	mu      sync.Mutex
 	objects map[string]*binding
 	closed  bool
-	relayFn func(from string, env wire.Envelope)
-	deposit DepositFn
 
 	sched *sched
 }
 
-// New creates a participant and installs its dispatcher on the connection.
+// New opens the participant's storage, builds its relay plane and installs
+// its dispatcher on the connection. A failure closes whatever New had
+// already opened.
 func New(cfg Config) (*Participant, error) {
-	if cfg.Ident == nil || cfg.Conn == nil || cfg.Log == nil || cfg.Store == nil ||
-		cfg.Clock == nil || cfg.Verifier == nil {
+	if cfg.Ident == nil || cfg.Conn == nil || cfg.Clock == nil || cfg.Verifier == nil {
 		return nil, errors.New("core: incomplete config")
 	}
 	if cfg.RetryInterval == 0 {
@@ -181,14 +218,97 @@ func New(cfg Config) (*Participant, error) {
 	if cfg.ResponseTimeout == 0 {
 		cfg.ResponseTimeout = 10 * time.Second
 	}
+	if cfg.SnapshotEvery == 0 {
+		cfg.SnapshotEvery = cfg.Durability.SnapshotEvery
+	}
 	p := &Participant{
 		cfg:     cfg,
 		objects: make(map[string]*binding),
 	}
+	err := p.openStorage()
+	if err == nil {
+		err = p.openRelay()
+	}
+	if err != nil {
+		return nil, errors.Join(err, p.closeStorage())
+	}
 	p.sendConn = &spillConn{Conn: cfg.Conn, p: p}
-	p.sched = newSched(cfg.Log, cfg.Ident.ID(), cfg.Quotas)
+	p.sched = newSched(p.log, cfg.Ident.ID(), cfg.Quotas)
 	cfg.Conn.SetHandler(p.dispatch)
 	return p, nil
+}
+
+// openStorage opens and starts the durability plane under cfg.PlaneDir, or
+// builds the in-memory log and store.
+func (p *Participant) openStorage() error {
+	cfg := p.cfg
+	if cfg.PlaneDir == "" {
+		p.log, p.store = nrlog.NewMemory(cfg.Clock), store.NewMemory()
+		return nil
+	}
+	pl, err := store.OpenPlane(cfg.PlaneDir, cfg.Durability, cfg.FS)
+	if err != nil {
+		return err
+	}
+	p.store = store.NewSegmented(pl)
+	p.segLog = nrlog.OpenSegmented(pl, cfg.Clock, cfg.Ident)
+	p.log = p.segLog
+	p.plane = pl
+	return pl.Start()
+}
+
+// openRelay builds the relay client (Config.Relay) and the hosted mailbox
+// service (Config.RelayHost). Both talk over the unwrapped connection, so a
+// deposit never recurses into the spill path.
+func (p *Participant) openRelay() error {
+	cfg := p.cfg
+	if cfg.Relay != "" {
+		keys, err := relay.NewSealKeys()
+		if err != nil {
+			return err
+		}
+		p.relayCl, err = relay.NewClient(relay.ClientConfig{
+			Ident:   cfg.Ident,
+			TSA:     cfg.TSA,
+			Conn:    cfg.Conn,
+			Relay:   cfg.Relay,
+			Keys:    keys,
+			Dir:     relay.NewDirectory(cfg.Verifier),
+			Inject:  p.Inject,
+			Clock:   cfg.Clock,
+			Metrics: cfg.Metrics,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if h := cfg.RelayHost; h != nil {
+		var err error
+		p.relaySrv, err = relay.NewServer(relay.ServerConfig{
+			Conn:            cfg.Conn,
+			Verifier:        cfg.Verifier,
+			Dir:             h.Dir,
+			Durability:      cfg.Durability,
+			Log:             p.log,
+			MaxMailboxMsgs:  h.MaxMailboxMsgs,
+			MaxMailboxBytes: h.MaxMailboxBytes,
+			Metrics:         cfg.Metrics,
+		})
+		return err
+	}
+	return nil
+}
+
+// closeStorage closes the hosted mailbox service, then the plane.
+func (p *Participant) closeStorage() error {
+	var err error
+	if p.relaySrv != nil {
+		err = p.relaySrv.Close()
+	}
+	if p.plane != nil {
+		err = errors.Join(err, p.plane.Close())
+	}
+	return err
 }
 
 // ID returns the participant's identity name.
@@ -201,10 +321,25 @@ func (p *Participant) Identity() *crypto.Identity { return p.cfg.Ident }
 func (p *Participant) Verifier() *crypto.Verifier { return p.cfg.Verifier }
 
 // Log returns the participant's non-repudiation log.
-func (p *Participant) Log() nrlog.Log { return p.cfg.Log }
+func (p *Participant) Log() nrlog.Log { return p.log }
 
 // Store returns the participant's checkpoint store.
-func (p *Participant) Store() store.Store { return p.cfg.Store }
+func (p *Participant) Store() store.Store { return p.store }
+
+// Plane returns the durability plane (nil with memory storage).
+func (p *Participant) Plane() *store.Plane { return p.plane }
+
+// SegLog returns the plane-backed evidence log, for anchor and archive
+// inspection (nil with memory storage).
+func (p *Participant) SegLog() *nrlog.Segmented { return p.segLog }
+
+// RelayClient returns the member side of the relay plane (nil without
+// Config.Relay).
+func (p *Participant) RelayClient() *relay.Client { return p.relayCl }
+
+// RelayServer returns the hosted relay mailbox service (nil without
+// Config.RelayHost).
+func (p *Participant) RelayServer() *relay.Server { return p.relaySrv }
 
 // Bind attaches a coordinated object: the application's state validator and
 // membership validator produce an engine/manager pair. The object starts
@@ -269,8 +404,8 @@ func (p *Participant) materializeLocked(b *binding, restore bool) error {
 		Verifier:         p.cfg.Verifier,
 		TSA:              p.cfg.TSA,
 		Conn:             p.sendConn,
-		Log:              p.cfg.Log,
-		Store:            p.cfg.Store,
+		Log:              p.log,
+		Store:            p.store,
 		Clock:            p.cfg.Clock,
 		Validator:        b.v,
 		Termination:      p.cfg.Termination,
@@ -283,18 +418,23 @@ func (p *Participant) materializeLocked(b *binding, restore bool) error {
 	if err != nil {
 		return err
 	}
+	var drain func(ctx context.Context) (int, error)
+	var prekeys group.PrekeyDirectory
+	if p.relayCl != nil {
+		drain, prekeys = p.relayCl.Drain, p.relayCl.Directory()
+	}
 	xm, err := xfer.New(xfer.Config{
 		Ident:    p.cfg.Ident,
 		Object:   b.object,
 		Verifier: p.cfg.Verifier,
 		TSA:      p.cfg.TSA,
 		Conn:     p.sendConn,
-		Log:      p.cfg.Log,
+		Log:      p.log,
 		Clock:    p.cfg.Clock,
 		Engine:   en,
 		Policy:   p.cfg.Transfer,
 		Gate:     &sessionGate{s: p.sched, b: b},
-		Drain:    p.cfg.Drain,
+		Drain:    drain,
 	})
 	if err != nil {
 		return err
@@ -305,20 +445,20 @@ func (p *Participant) materializeLocked(b *binding, restore bool) error {
 		Verifier:        p.cfg.Verifier,
 		TSA:             p.cfg.TSA,
 		Conn:            p.sendConn,
-		Log:             p.cfg.Log,
+		Log:             p.log,
 		Clock:           p.cfg.Clock,
 		Engine:          en,
 		Validator:       b.mv,
 		ResponseTimeout: p.cfg.ResponseTimeout,
 		Xfer:            xm,
-		Prekeys:         p.cfg.Prekeys,
+		Prekeys:         prekeys,
 	})
 	if err != nil {
 		return err
 	}
 	if restore {
 		if rerr := en.Restore(); rerr != nil && !errors.Is(rerr, store.ErrNoCheckpoint) {
-			_, _ = p.cfg.Log.Append("", b.object, "lazy-restore-failed", p.cfg.Ident.ID(), nrlog.DirLocal, []byte(rerr.Error()))
+			_, _ = p.log.Append("", b.object, "lazy-restore-failed", p.cfg.Ident.ID(), nrlog.DirLocal, []byte(rerr.Error()))
 		}
 	}
 	b.xfer = xm
@@ -446,7 +586,7 @@ func (p *Participant) Objects() []string {
 func (p *Participant) dispatch(from string, payload []byte) {
 	env, err := wire.UnmarshalEnvelope(payload)
 	if err != nil {
-		_, _ = p.cfg.Log.Append("", "", "malformed-envelope", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
+		_, _ = p.log.Append("", "", "malformed-envelope", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
 		return
 	}
 	if relayKind(env.Kind) {
@@ -461,7 +601,7 @@ func (p *Participant) dispatch(from string, payload []byte) {
 	if ok && !closed && b.engine == nil {
 		if merr := p.materializeLocked(b, true); merr != nil {
 			p.mu.Unlock()
-			_, _ = p.cfg.Log.Append("", env.Object, "materialize-failed", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
+			_, _ = p.log.Append("", env.Object, "materialize-failed", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
 			return
 		}
 	}
@@ -470,7 +610,7 @@ func (p *Participant) dispatch(from string, payload []byte) {
 		return
 	}
 	if !ok {
-		_, _ = p.cfg.Log.Append("", env.Object, "unbound-object", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
+		_, _ = p.log.Append("", env.Object, "unbound-object", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
 		return
 	}
 	p.sched.enqueue(b, from, env)
@@ -482,8 +622,9 @@ func (p *Participant) dispatch(from string, payload []byte) {
 // verification pipeline as live traffic.
 func (p *Participant) Inject(from string, payload []byte) { p.dispatch(from, payload) }
 
-// Close shuts the participant down (the connection is closed, the worker
-// pool drains and stops; engines keep their persisted state for recovery).
+// Close shuts the participant down: the connection is closed, the worker
+// pool drains and stops, then the hosted mailbox service and the plane
+// close. Engines keep their persisted state for recovery.
 func (p *Participant) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -504,5 +645,5 @@ func (p *Participant) Close() error {
 	p.sched.stop(objs)
 	err := p.cfg.Conn.Close()
 	p.sched.wait()
-	return err
+	return errors.Join(err, p.closeStorage())
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +15,6 @@ import (
 	"b2b/internal/core"
 	"b2b/internal/crypto"
 	"b2b/internal/lab"
-	"b2b/internal/nrlog"
 	"b2b/internal/store"
 	"b2b/internal/transport"
 	"b2b/internal/wire"
@@ -44,8 +46,6 @@ func newParticipant(t *testing.T, nw *transport.Network, clk clock.Clock,
 		Verifier: v,
 		TSA:      tsa,
 		Conn:     rel,
-		Log:      nrlog.NewMemory(clk),
-		Store:    store.NewMemory(),
 		Clock:    clk,
 	})
 	if err != nil {
@@ -217,5 +217,94 @@ func TestParticipantClosedIgnoresTraffic(t *testing.T) {
 func TestIncompleteConfigRejected(t *testing.T) {
 	if _, err := core.New(core.Config{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+}
+
+// countingFS is the real filesystem, counting the segment files it holds
+// open.
+type countingFS struct {
+	store.FS
+	mu     sync.Mutex
+	opened int
+	open   int
+}
+
+func (c *countingFS) OpenAppend(path string) (store.SegmentFile, error) {
+	f, err := c.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.opened++
+	c.open++
+	c.mu.Unlock()
+	return &countedFile{SegmentFile: f, fs: c}, nil
+}
+
+type countedFile struct {
+	store.SegmentFile
+	fs *countingFS
+}
+
+func (f *countedFile) Close() error {
+	f.fs.mu.Lock()
+	f.fs.open--
+	f.fs.mu.Unlock()
+	return f.SegmentFile.Close()
+}
+
+// TestNewClosesWhatItOpenedOnFailure: a relay-host directory that cannot be
+// created fails New after the party's plane has opened and started; New
+// must close that plane, leaving no file open.
+func TestNewClosesWhatItOpenedOnFailure(t *testing.T) {
+	clk := clock.Wall{}
+	ca, err := crypto.NewCA("ca", clk, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsa, err := crypto.NewTSA("tsa", clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ident, err := crypto.NewIdentity("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca.Issue(ident)
+	nw := transport.NewNetwork(1)
+	t.Cleanup(nw.Close)
+	rel, err := transport.NewReliable(nw.Endpoint("solo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rel.Close() })
+
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "blocker")
+	if err := os.WriteFile(blocker, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	fs := &countingFS{FS: store.OS}
+	_, err = core.New(core.Config{
+		Ident:     ident,
+		Verifier:  crypto.NewVerifier(ca, tsa),
+		TSA:       tsa,
+		Conn:      rel,
+		Clock:     clk,
+		PlaneDir:  filepath.Join(dir, "solo"),
+		FS:        fs,
+		Relay:     "solo",
+		RelayHost: &core.RelayHost{Dir: filepath.Join(blocker, "relay")},
+	})
+	if err == nil {
+		t.Fatal("New succeeded with an uncreatable relay-host directory")
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.opened == 0 {
+		t.Fatal("the plane opened no segment before the relay host failed")
+	}
+	if fs.open != 0 {
+		t.Fatalf("%d of %d segment files left open after New failed", fs.open, fs.opened)
 	}
 }

@@ -51,7 +51,7 @@ type QuotaPolicy struct {
 	// MaxPendingToPeer bounds the outbound transport backlog to any single
 	// peer. A send that would grow a peer's un-acked retransmission queue
 	// past this many frames is instead parked at the relay (when one is
-	// configured — SetRelayDeposit — the peer drains it on reconnect) or
+	// configured — Config.Relay — the peer drains it on reconnect) or
 	// shed with a "pending-shed" evidence entry; protocol retries and
 	// state-transfer catch-up restore liveness. This cap is endpoint-wide,
 	// not per group: the outbox it bounds is shared.

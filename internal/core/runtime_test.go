@@ -13,8 +13,6 @@ import (
 	"b2b/internal/core"
 	"b2b/internal/crypto"
 	"b2b/internal/lab"
-	"b2b/internal/nrlog"
-	"b2b/internal/store"
 	"b2b/internal/transport"
 	"b2b/internal/wire"
 )
@@ -47,8 +45,6 @@ func newQuotaParticipant(t *testing.T, nw *transport.Network, clk clock.Clock,
 		Verifier: v,
 		TSA:      tsa,
 		Conn:     rel,
-		Log:      nrlog.NewMemory(clk),
-		Store:    store.NewMemory(),
 		Clock:    clk,
 		Quotas:   q,
 	})

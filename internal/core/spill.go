@@ -1,10 +1,9 @@
 package core
 
-// Relay-plane integration: the participant routes relay-kind envelopes to a
-// pluggable handler (the relay client and/or server hosted next to it — see
-// the top-level participant wiring) and spills outbound traffic for
-// unreachable peers to a relay deposit function instead of letting the
-// transport outbox grow without bound.
+// Relay-plane integration: the participant routes relay-kind envelopes to
+// the relay client and server New built next to it, and spills outbound
+// traffic for unreachable peers to the client's Deposit instead of letting
+// the transport outbox grow without bound.
 
 import (
 	"bytes"
@@ -15,30 +14,6 @@ import (
 	"b2b/internal/wire"
 )
 
-// DepositFn parks one marshalled, end-to-end signed protocol envelope at a
-// relay on behalf of an unreachable peer. It fails (typed errors from
-// internal/relay) when no relay is configured or no sealing prekey is known
-// for the recipient — the spill path then sheds with evidence instead.
-type DepositFn func(ctx context.Context, to string, envelope []byte) error
-
-// SetRelayHandler installs the sink for relay-kind envelopes
-// (deposit/poll/batch/prekey). They are connection-scoped, not
-// object-scoped — Object is empty — so they bypass binding dispatch
-// entirely; without a handler they are dropped with evidence.
-func (p *Participant) SetRelayHandler(fn func(from string, env wire.Envelope)) {
-	p.mu.Lock()
-	p.relayFn = fn
-	p.mu.Unlock()
-}
-
-// SetRelayDeposit installs the spill target for outbound traffic to peers
-// whose transport backlog crossed QuotaPolicy.MaxPendingToPeer.
-func (p *Participant) SetRelayDeposit(fn DepositFn) {
-	p.mu.Lock()
-	p.deposit = fn
-	p.mu.Unlock()
-}
-
 // relayKind reports whether k belongs to the connection-scoped relay plane.
 func relayKind(k wire.Kind) bool {
 	switch k {
@@ -48,16 +23,24 @@ func relayKind(k wire.Kind) bool {
 	return false
 }
 
-// handleRelay forwards one relay-kind envelope to the installed handler.
+// handleRelay routes one relay-kind envelope: deposits and polls to the
+// hosted mailbox service, batches and prekey publications to the member's
+// client. Relay traffic is connection-scoped, not object-scoped — Object is
+// empty — so it bypasses binding dispatch entirely. A party with no relay
+// role drops it with evidence; one with a role silently drops the kinds it
+// has no sink for (a host that is no member still receives every member's
+// prekey publication).
 func (p *Participant) handleRelay(from string, env wire.Envelope, payload []byte) {
-	p.mu.Lock()
-	fn := p.relayFn
-	p.mu.Unlock()
-	if fn == nil {
-		_, _ = p.cfg.Log.Append("", "", "relay-unbound", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
-		return
+	switch {
+	case p.relayCl == nil && p.relaySrv == nil:
+		_, _ = p.log.Append("", "", "relay-unbound", p.cfg.Ident.ID(), nrlog.DirReceived, payload)
+	case env.Kind == wire.KindRelayDeposit || env.Kind == wire.KindRelayPoll:
+		if p.relaySrv != nil {
+			p.relaySrv.HandleEnvelope(from, env)
+		}
+	case p.relayCl != nil:
+		p.relayCl.HandleEnvelope(from, env)
 	}
-	fn(from, env)
 }
 
 // spillConn wraps the participant's connection on the OUTBOUND side: when a
@@ -110,15 +93,12 @@ func (c *spillConn) spill(ctx context.Context, to string, payload []byte) error 
 	if env, err := wire.UnmarshalEnvelope(payload); err == nil {
 		object = env.Object
 	}
-	p.mu.Lock()
-	dep := p.deposit
-	p.mu.Unlock()
-	if dep != nil {
-		if err := dep(ctx, to, payload); err == nil {
-			_, _ = p.cfg.Log.Append("", object, "relay-park", to, nrlog.DirSent, nil)
+	if p.relayCl != nil {
+		if err := p.relayCl.Deposit(ctx, to, payload); err == nil {
+			_, _ = p.log.Append("", object, "relay-park", to, nrlog.DirSent, nil)
 			return nil
 		}
 	}
-	_, _ = p.cfg.Log.Append("", object, "pending-shed", to, nrlog.DirSent, nil)
+	_, _ = p.log.Append("", object, "pending-shed", to, nrlog.DirSent, nil)
 	return nil
 }

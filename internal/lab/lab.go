@@ -291,9 +291,11 @@ func NewWorld(opts Options, ids ...string) (*World, error) {
 const batchWindow = 200 * time.Microsecond
 
 // buildParty assembles one organisation's full stack: endpoint, reliable
-// layer, interceptor, storage (over fs when non-nil) and participant. It is
-// the single construction path shared by NewWorld and Restart — a restarted
-// party is a fresh stack over the same storage directory and identity.
+// layer and interceptor here, then storage (over fs when non-nil), relay
+// plane and participant through core.New, the constructor deployments use.
+// It is the single construction path shared by NewWorld and Restart — a
+// restarted party is a fresh stack over the same storage directory and
+// identity.
 func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party, error) {
 	opts := w.opts
 	v := crypto.NewVerifier(w.CA, w.TSA)
@@ -311,118 +313,55 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 		return nil, err
 	}
 	ic := faults.NewInterceptor(rel)
-	p := &Party{
+	cfg := core.Config{
+		Ident:            w.idents[id],
+		Verifier:         v,
+		TSA:              w.TSA,
+		Conn:             &interceptedConn{Interceptor: ic, rel: rel},
+		Clock:            w.Clk,
+		FS:               fs,
+		Durability:       opts.Durability,
+		Termination:      opts.Termination,
+		TTP:              opts.TTP,
+		RetryInterval:    opts.RetryInterval,
+		ResponseDeadline: opts.ResponseDeadline,
+		SnapshotEvery:    opts.SnapshotEvery,
+		Transfer:         opts.Transfer,
+		PageSize:         opts.PageSize,
+		Quotas:           opts.Quotas,
+	}
+	if opts.StorageDir != "" {
+		cfg.PlaneDir = filepath.Join(opts.StorageDir, id)
+	}
+	switch opts.Relay {
+	case "":
+	case id:
+		cfg.RelayHost = &core.RelayHost{MaxMailboxMsgs: opts.RelayMaxMsgs, MaxMailboxBytes: opts.RelayMaxBytes}
+		if opts.StorageDir != "" {
+			cfg.RelayHost.Dir = filepath.Join(opts.StorageDir, id+".relay")
+		}
+	default:
+		cfg.Relay = opts.Relay
+	}
+	part, err := core.New(cfg)
+	if err != nil {
+		return nil, errors.Join(err, rel.Close())
+	}
+	return &Party{
 		ID:          id,
 		Ident:       w.idents[id],
 		Verifier:    v,
 		Rel:         rel,
 		Interceptor: ic,
+		Log:         part.Log(),
+		Store:       part.Store(),
+		Part:        part,
+		Plane:       part.Plane(),
+		SegLog:      part.SegLog(),
 		Disk:        disk,
-	}
-	if opts.StorageDir != "" {
-		pl, err := store.OpenPlane(filepath.Join(opts.StorageDir, id), opts.Durability, fs)
-		if err != nil {
-			return nil, err
-		}
-		p.Store = store.NewSegmented(pl)
-		p.SegLog = nrlog.OpenSegmented(pl, w.Clk, w.idents[id])
-		p.Log = p.SegLog
-		if err := pl.Start(); err != nil {
-			return nil, err
-		}
-		p.Plane = pl
-	} else {
-		p.Log, p.Store = nrlog.NewMemory(w.Clk), store.NewMemory()
-	}
-	snapEvery := opts.SnapshotEvery
-	if snapEvery == 0 {
-		snapEvery = opts.Durability.SnapshotEvery
-	}
-	iconn := &interceptedConn{Interceptor: ic, rel: rel}
-	cfg := core.Config{
-		Ident:            w.idents[id],
-		Verifier:         v,
-		TSA:              w.TSA,
-		Conn:             iconn,
-		Log:              p.Log,
-		Store:            p.Store,
-		Clock:            w.Clk,
-		Termination:      opts.Termination,
-		TTP:              opts.TTP,
-		RetryInterval:    opts.RetryInterval,
-		ResponseDeadline: opts.ResponseDeadline,
-		SnapshotEvery:    snapEvery,
-		Transfer:         opts.Transfer,
-		PageSize:         opts.PageSize,
-		Quotas:           opts.Quotas,
-	}
-	// Relay plane: members get sealing keys and a prekey directory before
-	// the runtime is built (the directory feeds Welcome construction, the
-	// drain hook feeds catch-up); the client itself is built after, so the
-	// closure late-binds it.
-	var relayKeys *relay.SealKeys
-	var relayDir *relay.Directory
-	var relayClient *relay.Client
-	relayMember := opts.Relay != "" && id != opts.Relay
-	if relayMember {
-		var err error
-		relayKeys, err = relay.NewSealKeys()
-		if err != nil {
-			return nil, err
-		}
-		relayDir = relay.NewDirectory(v)
-		cfg.Prekeys = relayDir
-		cfg.Drain = func(ctx context.Context) (int, error) {
-			if relayClient == nil {
-				return 0, nil
-			}
-			return relayClient.Drain(ctx)
-		}
-	}
-	part, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.Part = part
-	if relayMember {
-		relayClient, err = relay.NewClient(relay.ClientConfig{
-			Ident:  w.idents[id],
-			TSA:    w.TSA,
-			Conn:   iconn,
-			Relay:  opts.Relay,
-			Keys:   relayKeys,
-			Dir:    relayDir,
-			Inject: part.Inject,
-			Clock:  w.Clk,
-		})
-		if err != nil {
-			return nil, err
-		}
-		part.SetRelayHandler(relayClient.HandleEnvelope)
-		part.SetRelayDeposit(relayClient.Deposit)
-		p.Relay = relayClient
-	}
-	if opts.Relay == id {
-		dir := ""
-		if opts.StorageDir != "" {
-			dir = filepath.Join(opts.StorageDir, id+".relay")
-		}
-		srv, err := relay.NewServer(relay.ServerConfig{
-			Conn:            iconn,
-			Verifier:        v,
-			Dir:             dir,
-			Durability:      opts.Durability,
-			Log:             p.Log,
-			MaxMailboxMsgs:  opts.RelayMaxMsgs,
-			MaxMailboxBytes: opts.RelayMaxBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		part.SetRelayHandler(srv.HandleEnvelope)
-		p.RelayServer = srv
-	}
-	return p, nil
+		Relay:       part.RelayClient(),
+		RelayServer: part.RelayServer(),
+	}, nil
 }
 
 // interceptedConn routes outbound traffic through the party's interceptor
@@ -463,12 +402,6 @@ func (w *World) Close() {
 	w.mu.Unlock()
 	for _, p := range parties {
 		_ = p.Part.Close()
-		if p.RelayServer != nil {
-			_ = p.RelayServer.Close()
-		}
-		if p.Plane != nil {
-			_ = p.Plane.Close()
-		}
 	}
 	w.Net.Close()
 }
@@ -534,14 +467,7 @@ func (w *World) BindLazyAt(id, object string) error {
 // network, and its durability plane closes. State on disk survives; Restart
 // brings the party back over it.
 func (w *World) Crash(id string) {
-	p := w.Party(id)
-	_ = p.Part.Close()
-	if p.RelayServer != nil {
-		_ = p.RelayServer.Close()
-	}
-	if p.Plane != nil {
-		_ = p.Plane.Close()
-	}
+	_ = w.Party(id).Part.Close()
 }
 
 // Restart rebuilds a crashed party over its storage directory: fresh stack,

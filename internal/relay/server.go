@@ -2,6 +2,7 @@ package relay
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -135,7 +136,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		pl.Attach((*serverConsumer)(s))
 		if err := pl.Start(); err != nil {
-			return nil, err
+			return nil, errors.Join(err, pl.Close())
 		}
 		s.plane = pl
 	}

@@ -19,7 +19,6 @@ import (
 	"b2b/internal/relay"
 	"b2b/internal/store"
 	"b2b/internal/transport"
-	"b2b/internal/wire"
 	"b2b/internal/xfer"
 )
 
@@ -125,7 +124,6 @@ type participantOpts struct {
 	transfer         TransferPolicy
 	paging           PagingPolicy
 	retryInterval    time.Duration
-	responseTimeout  time.Duration
 	responseDeadline time.Duration
 	opTimeout        time.Duration
 	peerCerts        []crypto.Certificate
@@ -278,17 +276,9 @@ func WithRelayHost(dir string) Option {
 // Participant is one organisation's middleware runtime (the deployment of
 // B2BObjects middleware inside an organisation, Fig 1).
 type Participant struct {
-	ident  *crypto.Identity
-	part   *core.Participant
-	opts   participantOpts
-	tsa    wire.Stamper
-	vfr    *crypto.Verifier
-	conn   core.Conn
-	plane  *store.Plane     // nil unless file storage
-	segLog *nrlog.Segmented // nil unless file storage
-	reg    *metrics.Registry
-	relay  *relay.Client // nil unless WithRelay
-	relSrv *relay.Server // nil unless WithRelayHost
+	part *core.Participant
+	opts participantOpts
+	reg  *metrics.Registry
 }
 
 // NewParticipant assembles a participant from an identity issued by the
@@ -296,11 +286,9 @@ type Participant struct {
 // transport.NewReliable over a TCP or in-memory endpoint.
 func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opts ...Option) (*Participant, error) {
 	o := participantOpts{
-		clk:             clock.Clock(clock.Wall{}),
-		mode:            Synchronous,
-		retryInterval:   50 * time.Millisecond,
-		responseTimeout: 10 * time.Second,
-		opTimeout:       30 * time.Second,
+		clk:       clock.Clock(clock.Wall{}),
+		mode:      Synchronous,
+		opTimeout: 30 * time.Second,
 	}
 	if td != nil && td.clk != nil {
 		o.clk = td.clk
@@ -319,132 +307,35 @@ func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opt
 		}
 	}
 
-	var log nrlog.Log
-	var st store.Store
-	var plane *store.Plane
-	var segLog *nrlog.Segmented
-	if o.storageDir != "" {
-		pl, err := store.OpenPlane(filepath.Join(o.storageDir, ident.ID()+".wal"), o.durability, nil)
-		if err != nil {
-			return nil, err
-		}
-		st = store.NewSegmented(pl)
-		segLog = nrlog.OpenSegmented(pl, o.clk, ident)
-		log = segLog
-		if err := pl.Start(); err != nil {
-			return nil, err
-		}
-		plane = pl
-	} else {
-		log, st = nrlog.NewMemory(o.clk), store.NewMemory()
-	}
-
+	reg := metrics.NewRegistry()
 	cfg := core.Config{
 		Ident:            ident,
 		Verifier:         vfr,
 		TSA:              td.TSA,
 		Conn:             conn,
-		Log:              log,
-		Store:            st,
 		Clock:            o.clk,
+		Durability:       o.durability,
 		Termination:      o.termination,
 		TTP:              o.ttp,
 		RetryInterval:    o.retryInterval,
-		ResponseTimeout:  o.responseTimeout,
 		ResponseDeadline: o.responseDeadline,
-		SnapshotEvery:    o.durability.SnapshotEvery,
 		Transfer:         o.transfer,
 		PageSize:         o.paging.PageSize,
 		Quotas:           o.quotas,
+		Relay:            o.relayID,
+		Metrics:          reg,
 	}
-	// Relay plane: sealing keys and the prekey directory exist before the
-	// runtime (the directory feeds Welcome construction, the drain hook
-	// feeds catch-up); the client is built after and late-bound here.
-	var relayKeys *relay.SealKeys
-	var relayDir *relay.Directory
-	var relayClient *relay.Client
-	if o.relayID != "" {
-		keys, err := relay.NewSealKeys()
-		if err != nil {
-			return nil, err
-		}
-		relayKeys = keys
-		relayDir = relay.NewDirectory(vfr)
-		cfg.Prekeys = relayDir
-		cfg.Drain = func(ctx context.Context) (int, error) {
-			if relayClient == nil {
-				return 0, nil
-			}
-			return relayClient.Drain(ctx)
-		}
+	if o.storageDir != "" {
+		cfg.PlaneDir = filepath.Join(o.storageDir, ident.ID()+".wal")
+	}
+	if o.relayHost {
+		cfg.RelayHost = &core.RelayHost{Dir: o.relayHostDir}
 	}
 	part, err := core.New(cfg)
 	if err != nil {
-		if plane != nil {
-			_ = plane.Close()
-		}
 		return nil, err
 	}
-	p := &Participant{
-		ident:  ident,
-		part:   part,
-		opts:   o,
-		tsa:    td.TSA,
-		vfr:    vfr,
-		conn:   conn,
-		plane:  plane,
-		segLog: segLog,
-		reg:    metrics.NewRegistry(),
-	}
-	if o.relayID != "" {
-		relayClient, err = relay.NewClient(relay.ClientConfig{
-			Ident:   ident,
-			TSA:     td.TSA,
-			Conn:    conn,
-			Relay:   o.relayID,
-			Keys:    relayKeys,
-			Dir:     relayDir,
-			Inject:  part.Inject,
-			Clock:   o.clk,
-			Metrics: p.reg,
-		})
-		if err != nil {
-			_ = p.Close()
-			return nil, err
-		}
-		part.SetRelayDeposit(relayClient.Deposit)
-		p.relay = relayClient
-	}
-	if o.relayHost {
-		srv, err := relay.NewServer(relay.ServerConfig{
-			Conn:       conn,
-			Verifier:   vfr,
-			Dir:        o.relayHostDir,
-			Durability: o.durability,
-			Log:        log,
-			Metrics:    p.reg,
-		})
-		if err != nil {
-			_ = p.Close()
-			return nil, err
-		}
-		p.relSrv = srv
-	}
-	if p.relay != nil || p.relSrv != nil {
-		cl, srv := p.relay, p.relSrv
-		part.SetRelayHandler(func(from string, env wire.Envelope) {
-			switch env.Kind {
-			case wire.KindRelayDeposit, wire.KindRelayPoll:
-				if srv != nil {
-					srv.HandleEnvelope(from, env)
-				}
-			default:
-				if cl != nil {
-					cl.HandleEnvelope(from, env)
-				}
-			}
-		})
-	}
+	p := &Participant{part: part, opts: o, reg: reg}
 	p.registerMetrics()
 	return p, nil
 }
@@ -493,7 +384,7 @@ func (p *Participant) registerMetrics() {
 }
 
 // ID returns the participant's identity name.
-func (p *Participant) ID() string { return p.ident.ID() }
+func (p *Participant) ID() string { return p.part.ID() }
 
 // Log returns the participant's non-repudiation log for evidence inspection.
 func (p *Participant) Log() nrlog.Log { return p.part.Log() }
@@ -578,10 +469,11 @@ func (p *Participant) DumpMetrics(w io.Writer) error {
 // reconnect that needs no state transfer. Returns the number of envelopes
 // delivered, or ErrNoRelay without WithRelay.
 func (p *Participant) RelayDrain(ctx context.Context) (int, error) {
-	if p.relay == nil {
+	cl := p.part.RelayClient()
+	if cl == nil {
 		return 0, ErrNoRelay
 	}
-	return p.relay.Drain(ctx)
+	return cl.Drain(ctx)
 }
 
 // RelayPublishPrekey signs and announces this participant's current sealing
@@ -589,10 +481,11 @@ func (p *Participant) RelayDrain(ctx context.Context) (int, error) {
 // for this participant once they hold a prekey; sponsors also forward the
 // directory to joiners inside Welcomes.
 func (p *Participant) RelayPublishPrekey(ctx context.Context, peers ...string) error {
-	if p.relay == nil {
+	cl := p.part.RelayClient()
+	if cl == nil {
 		return ErrNoRelay
 	}
-	return p.relay.PublishPrekey(ctx, peers)
+	return cl.PublishPrekey(ctx, peers)
 }
 
 // RelayRotatePrekey advances the sealing epoch and announces the new
@@ -600,65 +493,57 @@ func (p *Participant) RelayPublishPrekey(ctx context.Context, peers ...string) e
 // become unreadable to everyone including this participant — forward
 // secrecy for the relay hop.
 func (p *Participant) RelayRotatePrekey(ctx context.Context, peers ...string) error {
-	if p.relay == nil {
+	cl := p.part.RelayClient()
+	if cl == nil {
 		return ErrNoRelay
 	}
-	return p.relay.Rotate(ctx, peers)
+	return cl.Rotate(ctx, peers)
 }
 
 // RelayParked reports the hosted relay's total parked messages and sealed
 // bytes across all mailboxes (zeros without WithRelayHost).
 func (p *Participant) RelayParked() (msgs int, bytes int64) {
-	if p.relSrv == nil {
+	srv := p.part.RelayServer()
+	if srv == nil {
 		return 0, 0
 	}
-	return p.relSrv.TotalParked()
+	return srv.TotalParked()
 }
 
 // RelayStorageUsage reports the hosted relay's on-disk size in bytes (zero
 // without WithRelayHost, or with in-memory mailboxes).
 func (p *Participant) RelayStorageUsage() int64 {
-	if p.relSrv == nil {
+	srv := p.part.RelayServer()
+	if srv == nil {
 		return 0
 	}
-	return p.relSrv.DiskUsage()
+	return srv.DiskUsage()
 }
 
 // Close shuts the participant down.
-func (p *Participant) Close() error {
-	err := p.part.Close()
-	if p.relSrv != nil {
-		if cerr := p.relSrv.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if p.plane != nil {
-		if cerr := p.plane.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+func (p *Participant) Close() error { return p.part.Close() }
 
 // Compact forces a durability-plane compaction now: the live set (latest
 // snapshots, delta chains, pending runs, anchored evidence suffix) is
 // rewritten into a fresh segment and dead segments are deleted. A no-op
 // error-free call requires file storage.
 func (p *Participant) Compact() error {
-	if p.plane == nil {
+	pl := p.part.Plane()
+	if pl == nil {
 		return errors.New("b2b: Compact requires file storage")
 	}
-	return p.plane.Compact()
+	return pl.Compact()
 }
 
 // StorageUsage reports the durability plane's on-disk size in bytes (zero
 // without file storage). Archives are not counted: they are
 // the operator's to retain or ship off-host.
 func (p *Participant) StorageUsage() int64 {
-	if p.plane == nil {
+	pl := p.part.Plane()
+	if pl == nil {
 		return 0
 	}
-	return p.plane.DiskUsage()
+	return pl.DiskUsage()
 }
 
 // EvidenceArchives lists the evidence archive files written by anchored
@@ -670,10 +555,11 @@ func (p *Participant) StorageUsage() int64 {
 // an archive plus the signed anchor to arbitration reproduces the full
 // evidence trail.
 func (p *Participant) EvidenceArchives() ([]string, error) {
-	if p.segLog == nil {
+	sl := p.part.SegLog()
+	if sl == nil {
 		return nil, nil
 	}
-	return p.segLog.Archives()
+	return sl.Archives()
 }
 
 // Clock returns the participant's clock.
