@@ -191,12 +191,16 @@
 //     makes per-run cost O(delta), independent of object size (tune with
 //     WithPaging; see docs/ARCHITECTURE.md, "State identity").
 //   - internal/lab, internal/faults — test worlds and adversarial fault
-//     injection; internal/ttp, internal/apps — §7 extensions, examples.
+//     injection; internal/ttp — the §7 termination TTP; internal/apps —
+//     the paper's example applications.
 //
-// Commands: cmd/b2bnode (a networked node), cmd/b2bdemo (a scripted demo),
-// cmd/b2bsoak (the randomized scenario soak) and cmd/b2blint (the protocol
-// lint suite). The paper's claims (message complexity, liveness under loss,
-// Fig 2/5/7, safety under attack, membership, termination rules) and each
-// plane's structural bars are ordinary tests; docs/TESTING.md maps them.
+// Commands: cmd/b2bnode (a networked node), cmd/b2bsoak (the randomized
+// scenario soak) and cmd/b2blint (the protocol lint suite). The paper's
+// §5 figures are example programs over this package: examples/tictactoe
+// (Fig 5), examples/tictactoe-ttp (Fig 6) and examples/orderprocessing
+// (Fig 7), each run by a test beside it. The paper's claims (message
+// complexity, liveness under loss, Fig 2/5/6/7, safety under attack,
+// membership, termination rules) and each plane's structural bars are
+// ordinary tests; docs/TESTING.md maps them.
 // Timing lives in the benchmark module under bench/ (bash bench/run.sh).
 package b2b

@@ -9,7 +9,9 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	b2b "b2b"
@@ -18,13 +20,14 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("auction: %v", err)
 	}
 }
 
-func run() error {
+// run plays the scenario, writing its transcript to out.
+func run(out io.Writer) error {
 	houses := []string{"house-london", "house-tokyo", "house-newyork"}
 
 	td, err := b2b.NewTrustDomain(nil)
@@ -72,21 +75,17 @@ func run() error {
 	}
 
 	// settle waits for every house to install the agreed state.
-	settle := func(seq uint64) {
+	settle := func(seq uint64) error {
 		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			ok := true
-			for _, c := range ctrls {
-				if c.AgreedSeq() < seq {
-					ok = false
-					break
+		for h, c := range ctrls {
+			for c.AgreedSeq() < seq {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("%s's replica did not reach sequence %d within 10s", h, seq)
 				}
+				time.Sleep(2 * time.Millisecond)
 			}
-			if ok {
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
 		}
+		return nil
 	}
 
 	// bid places a client's bid through a house and coordinates it.
@@ -101,11 +100,10 @@ func run() error {
 		if err := ctrl.Leave(); err != nil {
 			return err
 		}
-		settle(ctrl.AgreedSeq())
-		return nil
+		return settle(ctrl.AgreedSeq())
 	}
 
-	fmt.Println("auction open: lot-42, reserve 1000")
+	fmt.Fprintln(out, "auction open: lot-42, reserve 1000")
 	bids := []struct {
 		house  string
 		client string
@@ -119,17 +117,17 @@ func run() error {
 		if err := bid(b.house, b.client, b.amount); err != nil {
 			return fmt.Errorf("bid via %s: %w", b.house, err)
 		}
-		fmt.Printf("  %s bids %d via %s — validated by all houses\n", b.client, b.amount, b.house)
+		fmt.Fprintf(out, "  %s bids %d via %s — validated by all houses\n", b.client, b.amount, b.house)
 	}
 
 	// A late lower bid through any house fails everywhere the same way.
 	if err := bid("house-london", "collector-d", 1800); err != nil {
-		fmt.Printf("  collector-d's 1800 via house-london refused locally: %v\n", err)
+		fmt.Fprintf(out, "  collector-d's 1800 via house-london refused locally: %v\n", err)
 	}
 
 	// A malicious house cannot impose an invalid bid either: force the
 	// state and watch the veto.
-	fmt.Println("\nhouse-london attempts to impose a LOWER winning bid for its client...")
+	fmt.Fprintln(out, "\nhouse-london attempts to impose a LOWER winning bid for its client...")
 	ctrl := ctrls["house-london"]
 	ctrl.Enter()
 	ctrl.Overwrite()
@@ -141,10 +139,10 @@ func run() error {
 	if !errors.Is(err, b2b.ErrVetoed) {
 		return fmt.Errorf("expected veto of the forged bid, got: %v", err)
 	}
-	fmt.Printf("REJECTED by the other houses: %v\n", err)
+	fmt.Fprintf(out, "REJECTED by the other houses: %v\n", err)
 
 	// Close the auction; all replicas agree on the winner.
-	fmt.Println("\nhouse-tokyo closes the auction:")
+	fmt.Fprintln(out, "\nhouse-tokyo closes the auction:")
 	ctrl = ctrls["house-tokyo"]
 	ctrl.Enter()
 	ctrl.Overwrite()
@@ -152,11 +150,16 @@ func run() error {
 	if err := ctrl.Leave(); err != nil {
 		return err
 	}
-	settle(ctrls["house-tokyo"].AgreedSeq())
+	if err := settle(ctrl.AgreedSeq()); err != nil {
+		return err
+	}
 
 	for _, h := range houses {
 		high, bidder, closed := auctions[h].Standing()
-		fmt.Printf("  %s sees: winner %s at %d (closed=%t)\n", h, bidder, high, closed)
+		fmt.Fprintf(out, "  %s sees: winner %s at %d (closed=%t)\n", h, bidder, high, closed)
+		if bidder != "collector-c" || high != 2100 || !closed {
+			return fmt.Errorf("deviation: %s sees %s at %d (closed=%t), want collector-c at 2100, closed", h, bidder, high, closed)
+		}
 	}
 	return nil
 }

@@ -9,7 +9,9 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	b2b "b2b"
@@ -18,14 +20,23 @@ import (
 )
 
 func main() {
-	if err := twoParty(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("orderprocessing: %v", err)
 	}
-	if err := fourParty(); err != nil {
-		log.SetFlags(0)
-		log.Fatalf("orderprocessing (four-party): %v", err)
+}
+
+// run plays the Fig 7 script and then the four-party variant, writing the
+// transcript to out. The error reports any deviation from the paper's
+// expected behaviour.
+func run(out io.Writer) error {
+	if err := twoParty(out); err != nil {
+		return err
 	}
+	if err := fourParty(out); err != nil {
+		return fmt.Errorf("four-party: %w", err)
+	}
+	return nil
 }
 
 // deployment wires n parties sharing one order object.
@@ -99,30 +110,25 @@ func (d *deployment) change(id string, mutate func(*apps.Order)) error {
 	if err := ctrl.Leave(); err != nil {
 		return err
 	}
-	d.settle(ctrl.AgreedSeq())
-	return nil
+	return d.settle(ctrl.AgreedSeq())
 }
 
 // settle waits until every replica's agreed sequence reaches seq.
-func (d *deployment) settle(seq uint64) {
+func (d *deployment) settle(seq uint64) error {
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, c := range d.ctrls {
-			if c.AgreedSeq() < seq {
-				ok = false
-				break
+	for id, c := range d.ctrls {
+		for c.AgreedSeq() < seq {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%s's replica did not reach sequence %d within 10s", id, seq)
 			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		if ok {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
-func twoParty() error {
-	fmt.Println("=== Two-party order processing (Fig 7) ===")
+func twoParty(out io.Writer) error {
+	fmt.Fprintln(out, "=== Two-party order processing (Fig 7) ===")
 	roles := map[string]apps.Role{"customer": apps.Customer, "supplier": apps.Supplier}
 	d, err := deploy(roles, []string{"customer", "supplier"})
 	if err != nil {
@@ -130,25 +136,25 @@ func twoParty() error {
 	}
 	defer d.close()
 
-	fmt.Println("\ncustomer orders 2 widget1s:")
+	fmt.Fprintln(out, "\ncustomer orders 2 widget1s:")
 	if err := d.change("customer", func(o *apps.Order) { o.AddItem("widget1", 2) }); err != nil {
 		return err
 	}
-	fmt.Print(d.orders["supplier"].Render())
+	fmt.Fprint(out, d.orders["supplier"].Render())
 
-	fmt.Println("\nsupplier prices widget1 at 10 per unit:")
+	fmt.Fprintln(out, "\nsupplier prices widget1 at 10 per unit:")
 	if err := d.change("supplier", func(o *apps.Order) { _ = o.SetPrice("widget1", 10) }); err != nil {
 		return err
 	}
-	fmt.Print(d.orders["customer"].Render())
+	fmt.Fprint(out, d.orders["customer"].Render())
 
-	fmt.Println("\ncustomer amends the order for 10 widget2s:")
+	fmt.Fprintln(out, "\ncustomer amends the order for 10 widget2s:")
 	if err := d.change("customer", func(o *apps.Order) { o.AddItem("widget2", 10) }); err != nil {
 		return err
 	}
-	fmt.Print(d.orders["supplier"].Render())
+	fmt.Fprint(out, d.orders["supplier"].Render())
 
-	fmt.Println("\nsupplier attempts to price widget2 AND change its quantity:")
+	fmt.Fprintln(out, "\nsupplier attempts to price widget2 AND change its quantity:")
 	err = d.change("supplier", func(o *apps.Order) {
 		_ = o.SetPrice("widget2", 7)
 		_ = o.SetQuantity("widget2", 100)
@@ -156,20 +162,30 @@ func twoParty() error {
 	if !errors.Is(err, b2b.ErrVetoed) {
 		return fmt.Errorf("expected veto, got: %v", err)
 	}
-	fmt.Printf("REJECTED: %v\n", err)
-	fmt.Println("\ncustomer's copy is unaffected:")
-	fmt.Print(d.orders["customer"].Render())
+	fmt.Fprintf(out, "REJECTED: %v\n", err)
+	fmt.Fprintln(out, "\ncustomer's copy is unaffected:")
+	fmt.Fprint(out, d.orders["customer"].Render())
 
-	fmt.Println("\nsupplier retries with only the price change:")
+	fmt.Fprintln(out, "\nsupplier retries with only the price change:")
 	if err := d.change("supplier", func(o *apps.Order) { _ = o.SetPrice("widget2", 7) }); err != nil {
 		return err
 	}
-	fmt.Print(d.orders["customer"].Render())
-	return nil
+	fmt.Fprint(out, d.orders["customer"].Render())
+
+	// Deviation check: the vetoed quantity change never reached the customer.
+	for _, l := range d.orders["customer"].Lines() {
+		if l.Item == "widget2" {
+			if l.Quantity != 10 || l.Price != 7 {
+				return fmt.Errorf("deviation: widget2 is %d at %d, want 10 at 7", l.Quantity, l.Price)
+			}
+			return nil
+		}
+	}
+	return errors.New("deviation: the customer's order has no widget2")
 }
 
-func fourParty() error {
-	fmt.Println("\n=== Four-party variant (approver sanctions, dispatcher commits) ===")
+func fourParty(out io.Writer) error {
+	fmt.Fprintln(out, "\n=== Four-party variant (approver sanctions, dispatcher commits) ===")
 	roles := map[string]apps.Role{
 		"customer":   apps.Customer,
 		"supplier":   apps.Supplier,
@@ -194,20 +210,20 @@ func fourParty() error {
 		{who: "dispatcher", what: "commits to 48h delivery", mutate: func(o *apps.Order) { o.SetDelivery("48h courier") }},
 	}
 	for _, s := range steps {
-		fmt.Printf("\n%s %s:\n", s.who, s.what)
+		fmt.Fprintf(out, "\n%s %s:\n", s.who, s.what)
 		if err := d.change(s.who, s.mutate); err != nil {
 			return fmt.Errorf("%s: %w", s.who, err)
 		}
 	}
 	// Everyone converges on the same validated order.
-	fmt.Println()
-	fmt.Print(d.orders["customer"].Render())
+	fmt.Fprintln(out)
+	fmt.Fprint(out, d.orders["customer"].Render())
 
-	fmt.Println("\ndispatcher attempts to add an item (outside its role):")
+	fmt.Fprintln(out, "\ndispatcher attempts to add an item (outside its role):")
 	err = d.change("dispatcher", func(o *apps.Order) { o.AddItem("widget4", 1) })
 	if !errors.Is(err, b2b.ErrVetoed) {
 		return fmt.Errorf("expected veto, got: %v", err)
 	}
-	fmt.Printf("REJECTED: %v\n", err)
+	fmt.Fprintf(out, "REJECTED: %v\n", err)
 	return nil
 }

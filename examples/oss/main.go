@@ -12,7 +12,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"time"
 
 	b2b "b2b"
 	"b2b/internal/crypto"
@@ -63,13 +66,19 @@ func (c *ownedConfig) ValidateConnect(string) error { return nil }
 func (c *ownedConfig) ValidateDisconnect(string, bool) error { return nil }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("oss: %v", err)
 	}
 }
 
-func run() error {
+// run plays the scenario, writing its transcript to out.
+func run(out io.Writer) error {
+	// Every wait for a replica to settle shares one bound: a replica that
+	// does not converge in time is an error, not a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
 	td, err := b2b.NewTrustDomain(nil)
 	if err != nil {
 		return err
@@ -138,7 +147,7 @@ func run() error {
 
 	change := func(id string, mutate func(*org)) error {
 		o := orgs[id]
-		if err := o.ctrl.Settle(context.Background()); err != nil {
+		if err := o.ctrl.Settle(ctx); err != nil {
 			return err
 		}
 		o.ctrl.Enter()
@@ -147,47 +156,49 @@ func run() error {
 		return o.ctrl.Leave()
 	}
 
-	fmt.Println("customer tailors its own service features (dispersed OSS control):")
+	fmt.Fprintln(out, "customer tailors its own service features (dispersed OSS control):")
 	if err := change("customer", func(o *org) {
 		o.service.Values["voicemail"] = "enabled"
 		o.service.Values["call-forwarding"] = "office-hours"
 	}); err != nil {
 		return err
 	}
-	fmt.Println("  accepted; provider's replica reflects the change")
+	fmt.Fprintln(out, "  accepted; provider's replica reflects the change")
 
-	fmt.Println("\nprovider reconfigures the network side:")
+	fmt.Fprintln(out, "\nprovider reconfigures the network side:")
 	if err := change("provider", func(o *org) {
 		o.network.Values["bearer"] = "fibre-100M"
 		o.network.Values["sla"] = "99.95"
 	}); err != nil {
 		return err
 	}
-	fmt.Println("  accepted; customer's replica reflects the change")
+	fmt.Fprintln(out, "  accepted; customer's replica reflects the change")
 
-	fmt.Println("\nprovider attempts to flip a customer-owned feature:")
+	fmt.Fprintln(out, "\nprovider attempts to flip a customer-owned feature:")
 	err = change("provider", func(o *org) {
 		o.service.Values["voicemail"] = "disabled"
 	})
 	if !errors.Is(err, b2b.ErrVetoed) {
 		return fmt.Errorf("expected veto, got: %v", err)
 	}
-	fmt.Printf("  REJECTED: %v\n", err)
+	fmt.Fprintf(out, "  REJECTED: %v\n", err)
 
-	fmt.Println("\ncustomer attempts to change the provider's SLA:")
+	fmt.Fprintln(out, "\ncustomer attempts to change the provider's SLA:")
 	err = change("customer", func(o *org) {
 		o.network.Values["sla"] = "100"
 	})
 	if !errors.Is(err, b2b.ErrVetoed) {
 		return fmt.Errorf("expected veto, got: %v", err)
 	}
-	fmt.Printf("  REJECTED: %v\n", err)
+	fmt.Fprintf(out, "  REJECTED: %v\n", err)
 
-	fmt.Println("\nfinal shared configuration (both replicas identical):")
+	fmt.Fprintln(out, "\nfinal shared configuration (both replicas identical):")
 	for _, id := range members {
 		o := orgs[id]
-		_ = o.ctrl.Settle(context.Background())
-		fmt.Printf("  %s sees service=%v network=%v\n", id, o.service.Values, o.network.Values)
+		if err := o.ctrl.Settle(ctx); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "  %s sees service=%v network=%v\n", id, o.service.Values, o.network.Values)
 	}
 	return nil
 }

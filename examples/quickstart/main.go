@@ -9,8 +9,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"time"
 
 	b2b "b2b"
 	"b2b/internal/crypto"
@@ -47,13 +49,19 @@ func (n *note) ValidateConnect(string) error { return nil }
 func (n *note) ValidateDisconnect(string, bool) error { return nil }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("quickstart: %v", err)
 	}
 }
 
-func run() error {
+// run plays the scenario, writing its transcript to out.
+func run(out io.Writer) error {
+	// Every wait for a replica to settle shares one bound: a replica that
+	// does not converge in time is an error, not a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
 	// Trust setup: a CA and time-stamping service both organisations accept.
 	td, err := b2b.NewTrustDomain(nil)
 	if err != nil {
@@ -117,11 +125,11 @@ func run() error {
 	if err := ctrlA.Leave(); err != nil {
 		return fmt.Errorf("org-a's change rejected: %w", err)
 	}
-	fmt.Println("org-a appended an entry; org-b validated and installed it")
+	fmt.Fprintln(out, "org-a appended an entry; org-b validated and installed it")
 
 	// Org B appends in turn (after settling: its replica must reflect the
 	// agreed state before acting on it).
-	if err := ctrlB.Settle(context.Background()); err != nil {
+	if err := ctrlB.Settle(ctx); err != nil {
 		return err
 	}
 	ctrlB.Enter()
@@ -130,10 +138,10 @@ func run() error {
 	if err := ctrlB.Leave(); err != nil {
 		return fmt.Errorf("org-b's change rejected: %w", err)
 	}
-	fmt.Println("org-b appended an entry; org-a validated and installed it")
+	fmt.Fprintln(out, "org-b appended an entry; org-a validated and installed it")
 
 	// A change violating the sharing rules is vetoed and rolled back.
-	if err := ctrlA.Settle(context.Background()); err != nil {
+	if err := ctrlA.Settle(ctx); err != nil {
 		return err
 	}
 	ctrlA.Enter()
@@ -143,23 +151,25 @@ func run() error {
 	if !errors.Is(err, b2b.ErrVetoed) {
 		return fmt.Errorf("expected a veto, got: %v", err)
 	}
-	fmt.Printf("org-a's history rewrite was vetoed: %v\n", err)
-	fmt.Printf("org-a rolled back to %d agreed entries\n", len(noteA.Entries))
+	fmt.Fprintf(out, "org-a's history rewrite was vetoed: %v\n", err)
+	fmt.Fprintf(out, "org-a rolled back to %d agreed entries\n", len(noteA.Entries))
 
 	// Both replicas hold identical agreed state and evidence of every step.
-	fmt.Println("\nfinal shared note:")
+	fmt.Fprintln(out, "\nfinal shared note:")
 	for _, e := range noteA.Entries {
-		fmt.Printf("  %s\n", e)
+		fmt.Fprintf(out, "  %s\n", e)
 	}
 	entries, err := pa.Log().Entries()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\norg-a holds %d non-repudiation evidence records; chain verifies: %v\n",
+	fmt.Fprintf(out, "\norg-a holds %d non-repudiation evidence records; chain verifies: %v\n",
 		len(entries), pa.Log().Verify() == nil)
+	if err := ctrlB.Settle(ctx); err != nil {
+		return err
+	}
 	if len(noteA.Entries) != 2 || len(noteB.Entries) != 2 {
-		fmt.Fprintln(os.Stderr, "replicas diverged!")
-		os.Exit(1)
+		return fmt.Errorf("replicas diverged: org-a holds %d entries, org-b %d", len(noteA.Entries), len(noteB.Entries))
 	}
 	return nil
 }

@@ -6,173 +6,200 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
+	b2b "b2b"
 	"b2b/internal/apps"
-	"b2b/internal/coord"
-	"b2b/internal/lab"
-	"b2b/internal/ttp"
-	"b2b/internal/wire"
+	"b2b/internal/crypto"
 )
 
-// gameValidator adapts a player's TicTacToe object to the internal
-// validator used by the player-side engines in this wiring. Moves arrive via
-// the trusted third party (Fig 6): the TTP has already attributed the move
-// to a player, so this replica checks rule consistency for whichever
-// player's turn it is.
-func gameValidator(game *apps.TicTacToe) coord.Validator {
-	return lab.ObjectValidator(func(proposer string, proposed []byte) error {
-		if proposer == "ttp" {
-			return game.ValidateStateByTurn(proposed)
-		}
-		return game.ValidateState(proposer, proposed)
-	}, game.ApplyState)
+// agent is the trusted third party's identity.
+const agent = "ttp"
+
+// player is a player's replica of the game on its side. The only other
+// member of a side is the agent, which has already attributed each move to
+// a player and judged it, so the player checks that a state the agent
+// proposes is a legal move by whichever player's turn it is.
+type player struct{ *apps.TicTacToe }
+
+func (p player) ValidateState(_ string, state []byte) error {
+	return p.ValidateStateByTurn(state)
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("tictactoe-ttp: %v", err)
 	}
 }
 
-func run() error {
-	// Three parties: the two players and the trusted third party. Two
-	// separate 2-party coordination groups: cross<->ttp and ttp<->nought.
-	w, err := lab.NewWorld(lab.Options{Seed: 1}, "cross", "ttp", "nought")
+// run plays the Fig 6 script, writing the transcript to out. The error
+// reports any deviation from the paper's expected behaviour.
+func run(out io.Writer) error {
+	td, err := b2b.NewTrustDomain(nil)
 	if err != nil {
 		return err
 	}
-	defer w.Close()
+	idents := map[string]*crypto.Identity{}
+	var certs []crypto.Certificate
+	for _, id := range []string{"cross", agent, "nought"} {
+		ident, err := td.Issue(id)
+		if err != nil {
+			return err
+		}
+		idents[id] = ident
+		certs = append(certs, ident.Certificate())
+	}
 
+	net := b2b.NewMemoryNetwork(1)
+	defer net.Close()
+	parts := map[string]*b2b.Participant{}
+	for id, ident := range idents {
+		conn, err := net.Endpoint(id)
+		if err != nil {
+			return err
+		}
+		p, err := b2b.NewParticipant(ident, td, conn, b2b.WithPeerCertificates(certs...))
+		if err != nil {
+			return err
+		}
+		defer func() { _ = p.Close() }()
+		parts[id] = p
+	}
+
+	// The TTP judges each move against its own copy of the rules BEFORE the
+	// opponent sees it, then forwards the agreed state across. Two separate
+	// 2-party groups: side-x {cross, ttp} and side-o {ttp, nought}.
 	players := map[string]byte{"cross": apps.X, "nought": apps.O}
-	gameX := apps.NewTicTacToe(players)
-	gameO := apps.NewTicTacToe(players)
-	refGame := apps.NewTicTacToe(players) // the TTP's authoritative rules copy
-
-	// The TTP's relay validates each move against the rules BEFORE the
-	// opponent sees it, then forwards agreed states across.
-	relay := ttp.NewRelay(func(proposer string, current, proposed []byte) wire.Decision {
-		if err := refGame.ApplyState(current); err != nil {
-			return wire.Rejected("ttp cannot parse current state")
+	relay := newRelay(func(proposer string, current, proposed []byte) error {
+		ref := apps.NewTicTacToe(players)
+		if err := ref.ApplyState(current); err != nil {
+			return err
 		}
-		if err := refGame.ValidateState(proposer, proposed); err != nil {
-			return wire.Rejected("ttp: " + err.Error())
-		}
-		return wire.Accepted
+		return ref.ValidateState(proposer, proposed)
 	})
-
-	if _, _, err := w.Party("cross").Part.Bind("side-x", gameValidator(gameX), nil); err != nil {
-		return err
-	}
-	enL, _, err := w.Party("ttp").Part.Bind("side-x", relay.ValidatorFor(0), nil)
-	if err != nil {
-		return err
-	}
-	enR, _, err := w.Party("ttp").Part.Bind("side-o", relay.ValidatorFor(1), nil)
-	if err != nil {
-		return err
-	}
-	if _, _, err := w.Party("nought").Part.Bind("side-o", gameValidator(gameO), nil); err != nil {
-		return err
-	}
-	relay.Bind(0, enL)
-	relay.Bind(1, enR)
-
+	defer relay.Wait() // before the participants close
 	initial, err := apps.NewTicTacToe(players).GetState()
 	if err != nil {
 		return err
 	}
-	if err := w.Party("cross").Engine("side-x").Bootstrap(initial, []string{"cross", "ttp"}); err != nil {
+	objects := [2]string{"side-x", "side-o"}
+	sides := [2][]string{{"cross", agent}, {agent, "nought"}}
+	if err := relay.bind(parts[agent], objects, sides, initial); err != nil {
 		return err
 	}
-	if err := enL.Bootstrap(initial, []string{"cross", "ttp"}); err != nil {
-		return err
-	}
-	if err := enR.Bootstrap(initial, []string{"ttp", "nought"}); err != nil {
-		return err
-	}
-	if err := w.Party("nought").Engine("side-o").Bootstrap(initial, []string{"ttp", "nought"}); err != nil {
-		return err
-	}
-
-	moveVia := func(player, object string, game *apps.TicTacToe, pos int, mark byte) error {
-		if err := game.Move(pos, mark); err != nil {
-			return err
-		}
-		state, err := game.GetState()
+	games := map[string]*apps.TicTacToe{}
+	ctrls := map[string]*b2b.Controller{}
+	for i, id := range []string{"cross", "nought"} {
+		games[id] = apps.NewTicTacToe(players)
+		ctrl, err := parts[id].Bind(objects[i], player{games[id]}, nil)
 		if err != nil {
 			return err
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		out, err := w.Party(player).Engine(object).Propose(ctx, state)
-		if err != nil {
+		if err := ctrl.Bootstrap(sides[i]); err != nil {
 			return err
 		}
-		if !out.Valid {
-			return fmt.Errorf("move vetoed: %s", out.Diagnostic)
+		ctrls[id] = ctrl
+	}
+
+	// move plays one coordinated move on the player's side.
+	move := func(id string, pos int, mark byte) error {
+		ctrl := ctrls[id]
+		ctrl.Enter()
+		ctrl.Overwrite()
+		if err := games[id].Move(pos, mark); err != nil {
+			_ = ctrl.Leave()
+			return err
 		}
-		relay.Wait() // let the TTP forward to the other side
-		return nil
+		return ctrl.Leave()
 	}
 
-	fmt.Println("Cross plays centre (validated at the TTP before Nought sees it):")
-	if err := moveVia("cross", "side-x", gameX, 4, apps.X); err != nil {
+	fmt.Fprintln(out, "Cross plays centre (validated at the TTP before Nought sees it):")
+	if err := move("cross", 4, apps.X); err != nil {
 		return err
 	}
-	waitBoard(gameO, 1)
-	fmt.Println(gameO.Board())
+	if err := waitBoard(ctrls["nought"], 1); err != nil {
+		return err
+	}
+	fmt.Fprintln(out, games["nought"].Board())
 
-	fmt.Println("\nNought plays top-left (validated at the TTP):")
-	if err := moveVia("nought", "side-o", gameO, 0, apps.O); err != nil {
+	fmt.Fprintln(out, "\nNought plays top-left (validated at the TTP):")
+	if err := move("nought", 0, apps.O); err != nil {
 		return err
 	}
-	waitBoard(gameX, 2)
-	fmt.Println(gameX.Board())
+	if err := waitBoard(ctrls["cross"], 2); err != nil {
+		return err
+	}
+	fmt.Fprintln(out, games["cross"].Board())
+	relay.Wait()
+	seen := ctrls["nought"].AgreedState()
 
 	// An invalid move: Cross tries to overwrite Nought's square. The TTP
 	// vetoes it; Nought never receives anything.
-	fmt.Println("\nCross attempts to overwrite Nought's square via the TTP...")
-	gameX.ForceMove(0, apps.X)
-	state, err := gameX.GetState()
+	fmt.Fprintln(out, "\nCross attempts to overwrite Nought's square via the TTP...")
+	ctrlX := ctrls["cross"]
+	ctrlX.Enter()
+	ctrlX.Overwrite()
+	games["cross"].ForceMove(0, apps.X)
+	cheat, err := games["cross"].GetState()
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	_, err = w.Party("cross").Engine("side-x").Propose(ctx, state)
-	if err == nil {
-		return fmt.Errorf("expected the TTP to veto")
+	err = ctrlX.Leave()
+	if !errors.Is(err, b2b.ErrVetoed) {
+		return fmt.Errorf("expected the TTP to veto, got: %v", err)
 	}
-	fmt.Printf("REJECTED AT THE TTP: %v\n", err)
-	fmt.Println("\nNought's board never saw the invalid move:")
-	fmt.Println(gameO.Board())
+	fmt.Fprintf(out, "REJECTED AT THE TTP: %v\n", err)
+	relay.Wait()
+	fmt.Fprintln(out, "\nNought's board never saw the invalid move:")
+	fmt.Fprintln(out, games["nought"].Board())
+
+	// Deviation checks: the TTP holds evidence of the cheat; Nought's agreed
+	// game and evidence log hold no trace of it.
+	if !bytes.Equal(ctrls["nought"].AgreedState(), seen) {
+		return errors.New("deviation: nought's agreed game changed after the vetoed move")
+	}
+	if !logged(parts[agent], cheat) {
+		return errors.New("deviation: the TTP holds no evidence of the vetoed move")
+	}
+	if logged(parts["nought"], cheat) {
+		return errors.New("deviation: the vetoed move reached nought's evidence log")
+	}
+	if errs := relay.Errs(); len(errs) != 0 {
+		return fmt.Errorf("forwarding failed: %v", errs)
+	}
 	return nil
 }
 
-// waitBoard waits for the relay's forward to land (moves counted).
-func waitBoard(g *apps.TicTacToe, moves int) {
+// logged reports whether any evidence record p holds carries state.
+func logged(p *b2b.Participant, state []byte) bool {
+	entries, err := p.Log().Entries()
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		if bytes.Contains(e.Payload, state) {
+			return true
+		}
+	}
+	return false
+}
+
+// waitBoard waits until moves moves are agreed on ctrl's side: the relay's
+// forward has landed on that player's board.
+func waitBoard(ctrl *b2b.Controller, moves uint64) error {
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		state, err := g.GetState()
-		if err == nil && countMoves(state) >= moves {
-			return
+	for ctrl.AgreedSeq() < moves {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("board did not reach %d moves within 10s", moves)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-func countMoves(state []byte) int {
-	var s struct {
-		Moves int `json:"moves"`
-	}
-	if err := json.Unmarshal(state, &s); err != nil {
-		return 0
-	}
-	return s.Moves
+	return nil
 }

@@ -10,7 +10,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"time"
 
 	b2b "b2b"
 	"b2b/internal/apps"
@@ -18,13 +21,15 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("tictactoe: %v", err)
 	}
 }
 
-func run() error {
+// run plays the Fig 5 script, writing the transcript to out. The error
+// reports any deviation from the paper's expected behaviour.
+func run(out io.Writer) error {
 	td, err := b2b.NewTrustDomain(nil)
 	if err != nil {
 		return err
@@ -43,6 +48,7 @@ func run() error {
 	defer net.Close()
 
 	players := map[string]byte{"cross": apps.X, "nought": apps.O}
+	parts := map[string]*b2b.Participant{}
 	games := map[string]*apps.TicTacToe{}
 	ctrls := map[string]*b2b.Controller{}
 	for _, ident := range []*crypto.Identity{cross, nought} {
@@ -60,6 +66,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		parts[ident.ID()] = p
 		games[ident.ID()] = g
 		ctrls[ident.ID()] = ctrl
 	}
@@ -70,11 +77,22 @@ func run() error {
 		}
 	}
 
+	// settle waits until a player's replica reflects every decided move.
+	settle := func(player string) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := ctrls[player].Settle(ctx); err != nil {
+			return fmt.Errorf("%s did not settle: %w", player, err)
+		}
+		return nil
+	}
+	opponent := map[string]string{"cross": "nought", "nought": "cross"}
+
 	// move plays one coordinated move ("Save" in the paper's client). The
 	// player first settles so its board reflects the opponent's last move.
 	move := func(player string, pos int, mark byte) error {
 		g, ctrl := games[player], ctrls[player]
-		if err := ctrl.Settle(context.Background()); err != nil {
+		if err := settle(player); err != nil {
 			return err
 		}
 		ctrl.Enter()
@@ -88,29 +106,32 @@ func run() error {
 	}
 
 	// The Fig 5 sequence.
-	fmt.Println("Cross claims middle row, centre square:")
-	if err := move("cross", 4, apps.X); err != nil {
-		return err
+	steps := []struct {
+		desc   string
+		player string
+		pos    int
+		mark   byte
+	}{
+		{desc: "Cross claims middle row, centre square", player: "cross", pos: 4, mark: apps.X},
+		{desc: "Nought claims top row, left square", player: "nought", pos: 0, mark: apps.O},
+		{desc: "Cross claims middle row, right square", player: "cross", pos: 5, mark: apps.X},
 	}
-	fmt.Println(games["nought"].Board())
-
-	fmt.Println("\nNought claims top row, left square:")
-	if err := move("nought", 0, apps.O); err != nil {
-		return err
+	for _, s := range steps {
+		fmt.Fprintf(out, "%s:\n", s.desc)
+		if err := move(s.player, s.pos, s.mark); err != nil {
+			return fmt.Errorf("legal move rejected: %w", err)
+		}
+		if err := settle(opponent[s.player]); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "%s\n\n", games[opponent[s.player]].Board())
 	}
-	fmt.Println(games["cross"].Board())
-
-	fmt.Println("\nCross claims middle row, right square:")
-	if err := move("cross", 5, apps.X); err != nil {
-		return err
-	}
-	fmt.Println(games["nought"].Board())
 
 	// The cheat: Cross attempts to mark bottom row, centre square with a
 	// zero, pre-empting Nought's next move.
-	fmt.Println("\nCross attempts to mark bottom row, centre square with a zero...")
+	fmt.Fprintln(out, "Cross attempts to mark bottom row, centre square with a zero...")
 	gX, ctrlX := games["cross"], ctrls["cross"]
-	if err := ctrlX.Settle(context.Background()); err != nil {
+	if err := settle("cross"); err != nil {
 		return err
 	}
 	ctrlX.Enter()
@@ -120,14 +141,29 @@ func run() error {
 	if !errors.Is(err, b2b.ErrVetoed) {
 		return fmt.Errorf("expected the cheat to be vetoed, got: %v", err)
 	}
-	fmt.Printf("REJECTED: %v\n", err)
+	fmt.Fprintf(out, "REJECTED: %v\n\n", err)
+	if err := settle("nought"); err != nil {
+		return err
+	}
 
-	fmt.Println("\nNought's board is unaffected (agreed state unchanged):")
-	fmt.Println(games["nought"].Board())
-	fmt.Println("\nCross's replica was rolled back to the agreed state:")
-	fmt.Println(games["cross"].Board())
+	fmt.Fprintln(out, "Nought's board is unaffected; the agreed game state is unchanged:")
+	fmt.Fprintln(out, games["nought"].Board())
+	fmt.Fprintln(out, "\nCross's replica was rolled back to the agreed state:")
+	fmt.Fprintln(out, gX.Board())
 
 	// Nought holds non-repudiable evidence of the attempt. Cross forfeits.
-	fmt.Println("\nNought holds evidence of the attempt to cheat; Cross forfeits the game.")
+	fmt.Fprintln(out, "\nNought holds evidence of the attempt to cheat; Cross forfeits the game.")
+
+	// Deviation checks.
+	if games["nought"].Turn() != "O" {
+		return errors.New("deviation: agreed game not at Nought's turn")
+	}
+	entries, err := parts["nought"].Log().Entries()
+	if err != nil {
+		return err
+	}
+	if len(entries) == 0 {
+		return errors.New("deviation: nought holds no evidence")
+	}
 	return nil
 }

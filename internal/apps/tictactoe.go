@@ -2,8 +2,8 @@
 // paper's evaluation (§5): the Tic-Tac-Toe game (symmetric turn-taking
 // rules, Fig 5/6), the order processing object (asymmetric per-role rules,
 // Fig 7) and the distributed auction of §2 scenario 3. All three implement
-// the public b2b.Object interface and are shared by the runnable examples,
-// the demo driver and the experiment harness.
+// the public b2b.Object interface and are shared by the runnable examples
+// and the experiment harness.
 package apps
 
 import (

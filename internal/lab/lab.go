@@ -1,5 +1,5 @@
-// Package lab assembles complete B2BObjects deployments for tests and
-// examples: a set of participants (full middleware stacks) over an
+// Package lab assembles complete B2BObjects deployments for tests: a set
+// of participants (full middleware stacks) over an
 // in-memory fault-injecting network, with a shared CA and time-stamping
 // service. The paper-claim tests, the safety and liveness suites, the
 // structural bar tests and the scenario factory all build on it.
@@ -680,4 +680,38 @@ func (acceptAll) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestat
 		return nil, err
 	}
 	return out, nil
+}
+
+// ObjectValidator adapts an overwrite-only application object (the paper
+// apps' ValidateState / ApplyState pair) to coord.Validator: validate judges
+// each proposed state, install receives every installed or rolled-back
+// state, and updates are refused.
+func ObjectValidator(validate func(proposer string, state []byte) error, install func(state []byte) error) coord.Validator {
+	return &objValidator{validate: validate, install: install}
+}
+
+type objValidator struct {
+	validate func(proposer string, state []byte) error
+	install  func(state []byte) error
+}
+
+func (v *objValidator) ValidateState(proposer string, _ *pagestate.Paged, proposed []byte) wire.Decision {
+	if err := v.validate(proposer, proposed); err != nil {
+		return wire.Rejected(err.Error())
+	}
+	return wire.Accepted
+}
+
+func (v *objValidator) ValidateUpdate(string, *pagestate.Paged, []byte) wire.Decision {
+	return wire.Rejected("updates not used by this object")
+}
+
+func (v *objValidator) ApplyUpdate(*pagestate.Paged, []byte) (*pagestate.Paged, error) {
+	return nil, errors.New("updates not used by this object")
+}
+
+func (v *objValidator) Installed(state *pagestate.Paged, _ tuple.State) { _ = v.install(state.Bytes()) }
+
+func (v *objValidator) RolledBack(state *pagestate.Paged, _ tuple.State) {
+	_ = v.install(state.Bytes())
 }

@@ -224,9 +224,9 @@ func (c *Client) pollOnce(ctx context.Context) (wire.RelayBatch, error) {
 	}
 }
 
-// PublishPrekey signs the current epoch's prekey and sends it to the given
-// peers and the relay host; the publication is also learned into the local
-// directory so sponsors forward it inside Welcomes.
+// PublishPrekey signs the current epoch's prekey and sends it once to each
+// of the given peers and the relay host; the publication is also learned
+// into the local directory so sponsors forward it inside Welcomes.
 func (c *Client) PublishPrekey(ctx context.Context, peers []string) error {
 	epoch, pub := c.cfg.Keys.Public()
 	pk := wire.RelayPrekey{Member: c.cfg.Ident.ID(), Epoch: epoch, Pub: pub}
@@ -238,11 +238,13 @@ func (c *Client) PublishPrekey(ctx context.Context, peers []string) error {
 	if c.cfg.Relay != "" {
 		targets = append(targets, c.cfg.Relay)
 	}
+	sent := map[string]bool{c.cfg.Ident.ID(): true}
 	var errs []error
 	for _, to := range targets {
-		if to == c.cfg.Ident.ID() {
+		if sent[to] {
 			continue
 		}
+		sent[to] = true
 		if err := sendEnvelope(ctx, c.cfg.Conn, to, wire.KindRelayPrekey, raw); err != nil {
 			errs = append(errs, err)
 		}

@@ -638,3 +638,42 @@ func TestClientDepositRequiresPrekey(t *testing.T) {
 		t.Fatalf("drain without relay: n=%d err=%v", n, err)
 	}
 }
+
+// recordConn counts the frames sent to each peer.
+type recordConn struct {
+	id   string
+	sent map[string]int
+}
+
+func (c *recordConn) ID() string { return c.id }
+
+func (c *recordConn) Send(_ context.Context, to string, _ []byte) error {
+	c.sent[to]++
+	return nil
+}
+
+// TestPublishPrekeySendsEachTargetOnce: a relay host that is also listed
+// among the peers gets one copy of the publication, not two, and the
+// publisher sends none to itself.
+func TestPublishPrekeySendsEachTargetOnce(t *testing.T) {
+	fx := newFixture(t, "alice")
+	conn := &recordConn{id: "alice", sent: make(map[string]int)}
+	cl, err := NewClient(ClientConfig{
+		Ident: fx.idents["alice"],
+		TSA:   fx.tsa,
+		Conn:  conn,
+		Relay: "hub",
+		Keys:  mustKeys(t),
+		Dir:   NewDirectory(fx.verifier()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.PublishPrekey(context.Background(), []string{"hub", "alice", "bob", "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"hub": 1, "bob": 1}
+	if fmt.Sprint(conn.sent) != fmt.Sprint(want) {
+		t.Fatalf("frames sent per peer = %v, want %v", conn.sent, want)
+	}
+}

@@ -12,9 +12,9 @@ import (
 // WAL record per checkpoint / run save / run delete, group-commit fsync, and
 // bounded retention — at compaction only the live set survives: each
 // object's reconstruction chain (latest full snapshot plus following delta
-// checkpoints) and the still-pending run records. History is therefore the
-// retained chain, not the full life of the object; evidence retention is the
-// non-repudiation log's business, not the checkpoint store's.
+// checkpoints) and the still-pending run records. The full life of the
+// object is not kept; evidence retention is the non-repudiation log's
+// business, not the checkpoint store's.
 type Segmented struct {
 	pl *Plane
 
@@ -192,12 +192,6 @@ func (s *Segmented) Latest(object string) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("%w: %s", ErrNoCheckpoint, object)
 	}
 	return copyCheckpoint(chain[len(chain)-1]), nil
-}
-
-// History implements Store: the retained chain, oldest first. Retention is
-// bounded — compaction prunes everything before the latest full snapshot.
-func (s *Segmented) History(object string) ([]Checkpoint, error) {
-	return s.Chain(object)
 }
 
 // Chain implements Store.

@@ -297,7 +297,7 @@ func TestSegmentedCompactionRetainsLiveSet(t *testing.T) {
 }
 
 // TestMemoryDefensiveCopies is the regression test for the aliasing bug:
-// Latest/History used to return Checkpoints whose State and Members slices
+// Latest/Chain used to return Checkpoints whose State and Members slices
 // aliased the stored copies, so a caller mutating the returned state
 // silently corrupted history.
 func TestMemoryDefensiveCopies(t *testing.T) {
@@ -320,12 +320,12 @@ func TestMemoryDefensiveCopies(t *testing.T) {
 	got.State[0] = 'X'
 	got.Members[0] = "mallory"
 
-	hist, err := s.History("obj")
+	chain, err := s.Chain("obj")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist[0].State[1] = 'Y'
-	hist[0].Members[1] = "eve"
+	chain[0].State[1] = 'Y'
+	chain[0].Members[1] = "eve"
 
 	clean, err := s.Latest("obj")
 	if err != nil {

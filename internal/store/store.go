@@ -69,10 +69,6 @@ type Store interface {
 	// Latest returns the most recent checkpoint for the object. It may be
 	// a delta; recovery uses Chain to reconstruct the full state.
 	Latest(object string) (Checkpoint, error)
-	// History returns the retained checkpoints for the object, oldest
-	// first. Stores with bounded retention (Segmented) keep only the
-	// reconstruction chain.
-	History(object string) ([]Checkpoint, error)
 	// Chain returns the reconstruction chain: the most recent full
 	// snapshot followed by every later delta checkpoint, oldest first.
 	// Empty when the object has no checkpoint.
@@ -132,13 +128,6 @@ func (s *Memory) Latest(object string) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("%w: %s", ErrNoCheckpoint, object)
 	}
 	return copyCheckpoint(cps[len(cps)-1]), nil
-}
-
-// History implements Store. Each element is a defensive copy.
-func (s *Memory) History(object string) ([]Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return copyCheckpoints(s.cps[object]), nil
 }
 
 // Chain implements Store.

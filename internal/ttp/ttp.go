@@ -1,10 +1,10 @@
-// Package ttp implements the trusted-third-party machinery discussed in the
-// paper: the certified-termination service sketched in §7 (a TTP that
-// certifies the abort of a blocked run, or a decision derived from a
-// complete response set, so that all honest parties terminate with the same
-// view), and the trusted-agent relay of Fig 1b / Fig 6 (indirect interaction
-// with conditional state disclosure, e.g. Tic-Tac-Toe moves validated at a
-// TTP before the opponent sees them).
+// Package ttp implements the certified-termination service sketched in the
+// paper's §7: a trusted third party that certifies the abort of a blocked
+// run, or a decision derived from a complete response set, so that all
+// honest parties terminate with the same view. RequestAbort is the
+// party-side request. The Fig 6 trusted agent (indirect interaction with
+// conditional state disclosure) is application code over the public API:
+// see examples/tictactoe-ttp.
 package ttp
 
 import (
@@ -13,15 +13,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"b2b/internal/clock"
 	"b2b/internal/coord"
 	"b2b/internal/crypto"
 	"b2b/internal/nrlog"
-	"b2b/internal/pagestate"
 	"b2b/internal/transport"
-	"b2b/internal/tuple"
 	"b2b/internal/wire"
 )
 
@@ -233,133 +230,3 @@ func contains(ss []string, s string) bool {
 	}
 	return false
 }
-
-// Policy validates state at a trusted agent before it is disclosed to the
-// other side (Fig 6: conditional state disclosure). proposer identifies the
-// party whose change is being judged. An overwrite's proposed state is the
-// received message itself: read-only, and not to be kept past the call.
-type Policy func(proposer string, current, proposed []byte) wire.Decision
-
-// Relay is a trusted agent bridging two coordination groups (Fig 1b): the
-// agent is a member of both, validates every state change against its
-// policy, and forwards states agreed in one group into the other. An invalid
-// state never crosses the relay: it is vetoed in its originating group and
-// therefore never disclosed to the other side.
-type Relay struct {
-	policy Policy
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	engines   [2]*coord.Engine
-	forwarded map[[32]byte]bool
-	errs      []error
-	inflight  int
-}
-
-// NewRelay creates a relay with the given validation policy (nil accepts
-// everything).
-func NewRelay(policy Policy) *Relay {
-	if policy == nil {
-		policy = func(_ string, _, _ []byte) wire.Decision { return wire.Accepted }
-	}
-	r := &Relay{policy: policy, forwarded: make(map[[32]byte]bool)}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-// Bind attaches the engine for one side (0 or 1). Call once per side after
-// constructing the engines with ValidatorFor(side).
-func (r *Relay) Bind(side int, en *coord.Engine) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.engines[side] = en
-}
-
-// ValidatorFor returns the coord.Validator the relay's engine on the given
-// side must use: it applies the policy and forwards installed states to the
-// opposite side.
-func (r *Relay) ValidatorFor(side int) coord.Validator {
-	return &relayValidator{relay: r, side: side}
-}
-
-// Wait blocks until all in-flight forwards complete (test support).
-func (r *Relay) Wait() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.inflight > 0 {
-		r.cond.Wait()
-	}
-}
-
-// Errs returns forwarding errors collected so far.
-func (r *Relay) Errs() []error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]error(nil), r.errs...)
-}
-
-// onInstalled forwards a newly agreed state to the other side unless it was
-// the relay's own forward echoing back.
-func (r *Relay) onInstalled(side int, state []byte) {
-	h := crypto.Hash(state)
-	r.mu.Lock()
-	if r.forwarded[h] {
-		r.mu.Unlock()
-		return
-	}
-	r.forwarded[h] = true
-	other := r.engines[1-side]
-	if other == nil {
-		r.mu.Unlock()
-		return
-	}
-	r.inflight++
-	r.mu.Unlock()
-	go func() {
-		defer func() {
-			r.mu.Lock()
-			r.inflight--
-			r.cond.Broadcast()
-			r.mu.Unlock()
-		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if _, err := other.Propose(ctx, state); err != nil {
-			r.mu.Lock()
-			r.errs = append(r.errs, fmt.Errorf("ttp: forwarding to side %d: %w", 1-side, err))
-			r.mu.Unlock()
-		}
-	}()
-}
-
-// relayValidator adapts the relay to coord.Validator for one side.
-type relayValidator struct {
-	relay *Relay
-	side  int
-}
-
-func (v *relayValidator) ValidateState(proposer string, current *pagestate.Paged, proposed []byte) wire.Decision {
-	return v.relay.policy(proposer, current.Bytes(), proposed)
-}
-
-func (v *relayValidator) ValidateUpdate(proposer string, current *pagestate.Paged, update []byte) wire.Decision {
-	applied, err := v.ApplyUpdate(current, update)
-	if err != nil {
-		return wire.Rejected(err.Error())
-	}
-	return v.relay.policy(proposer, current.Bytes(), applied.Bytes())
-}
-
-func (v *relayValidator) ApplyUpdate(current *pagestate.Paged, update []byte) (*pagestate.Paged, error) {
-	out := current.Clone()
-	if err := out.Append(update); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (v *relayValidator) Installed(state *pagestate.Paged, _ tuple.State) {
-	v.relay.onInstalled(v.side, state.Bytes())
-}
-
-func (v *relayValidator) RolledBack(*pagestate.Paged, tuple.State) {}

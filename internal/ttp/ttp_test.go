@@ -202,128 +202,3 @@ func TestTerminatorRequiresEvidence(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-// relayWorld builds the Fig 6 topology: two 2-party groups bridged by a
-// trusted agent — {left, agent} on object "side-l" and {agent, right} on
-// object "side-r".
-func relayWorld(t *testing.T, policy ttp.Policy) (*lab.World, *ttp.Relay) {
-	t.Helper()
-	w, err := lab.NewWorld(lab.Options{Seed: 31}, "left", "agent", "right")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-
-	relay := ttp.NewRelay(policy)
-	// left <-> agent on object "side-l": agent uses the relay validator.
-	if _, _, err := w.Party("left").Part.Bind("side-l", lab.AcceptAllValidator(), nil); err != nil {
-		t.Fatal(err)
-	}
-	enL, _, err := w.Party("agent").Part.Bind("side-l", relay.ValidatorFor(0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// agent <-> right on object "side-r".
-	enR, _, err := w.Party("agent").Part.Bind("side-r", relay.ValidatorFor(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.Party("right").Part.Bind("side-r", lab.AcceptAllValidator(), nil); err != nil {
-		t.Fatal(err)
-	}
-	relay.Bind(0, enL)
-	relay.Bind(1, enR)
-
-	if err := w.Party("left").Engine("side-l").Bootstrap([]byte("v0"), []string{"left", "agent"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enL.Bootstrap([]byte("v0"), []string{"left", "agent"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enR.Bootstrap([]byte("v0"), []string{"agent", "right"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Party("right").Engine("side-r").Bootstrap([]byte("v0"), []string{"agent", "right"}); err != nil {
-		t.Fatal(err)
-	}
-	return w, relay
-}
-
-func TestRelayForwardsValidState(t *testing.T) {
-	w, relay := relayWorld(t, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	out, err := w.Party("left").Engine("side-l").Propose(ctx, []byte("move-1"))
-	if err != nil || !out.Valid {
-		t.Fatalf("left propose: %v", err)
-	}
-	// The state crosses the agent to the right-hand group.
-	if err := w.WaitAgreed("side-r", []string{"right"}, []byte("move-1"), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	relay.Wait()
-	if errs := relay.Errs(); len(errs) != 0 {
-		t.Fatalf("relay errors: %v", errs)
-	}
-}
-
-func TestRelayConditionalDisclosure(t *testing.T) {
-	// Fig 6: an invalid move is vetoed AT THE AGENT and never reaches the
-	// opponent — conditional state disclosure.
-	policy := func(_ string, current, proposed []byte) wire.Decision {
-		if bytes.Contains(proposed, []byte("cheat")) {
-			return wire.Rejected("move violates the rules")
-		}
-		return wire.Accepted
-	}
-	w, relay := relayWorld(t, policy)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	_, err := w.Party("left").Engine("side-l").Propose(ctx, []byte("cheat-move"))
-	if !errors.Is(err, coord.ErrVetoed) {
-		t.Fatalf("err = %v, want veto at agent", err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	relay.Wait()
-
-	// The right-hand side never saw anything.
-	_, s := w.Party("right").Engine("side-r").Agreed()
-	if !bytes.Equal(s, []byte("v0")) {
-		t.Fatalf("invalid state disclosed to opponent: %q", s)
-	}
-	// No evidence of the cheat move exists in right's log (it was never
-	// sent), while the agent holds the veto evidence.
-	rightEntries, _ := w.Party("right").Log.Entries()
-	for _, e := range rightEntries {
-		if bytes.Contains(e.Payload, []byte("cheat-move")) {
-			t.Fatal("cheat move leaked to opponent's log")
-		}
-	}
-}
-
-func TestRelayBidirectional(t *testing.T) {
-	w, relay := relayWorld(t, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if _, err := w.Party("left").Engine("side-l").Propose(ctx, []byte("from-left")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WaitAgreed("side-r", []string{"right"}, []byte("from-left"), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	relay.Wait()
-
-	if _, err := w.Party("right").Engine("side-r").Propose(ctx, []byte("from-right")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WaitAgreed("side-l", []string{"left"}, []byte("from-right"), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	relay.Wait()
-	if errs := relay.Errs(); len(errs) != 0 {
-		t.Fatalf("relay errors: %v", errs)
-	}
-}
