@@ -191,8 +191,7 @@
 //     makes per-run cost O(delta), independent of object size (tune with
 //     WithPaging; see docs/ARCHITECTURE.md, "State identity").
 //   - internal/lab, internal/faults — test worlds and adversarial fault
-//     injection; internal/ttp — the §7 termination TTP; internal/apps —
-//     the paper's example applications.
+//     injection; internal/apps — the paper's example applications.
 //
 // Commands: cmd/b2bnode (a networked node), cmd/b2bsoak (the randomized
 // scenario soak) and cmd/b2blint (the protocol lint suite). The paper's

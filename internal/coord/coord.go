@@ -11,8 +11,8 @@
 // the consistent outcome "invalid" and the proposer rolls back to the agreed
 // state. All steps generate signed, time-stamped evidence appended to the
 // party's non-repudiation log. The engine enforces the four invariants of
-// §4.2 and implements the update variant of §4.3.1 and the majority-vote and
-// TTP-certified-abort termination extensions sketched in §7.
+// §4.2 and implements the update variant of §4.3.1 and the majority-vote
+// termination extension sketched in §7.
 //
 // Beyond the paper, the engine supports pipelined coordination: a proposer
 // may hold up to Window runs in flight at once, each proposal chained to its
@@ -48,7 +48,6 @@ var (
 	ErrRunInFlight   = errors.New("coord: a proposal is already in flight")
 	ErrBlocked       = errors.New("coord: protocol run blocked awaiting responses")
 	ErrVetoed        = errors.New("coord: proposed state transition vetoed")
-	ErrAborted       = errors.New("coord: run aborted by TTP certificate")
 	ErrFrozen        = errors.New("coord: coordination frozen during membership change")
 	ErrNotMember     = errors.New("coord: sender is not a group member")
 	ErrUnknownRun    = errors.New("coord: unknown run")
@@ -145,10 +144,6 @@ type Config struct {
 	// Ignored under unanimous termination, which cannot conclude without
 	// the full response set.
 	ResponseDeadline time.Duration
-	// TTP, when set, names the trusted third party whose signed abort
-	// certificates the engine honours (§7 deadline extension). The TTP's
-	// certificate must be registered in Verifier.
-	TTP string
 	// Window is the proposal pipeline depth: how many runs this party may
 	// hold in flight against the object at once, each chained to its
 	// predecessor's proposed state (see docs/ARCHITECTURE.md). Zero or one
@@ -222,7 +217,6 @@ type proposerRun struct {
 	recips    []string
 	started   time.Time     // when the propose was broadcast (§7 deadline anchor)
 	done      chan struct{} // closed when all responses are in (or the run is force-resolved)
-	aborted   bool          // TTP-certified abort
 	forced    bool          // predecessor rolled back: this run can never commit
 
 	pred      *proposerRun  // predecessor run in the pipeline (nil: chains from agreed)
@@ -303,14 +297,6 @@ type Engine struct {
 
 	// memo is the bounded verified-signature cache.
 	memo *sigMemo
-
-	// blog/bstore are the optional batched-durability surfaces of the log
-	// and store (the durability plane): records are staged without
-	// per-record fsyncs and one barrier() per protocol step makes the
-	// whole batch durable in a single group-commit fsync. Nil when the
-	// configured log/store do not support deferral.
-	blog   nrlog.Batched
-	bstore store.Batched
 
 	mu           sync.Mutex
 	bootstrapped bool
@@ -405,8 +391,6 @@ func New(cfg Config) (*Engine, error) {
 		changed:      make(chan struct{}),
 	}
 	en.turn = sync.NewCond(&en.mu)
-	en.blog, _ = cfg.Log.(nrlog.Batched)
-	en.bstore, _ = cfg.Store.(store.Batched)
 	return en, nil
 }
 
@@ -737,19 +721,17 @@ func (en *Engine) snapshotEvery() int {
 // commitCheckpointLocked stages stageLocked's checkpoint of a newly agreed
 // tuple for the executor's barrier. prop is the run's proposal, decoded
 // from the signed propose this party keeps as evidence (nil for a
-// tie-break or catch-up). On a batched store (the durability plane)
-// update-mode runs persist a delta — the update bytes plus the predecessor
-// tuple — so the write cost tracks the change, not the object; every
-// SnapshotEvery deltas (and for every overwrite, tie-break or catch-up) a
-// full snapshot bounds the recovery chain. An overwrite's snapshot keeps
-// the state the proposal carried instead of materialising a copy.
-// Non-batched stores keep the original full-snapshot-per-commit behaviour.
-// en.mu must be held: holding it across the staging keeps the on-disk chain
-// in agreed order.
+// tie-break or catch-up). Update-mode runs persist a delta — the update
+// bytes plus the predecessor tuple — so the write cost tracks the change,
+// not the object; every SnapshotEvery deltas (and for every overwrite,
+// tie-break or catch-up) a full snapshot bounds the recovery chain. An
+// overwrite's snapshot keeps the state the proposal carried instead of
+// materialising a copy. en.mu must be held: holding it across the staging
+// keeps the on-disk chain in agreed order.
 func (en *Engine) commitCheckpointLocked(prop *wire.Propose) error {
-	if prop != nil && prop.Mode == wire.ModeUpdate && en.bstore != nil && en.deltaRuns < en.snapshotEvery() {
+	if prop != nil && prop.Mode == wire.ModeUpdate && en.deltaRuns < en.snapshotEvery() {
 		en.deltaRuns++
-		return en.bstore.SaveCheckpointDeferred(store.Checkpoint{
+		return en.cfg.Store.SaveCheckpointDeferred(store.Checkpoint{
 			Object:  en.cfg.Object,
 			Tuple:   en.agreed,
 			Group:   en.group,
@@ -765,25 +747,14 @@ func (en *Engine) commitCheckpointLocked(prop *wire.Propose) error {
 	if prop != nil && prop.Mode == wire.ModeOverwrite {
 		flat = prop.NewState
 	}
-	if en.bstore != nil {
-		return en.bstore.SaveCheckpointDeferred(en.snapshotLocked(flat))
-	}
-	return en.cfg.Store.SaveCheckpoint(en.snapshotLocked(flat))
+	return en.cfg.Store.SaveCheckpointDeferred(en.snapshotLocked(flat))
 }
 
 // barrier makes every record staged so far durable in one group-commit
-// fsync (no-op when the log/store are not batched: each record was already
-// synced individually).
+// fsync.
 func (en *Engine) barrier() error {
-	if en.blog != nil {
-		if err := en.blog.Barrier(); err != nil {
-			return fmt.Errorf("coord: durability barrier: %w", err)
-		}
-	}
-	if en.bstore != nil {
-		if err := en.bstore.Barrier(); err != nil {
-			return fmt.Errorf("coord: durability barrier: %w", err)
-		}
+	if err := cmp.Or(en.cfg.Log.Barrier(), en.cfg.Store.Barrier()); err != nil {
+		return fmt.Errorf("coord: durability barrier: %w", err)
 	}
 	return nil
 }
@@ -860,7 +831,7 @@ func (en *Engine) apply(ctx context.Context, fx *effects) error {
 	// they sync re-enters a completed run on recovery, which resolves as a
 	// stale sequence and is dropped.
 	if durable && fx.run != "" {
-		err = cmp.Or(err, en.deleteRun(fx.run),
+		err = cmp.Or(err, en.cfg.Store.DeleteRunDeferred(fx.run),
 			en.logEvidenceStaged(fx.run, fx.seq, "verdict", nrlog.DirLocal, []byte(fx.verdict)))
 	}
 	en.finishRollbacks(fx.rolled)
@@ -875,22 +846,6 @@ func (en *Engine) apply(ctx context.Context, fx *effects) error {
 	return err
 }
 
-// saveRun persists a run record, staged when the store supports deferral.
-func (en *Engine) saveRun(r store.RunRecord) error {
-	if en.bstore != nil {
-		return en.bstore.SaveRunDeferred(r)
-	}
-	return en.cfg.Store.SaveRun(r)
-}
-
-// deleteRun removes a run record, staged when the store supports deferral.
-func (en *Engine) deleteRun(runID string) error {
-	if en.bstore != nil {
-		return en.bstore.DeleteRunDeferred(runID)
-	}
-	return en.cfg.Store.DeleteRun(runID)
-}
-
 // logEvidence appends to the non-repudiation log, panicking never: logging
 // failures surface as errors on the protocol operation in progress.
 func (en *Engine) logEvidence(runID, kind string, dir nrlog.Direction, payload []byte) error {
@@ -899,17 +854,9 @@ func (en *Engine) logEvidence(runID, kind string, dir nrlog.Direction, payload [
 
 // logEvidenceSeq is logEvidence tagged with the run's proposal sequence
 // number, chaining the evidence of a pipelined burst per sequence. The
-// entry is durable on return. hints carry the digests of large payload
-// fields this party already took (see nrlog.Hint); a log without
-// SeqAppender hashes everything itself.
-func (en *Engine) logEvidenceSeq(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte, hints ...nrlog.Hint) error {
-	var err error
-	if sl, ok := en.cfg.Log.(nrlog.SeqAppender); ok {
-		_, err = sl.AppendSeq(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload, hints...)
-	} else {
-		_, err = en.cfg.Log.Append(runID, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload)
-	}
-	if err != nil {
+// entry is durable on return.
+func (en *Engine) logEvidenceSeq(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte) error {
+	if _, err := en.cfg.Log.AppendSeq(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload); err != nil {
 		return fmt.Errorf("coord: recording evidence: %w", err)
 	}
 	return nil
@@ -918,12 +865,10 @@ func (en *Engine) logEvidenceSeq(runID string, seq uint64, kind string, dir nrlo
 // logEvidenceStaged is logEvidenceSeq staged for the caller's durability
 // barrier: the entry is appended but only durable after the next barrier().
 // Callers MUST issue that barrier before externalizing anything (sending a
-// message) that depends on the evidence being on disk.
+// message) that depends on the evidence being on disk. hints carry the
+// digests of large payload fields this party already took (see nrlog.Hint).
 func (en *Engine) logEvidenceStaged(runID string, seq uint64, kind string, dir nrlog.Direction, payload []byte, hints ...nrlog.Hint) error {
-	if en.blog == nil {
-		return en.logEvidenceSeq(runID, seq, kind, dir, payload, hints...)
-	}
-	if _, err := en.blog.AppendDeferred(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload, hints...); err != nil {
+	if _, err := en.cfg.Log.AppendDeferred(runID, seq, en.cfg.Object, kind, en.cfg.Ident.ID(), dir, payload, hints...); err != nil {
 		return fmt.Errorf("coord: recording evidence: %w", err)
 	}
 	return nil

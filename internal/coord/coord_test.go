@@ -122,10 +122,6 @@ func withTermination(m Termination) clusterOpt {
 	return func(c *Config) { c.Termination = m }
 }
 
-func withTTP(name string) clusterOpt {
-	return func(c *Config) { c.TTP = name }
-}
-
 func newCluster(t *testing.T, ids []string, initial []byte, opts ...clusterOpt) *cluster {
 	t.Helper()
 	clk := clock.Wall{}

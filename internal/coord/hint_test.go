@@ -20,10 +20,19 @@ type hintLog struct {
 }
 
 func (l *hintLog) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir nrlog.Direction, payload []byte, hints ...nrlog.Hint) (nrlog.Entry, error) {
+	l.record(kind, dir, hints)
+	return l.Memory.AppendSeq(runID, runSeq, object, kind, party, dir, payload, hints...)
+}
+
+func (l *hintLog) AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir nrlog.Direction, payload []byte, hints ...nrlog.Hint) (nrlog.Entry, error) {
+	l.record(kind, dir, hints)
+	return l.Memory.AppendDeferred(runID, runSeq, object, kind, party, dir, payload, hints...)
+}
+
+func (l *hintLog) record(kind string, dir nrlog.Direction, hints []nrlog.Hint) {
 	l.mu.Lock()
 	l.hints[kind+"/"+string(dir)] = append(l.hints[kind+"/"+string(dir)], len(hints))
 	l.mu.Unlock()
-	return l.Memory.AppendSeq(runID, runSeq, object, kind, party, dir, payload, hints...)
 }
 
 func (l *hintLog) counts(kind string, dir nrlog.Direction) []int {

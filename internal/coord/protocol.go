@@ -114,9 +114,9 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 	var predTuple tuple.State
 	var baseState *pagestate.Paged
 	if tail := en.tailLocked(); tail != nil {
-		if tail.forced || tail.aborted {
-			// The pipeline is unwinding after a veto/abort; new runs must
-			// wait for the rollback to complete and chain from agreed.
+		if tail.forced {
+			// The pipeline is unwinding after a veto; new runs must wait
+			// for the rollback to complete and chain from agreed.
 			en.mu.Unlock()
 			return nil, ErrRunInFlight
 		}
@@ -250,7 +250,7 @@ func (en *Engine) proposeAsync(ctx context.Context, mode wire.Mode, newState, up
 		nrlog.Hint{Field: signed.Body, Sum: digest}); err != nil {
 		return fail(err)
 	}
-	if err := en.saveRun(store.RunRecord{
+	if err := en.cfg.Store.SaveRunDeferred(store.RunRecord{
 		RunID:    runID,
 		Object:   en.cfg.Object,
 		Role:     "proposer",
@@ -332,12 +332,8 @@ func (en *Engine) awaitRun(ctx context.Context, run *proposerRun) (Outcome, erro
 					missing = append(missing, r)
 				}
 			}
-			aborted := run.aborted
 			en.mu.Unlock()
 			tryConclude()
-			if aborted {
-				return en.finishRun(ctx, run)
-			}
 			payload := run.raw
 			for _, r := range missing {
 				_ = en.send(context.Background(), r, wire.KindPropose, payload)
@@ -350,9 +346,8 @@ func (en *Engine) awaitRun(ctx context.Context, run *proposerRun) (Outcome, erro
 }
 
 // finishRun resolves a run whose response set is complete (or that was
-// aborted/force-rolled-back), in pipeline order: the predecessor must
-// finalize first, so a veto propagates down the chain before any successor
-// commits.
+// force-rolled-back), in pipeline order: the predecessor must finalize
+// first, so a veto propagates down the chain before any successor commits.
 func (en *Engine) finishRun(ctx context.Context, run *proposerRun) (Outcome, error) {
 	if run.pred != nil {
 		select {
@@ -365,9 +360,9 @@ func (en *Engine) finishRun(ctx context.Context, run *proposerRun) (Outcome, err
 	return run.outcome, run.outErr
 }
 
-// finalizeRun computes the outcome from a complete (or TTP-aborted, or
-// force-invalidated) response set, broadcasts commit, and installs or rolls
-// back locally. Runs exactly once per run, via finishRun.
+// finalizeRun computes the outcome from a complete (or force-invalidated)
+// response set, broadcasts commit, and installs or rolls back locally. Runs
+// exactly once per run, via finishRun.
 func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 	defer close(run.finalized)
 
@@ -377,12 +372,6 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 	sendCommit := true
 	selfContested := false
 	switch {
-	case run.aborted:
-		out.Valid = false
-		out.Diagnostic = "TTP-certified abort"
-		// Recipients resolve through their own copy of the TTP certificate;
-		// an incomplete commit would be rejected anyway.
-		sendCommit = false
 	case predInvalid || run.forced:
 		// The paper's rollback rule generalized to the pipeline: the state
 		// this run chained from was rolled back, so the run can never take
@@ -494,11 +483,7 @@ func (en *Engine) finalizeRun(ctx context.Context, run *proposerRun) {
 	}
 	run.outErr = en.apply(ctx, fx)
 	if run.outErr == nil && !out.Valid {
-		if run.aborted {
-			run.outErr = ErrAborted
-		} else {
-			run.outErr = fmt.Errorf("%w: %s", ErrVetoed, out.Diagnostic)
-		}
+		run.outErr = fmt.Errorf("%w: %s", ErrVetoed, out.Diagnostic)
 	}
 }
 
@@ -513,8 +498,6 @@ func (en *Engine) HandleEnvelope(from string, env wire.Envelope) {
 		en.handleRespond(from, env.Payload)
 	case wire.KindCommit:
 		en.handleCommit(from, env.Payload)
-	case wire.KindAbortCert:
-		en.handleAbortCert(from, env.Payload)
 	case wire.KindGossipDigest:
 		en.handleGossipDigest(from, env.Payload)
 	case wire.KindGossipDelta:
@@ -695,7 +678,7 @@ func (en *Engine) handlePropose(from string, payload []byte) {
 // preserved, and it never leaves the party without evidence.
 func (en *Engine) persistAndSendResponse(from string, prop wire.Propose, rr *respondedRun) {
 	respRaw := rr.respond.Marshal()
-	if err := en.saveRun(store.RunRecord{
+	if err := en.cfg.Store.SaveRunDeferred(store.RunRecord{
 		RunID:    prop.RunID,
 		Object:   en.cfg.Object,
 		Role:     "recipient",
@@ -1332,59 +1315,6 @@ func decisionsOf(commit wire.Commit) map[string]wire.Decision {
 	return out
 }
 
-// handleAbortCert applies a TTP-certified abort (§7 extension): if a trusted
-// TTP certifies that a run is aborted, both proposer and recipients resolve
-// the blocked run as invalid — and, in a pipeline, every run chained to it
-// rolls back with it.
-func (en *Engine) handleAbortCert(from string, payload []byte) {
-	signed, err := wire.UnmarshalSigned(payload)
-	if err != nil {
-		_ = en.logEvidence("", "malformed-abort-cert", nrlog.DirReceived, payload)
-		return
-	}
-	cert, err := wire.UnmarshalAbortCert(signed.Body)
-	if err != nil {
-		_ = en.logEvidence("", "malformed-abort-cert", nrlog.DirReceived, payload)
-		return
-	}
-	if en.cfg.TTP == "" || signed.Signer() != en.cfg.TTP || cert.TTP != en.cfg.TTP {
-		_ = en.logEvidence(cert.RunID, "abort-cert-untrusted", nrlog.DirReceived, payload)
-		return
-	}
-	if err := en.verifySigned(signed); err != nil {
-		_ = en.logEvidence(cert.RunID, "abort-cert-unverifiable", nrlog.DirReceived, payload)
-		return
-	}
-	if !cert.Aborted {
-		return // certified decisions are delivered as ordinary commits
-	}
-	_ = en.logEvidence(cert.RunID, wire.KindAbortCert.String(), nrlog.DirReceived, payload)
-
-	en.mu.Lock()
-	if run, ok := en.runs[cert.RunID]; ok {
-		// Proposer side: resolve the blocked run as aborted; successors are
-		// forced down when the run finalizes.
-		run.aborted = true
-		en.closeDoneLocked(run)
-		en.mu.Unlock()
-		return
-	}
-	if rr, ok := en.responded[cert.RunID]; ok {
-		// Recipient side: clear the active run; replica stays at agreed.
-		// Pending runs chained to it roll back too.
-		delete(en.responded, cert.RunID)
-		delete(en.propWaited, cert.RunID)
-		en.completeLocked(cert.RunID, Outcome{RunID: cert.RunID, Valid: false, Diagnostic: "TTP-certified abort"})
-		rolled, wake := en.cascadeLocked(rr.proposed, "TTP-certified abort")
-		en.mu.Unlock()
-		_ = en.cfg.Store.DeleteRun(cert.RunID)
-		en.finishRollbacks(rolled)
-		en.dispatchProps(wake)
-		return
-	}
-	en.mu.Unlock()
-}
-
 // BlockedEvidence returns, for a run this party holds open as a recipient,
 // the signed propose/respond pair demonstrating that the run is active —
 // the material a party would take to extra-protocol dispute resolution.
@@ -1567,7 +1497,7 @@ func (en *Engine) RecoverPendingRuns(ctx context.Context) ([]Outcome, error) {
 	for _, run := range chain {
 		out, err := en.awaitRun(ctx, run)
 		outs = append(outs, out)
-		if err != nil && !errors.Is(err, ErrVetoed) && !errors.Is(err, ErrAborted) {
+		if err != nil && !errors.Is(err, ErrVetoed) {
 			return outs, err
 		}
 	}

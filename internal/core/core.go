@@ -73,8 +73,6 @@ type Config struct {
 	Durability store.Policy
 	// Termination applies to all objects bound by this participant.
 	Termination coord.Termination
-	// TTP names the trusted third party for certified aborts (optional).
-	TTP string
 	// RetryInterval is the protocol-level retry period (default 50ms).
 	RetryInterval time.Duration
 	// ResponseTimeout bounds membership decision waits (default 10s).
@@ -169,7 +167,7 @@ type binding struct {
 // property that makes pooled dispatch safe.
 func (b *binding) handle(msg inboundEnv) {
 	switch msg.env.Kind {
-	case wire.KindPropose, wire.KindRespond, wire.KindCommit, wire.KindAbortCert,
+	case wire.KindPropose, wire.KindRespond, wire.KindCommit,
 		wire.KindGossipDigest, wire.KindGossipDelta:
 		b.engine.HandleEnvelope(msg.from, msg.env)
 	case wire.KindStateRequest, wire.KindStateOffer, wire.KindStateChunk,
@@ -411,7 +409,6 @@ func (p *Participant) materializeLocked(b *binding, restore bool) error {
 		Termination:      p.cfg.Termination,
 		RetryInterval:    p.cfg.RetryInterval,
 		ResponseDeadline: p.cfg.ResponseDeadline,
-		TTP:              p.cfg.TTP,
 		SnapshotEvery:    p.cfg.SnapshotEvery,
 		PageSize:         p.cfg.PageSize,
 	})

@@ -15,6 +15,7 @@ import (
 	"b2b/internal/core"
 	"b2b/internal/crypto"
 	"b2b/internal/lab"
+	"b2b/internal/nrlog"
 	"b2b/internal/store"
 	"b2b/internal/transport"
 	"b2b/internal/wire"
@@ -173,23 +174,45 @@ func TestParticipantMalformedTrafficEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := w.Party("a").Rel.Send(context.Background(), "b", []byte("not an envelope")); err != nil {
-		t.Fatal(err)
+	// Kinds 15 and 16 (the removed §7 TTP abort) are reserved: a frame of
+	// either kind is unknown traffic like any other.
+	reserved := func(k wire.Kind) []byte {
+		return wire.Envelope{MsgID: "m", From: "a", To: "b", Object: "obj", Kind: k, Payload: []byte("p")}.Marshal()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		entries, err := w.Party("b").Log.Entries()
-		if err != nil {
+	for _, tc := range []struct {
+		frame []byte
+		kind  string
+	}{
+		{[]byte("not an envelope"), "malformed-envelope"},
+		{reserved(15), "unknown-kind"},
+		{reserved(16), "unknown-kind"},
+	} {
+		if err := w.Party("a").Rel.Send(context.Background(), "b", tc.frame); err != nil {
 			t.Fatal(err)
 		}
+		if !waitEvidence(w.Party("b").Log, tc.kind, tc.frame) {
+			t.Fatalf("%q traffic left no %s evidence", tc.frame, tc.kind)
+		}
+	}
+}
+
+// waitEvidence reports whether log records an entry of kind with payload
+// within 3 s.
+func waitEvidence(log nrlog.Log, kind string, payload []byte) bool {
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) {
+		entries, err := log.Entries()
+		if err != nil {
+			return false
+		}
 		for _, e := range entries {
-			if e.Kind == "malformed-envelope" && bytes.Equal(e.Payload, []byte("not an envelope")) {
-				return
+			if e.Kind == kind && bytes.Equal(e.Payload, payload) {
+				return true
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("malformed traffic left no evidence")
+	return false
 }
 
 func TestParticipantClosedIgnoresTraffic(t *testing.T) {

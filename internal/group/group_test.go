@@ -174,7 +174,7 @@ func newGCluster(t *testing.T, ids, founding []string, initial []byte) *gcluster
 				return
 			}
 			switch env.Kind {
-			case wire.KindPropose, wire.KindRespond, wire.KindCommit, wire.KindAbortCert:
+			case wire.KindPropose, wire.KindRespond, wire.KindCommit:
 				en.HandleEnvelope(from, env)
 			case wire.KindStateRequest, wire.KindStateOffer, wire.KindStateChunk, wire.KindStateAck, wire.KindStateDone:
 				xm.HandleEnvelope(from, env)

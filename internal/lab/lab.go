@@ -91,7 +91,6 @@ func (p *Party) Xfer(object string) *xfer.Manager {
 type Options struct {
 	Seed          uint64
 	Termination   coord.Termination
-	TTP           string
 	RetryInterval time.Duration
 	// ResponseDeadline enables the §7 deadline under Majority termination:
 	// a proposer concludes a run with a strict majority of responses after
@@ -322,7 +321,6 @@ func (w *World) buildParty(id string, fs store.FS, disk *faults.DiskFS) (*Party,
 		FS:               fs,
 		Durability:       opts.Durability,
 		Termination:      opts.Termination,
-		TTP:              opts.TTP,
 		RetryInterval:    opts.RetryInterval,
 		ResponseDeadline: opts.ResponseDeadline,
 		SnapshotEvery:    opts.SnapshotEvery,

@@ -253,8 +253,8 @@ func TestHintedAppendCallers(t *testing.T) {
 			"internal/coord/protocol.go:proposeHint":   true,
 		},
 		"append": {
-			"internal/coord/coord.go:logEvidenceSeq":    true,
 			"internal/coord/coord.go:logEvidenceStaged": true,
+			"internal/nrlog/nrlog.go:AppendDeferred":    true,
 			"internal/nrlog/segmented.go:AppendSeq":     true,
 		},
 		"entryHash": {

@@ -100,6 +100,18 @@ type Log interface {
 	// payload as handed over, without copying it: the caller must not write
 	// it afterwards. Entries and ByRun return copies.
 	Append(runID, object, kind, party string, dir Direction, payload []byte) (Entry, error)
+	// AppendSeq is Append tagged with the coordination run's proposal
+	// sequence number, so the record of a pipelined burst is indexed per
+	// sequence (see Entry.RunSeq); Append is AppendSeq with RunSeq zero and
+	// no hints. hints name the SHA-256 of large payload fields the caller
+	// already digested (see Hint); only the coordinator's evidence helpers
+	// pass them.
+	AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error)
+	// AppendDeferred is AppendSeq staged without waiting for the disk: the
+	// entry is durable only after the next Barrier, which makes everything
+	// staged so far durable in one group-commit fsync.
+	AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error)
+	Barrier() error
 	// Entries returns all entries in order.
 	Entries() ([]Entry, error)
 	// ByRun returns the entries belonging to one protocol run.
@@ -108,16 +120,6 @@ type Log interface {
 	Verify() error
 	// Len reports the number of entries.
 	Len() int
-}
-
-// SeqAppender is an optional Log extension: evidence tagged with the
-// coordination run's proposal sequence number, so the record of a pipelined
-// burst is indexed per sequence (see Entry.RunSeq). Both built-in logs
-// implement it; Append is AppendSeq with RunSeq zero and no hints. hints
-// name the SHA-256 of large payload fields the caller already digested (see
-// Hint); only the coordinator's evidence helpers pass them.
-type SeqAppender interface {
-	AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error)
 }
 
 // BySeq filters entries down to one object's runs at one proposal sequence.
@@ -160,7 +162,16 @@ func (l *Memory) Append(runID, object, kind, party string, dir Direction, payloa
 	return l.AppendSeq(runID, 0, object, kind, party, dir, payload)
 }
 
-// AppendSeq implements SeqAppender.
+// AppendDeferred implements Log: with no disk, staging and appending
+// coincide.
+func (l *Memory) AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error) {
+	return l.AppendSeq(runID, runSeq, object, kind, party, dir, payload, hints...)
+}
+
+// Barrier implements Log (nothing to sync).
+func (l *Memory) Barrier() error { return nil }
+
+// AppendSeq implements Log.
 func (l *Memory) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -128,11 +128,10 @@ func TestChainProperty(t *testing.T) {
 
 func TestAppendSeqChainsEvidencePerSequence(t *testing.T) {
 	l := NewMemory(simClock())
-	var sl SeqAppender = l // both built-in logs implement the extension
-	if _, err := sl.AppendSeq("run-a", 1, "obj", "propose", "p", DirSent, []byte("x")); err != nil {
+	if _, err := l.AppendSeq("run-a", 1, "obj", "propose", "p", DirSent, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sl.AppendSeq("run-b", 2, "obj", "propose", "p", DirSent, []byte("y")); err != nil {
+	if _, err := l.AppendSeq("run-b", 2, "obj", "propose", "p", DirSent, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append("run-c", "obj", "verdict", "p", DirLocal, []byte("z")); err != nil {

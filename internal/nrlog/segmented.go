@@ -164,14 +164,6 @@ func OpenSegmented(pl *store.Plane, clk Clock, signer *crypto.Identity) *Segment
 // segmentedConsumer hides the plane Consumer methods from the Log surface.
 type segmentedConsumer Segmented
 
-// Batched is the optional Log extension the durability plane provides:
-// appends that stage the entry without waiting for the disk, plus a Barrier
-// making everything staged durable in one group-commit fsync.
-type Batched interface {
-	AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error)
-	Barrier() error
-}
-
 // stage forms, indexes and caches the next entry under mu; the WAL append
 // happens outside the lock (the plane orders records by arrival, and replay
 // re-sorts by Seq).
@@ -206,7 +198,7 @@ func (l *Segmented) Append(runID, object, kind, party string, dir Direction, pay
 	return l.AppendSeq(runID, 0, object, kind, party, dir, payload)
 }
 
-// AppendSeq implements SeqAppender. The durability wait happens outside
+// AppendSeq implements Log. The durability wait happens outside
 // appendMu so concurrent durable appenders still share group-commit
 // fsyncs.
 func (l *Segmented) AppendSeq(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error) {
@@ -220,7 +212,7 @@ func (l *Segmented) AppendSeq(runID string, runSeq uint64, object, kind, party s
 	return e, nil
 }
 
-// AppendDeferred implements Batched: the entry is staged and appended, but
+// AppendDeferred implements Log: the entry is staged and appended, but
 // only durable after the next Barrier.
 func (l *Segmented) AppendDeferred(runID string, runSeq uint64, object, kind, party string, dir Direction, payload []byte, hints ...Hint) (Entry, error) {
 	l.appendMu.Lock()
@@ -233,7 +225,7 @@ func (l *Segmented) AppendDeferred(runID string, runSeq uint64, object, kind, pa
 	return e, nil
 }
 
-// Barrier implements Batched.
+// Barrier implements Log.
 func (l *Segmented) Barrier() error { return l.pl.Barrier() }
 
 // Entries implements Log: the retained suffix, ascending. Pruned entries

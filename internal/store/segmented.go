@@ -157,7 +157,7 @@ func (s *Segmented) SaveCheckpoint(cp Checkpoint) error {
 	return s.pl.Append(checkpointKind(cp), encodeCheckpoint(cp))
 }
 
-// SaveCheckpointDeferred implements Batched: staged and appended, durable at
+// SaveCheckpointDeferred implements Store: staged and appended, durable at
 // the next Barrier.
 func (s *Segmented) SaveCheckpointDeferred(cp Checkpoint) error {
 	if err := s.stage(cp); err != nil {
@@ -212,7 +212,7 @@ func (s *Segmented) SaveRun(r RunRecord) error {
 	return s.pl.Append(RecRunSave, encodeRun(r))
 }
 
-// SaveRunDeferred implements Batched.
+// SaveRunDeferred implements Store.
 func (s *Segmented) SaveRunDeferred(r RunRecord) error {
 	s.stageRun(r)
 	return s.pl.AppendDeferred(RecRunSave, encodeRun(r))
@@ -232,7 +232,7 @@ func (s *Segmented) DeleteRun(runID string) error {
 	return s.pl.Append(RecRunDelete, encodeRunDelete(runID))
 }
 
-// DeleteRunDeferred implements Batched.
+// DeleteRunDeferred implements Store.
 func (s *Segmented) DeleteRunDeferred(runID string) error {
 	if !s.stageDelete(runID) {
 		return nil
@@ -260,7 +260,7 @@ func (s *Segmented) PendingRuns() ([]RunRecord, error) {
 	return out, nil
 }
 
-// Barrier implements Batched: everything staged so far is durable on
+// Barrier implements Store: everything staged so far is durable on
 // return.
 func (s *Segmented) Barrier() error { return s.pl.Barrier() }
 

@@ -80,24 +80,21 @@ type Store interface {
 	// object, then proposal sequence number — the order a pipelining
 	// proposer must resume them in.
 	PendingRuns() ([]RunRecord, error)
-}
-
-// Batched is the optional Store extension the durability plane provides:
-// persistence calls that stage a record without waiting for the disk, plus
-// an explicit Barrier that makes everything staged so far durable in one
-// group-commit fsync. The coordination engine uses it to issue one
-// durability barrier per protocol step instead of one fsync per record.
-type Batched interface {
+	// The Deferred calls stage a record without waiting for the disk, and
+	// Barrier makes everything staged so far durable in one group-commit
+	// fsync. The coordination engine stages a protocol step's records and
+	// issues one barrier per step instead of one fsync per record.
 	SaveCheckpointDeferred(cp Checkpoint) error
 	SaveRunDeferred(r RunRecord) error
 	DeleteRunDeferred(runID string) error
 	Barrier() error
 }
 
-// Memory is an in-memory Store.
+// Memory is an in-memory Store. It keeps only each object's reconstruction
+// chain: a full checkpoint replaces everything before it.
 type Memory struct {
 	mu   sync.Mutex
-	cps  map[string][]Checkpoint
+	cps  map[string][]Checkpoint // per object: the last full checkpoint, then its deltas
 	runs map[string]RunRecord
 }
 
@@ -114,7 +111,11 @@ func (s *Memory) SaveCheckpoint(cp Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp.Members = append([]string(nil), cp.Members...)
-	s.cps[cp.Object] = append(s.cps[cp.Object], cp)
+	if cp.Delta {
+		s.cps[cp.Object] = append(s.cps[cp.Object], cp)
+	} else {
+		s.cps[cp.Object] = []Checkpoint{cp}
+	}
 	return nil
 }
 
@@ -134,18 +135,7 @@ func (s *Memory) Latest(object string) (Checkpoint, error) {
 func (s *Memory) Chain(object string) ([]Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return copyCheckpoints(chainOf(s.cps[object])), nil
-}
-
-// chainOf slices a checkpoint history down to the reconstruction chain:
-// from the last full snapshot to the end.
-func chainOf(cps []Checkpoint) []Checkpoint {
-	for i := len(cps) - 1; i >= 0; i-- {
-		if !cps[i].Delta {
-			return cps[i:]
-		}
-	}
-	return cps
+	return copyCheckpoints(s.cps[object]), nil
 }
 
 func copyCheckpoints(cps []Checkpoint) []Checkpoint {
@@ -156,24 +146,17 @@ func copyCheckpoints(cps []Checkpoint) []Checkpoint {
 	return out
 }
 
-// Memory also implements Batched: staging and persisting coincide (there is
-// no disk), and Barrier is a no-op. Exposing the batched surface matters
-// beyond symmetry — the coordination engine persists update-mode commits as
-// delta checkpoints only through a Batched store, so in-memory deployments
-// (tests, benchmarks, caches) get the same O(delta)-per-run checkpoint
-// economics as the durability plane instead of a full state copy per run.
-var _ Batched = (*Memory)(nil)
-
-// SaveCheckpointDeferred implements Batched.
+// SaveCheckpointDeferred implements Store: with no disk, staging and
+// persisting coincide.
 func (s *Memory) SaveCheckpointDeferred(cp Checkpoint) error { return s.SaveCheckpoint(cp) }
 
-// SaveRunDeferred implements Batched.
+// SaveRunDeferred implements Store.
 func (s *Memory) SaveRunDeferred(r RunRecord) error { return s.SaveRun(r) }
 
-// DeleteRunDeferred implements Batched.
+// DeleteRunDeferred implements Store.
 func (s *Memory) DeleteRunDeferred(runID string) error { return s.DeleteRun(runID) }
 
-// Barrier implements Batched (nothing to sync).
+// Barrier implements Store (nothing to sync).
 func (s *Memory) Barrier() error { return nil }
 
 // SaveRun implements Store.

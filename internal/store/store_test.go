@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -118,6 +120,48 @@ func testStoreSuite(t *testing.T, s Store) {
 
 func TestMemoryStore(t *testing.T) {
 	testStoreSuite(t, NewMemory())
+}
+
+// TestMemoryStoreKeepsOnlyTheChain: a full checkpoint supersedes every
+// checkpoint before it, so the memory store retains the reconstruction chain
+// (the last full snapshot and its deltas) and no earlier snapshot.
+func TestMemoryStoreKeepsOnlyTheChain(t *testing.T) {
+	s := NewMemory()
+	seq := uint64(0)
+	save := func(delta bool) Checkpoint {
+		seq++
+		cp := sampleCheckpoint("order", seq, fmt.Sprintf("state-%d", seq))
+		if delta {
+			cp.Delta, cp.State, cp.Update = true, nil, []byte{byte(seq)}
+		}
+		if err := s.SaveCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	save(false)
+	for range 3 {
+		save(true)
+	}
+	want := []Checkpoint{save(false), save(true), save(true)}
+
+	if n := len(s.cps["order"]); n != len(want) {
+		t.Fatalf("retained %d checkpoints, want %d", n, len(want))
+	}
+	chain, err := s.Chain("order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(chain, want) {
+		t.Fatalf("chain = %+v, want %+v", chain, want)
+	}
+	latest, err := s.Latest("order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(latest, want[len(want)-1]) {
+		t.Fatalf("latest = %+v, want %+v", latest, want[len(want)-1])
+	}
 }
 
 // mustOpenFileStore opens the file-backed Store — a Segmented over a Plane,

@@ -268,11 +268,15 @@ func (ep *TCPEndpoint) serveConn(c net.Conn) {
 
 	// Register the inbound connection as the reply path to this peer, so
 	// endpoints can answer peers they have no dial address for (e.g. a
-	// peer that dialled from an ephemeral port). An existing outgoing
-	// connection keeps precedence.
+	// peer that dialled from an ephemeral port). The hello is unverified,
+	// so a peer with a configured address is always answered over the
+	// connection this endpoint dials: a dialer claiming its id cannot
+	// capture its replies. An existing outgoing connection keeps
+	// precedence.
 	lc := &lockedConn{Conn: c}
 	ep.mu.Lock()
-	if _, exists := ep.conns[from]; !exists {
+	_, configured := ep.peers[from]
+	if _, exists := ep.conns[from]; !exists && !configured {
 		ep.conns[from] = lc
 	}
 	ep.mu.Unlock()

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -421,6 +422,51 @@ func TestTCPBidirectional(t *testing.T) {
 	}
 	gotA.waitFor(t, 1, 2*time.Second)
 	gotB.waitFor(t, 1, 2*time.Second)
+}
+
+// TestTCPHelloCannotCaptureConfiguredPeer: a dialer whose hello claims the
+// id of a peer this endpoint has an address for gets that peer's inbound
+// attribution, but never its replies: they go over the connection this
+// endpoint dials to the configured address.
+func TestTCPHelloCannotCaptureConfiguredPeer(t *testing.T) {
+	alice, err := ListenTCP("alice", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = alice.Close() }()
+	bob, err := ListenTCP("bob", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = bob.Close() }()
+	alice.AddPeer("bob", bob.Addr())
+	var gotAlice, gotBob collector
+	alice.SetHandler(gotAlice.handler)
+	bob.SetHandler(gotBob.handler)
+
+	raw, err := net.Dial("tcp", alice.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	impostor := &lockedConn{Conn: raw}
+	if err := impostor.writeFrames([][]byte{[]byte("bob"), []byte("hello")}); err != nil {
+		t.Fatal(err)
+	}
+	// alice has read the hello once the frame after it is delivered.
+	gotAlice.waitFor(t, 1, 2*time.Second)
+
+	if err := alice.Send(context.Background(), "bob", []byte("for-bob")); err != nil {
+		t.Fatal(err)
+	}
+	gotBob.waitFor(t, 1, 2*time.Second)
+	if m := gotBob.snapshot(); m[0] != "for-bob" {
+		t.Fatalf("bob got %q", m)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if frame, err := readFrame(raw); err == nil {
+		t.Fatalf("impostor read alice's reply %q", frame)
+	}
 }
 
 func TestTCPPeerRestart(t *testing.T) {

@@ -35,8 +35,9 @@ const (
 	KindDiscRespond
 	KindDiscCommit
 	KindDiscNotice
-	KindAbortRequest
-	KindAbortCert
+	// 15, 16: reserved (the removed §7 TTP abort); never reuse
+	_
+	_
 	KindStateRequest
 	KindStateOffer
 	KindStateChunk
@@ -66,8 +67,6 @@ var kindNames = map[Kind]string{
 	KindDiscRespond:  "disc-respond",
 	KindDiscCommit:   "disc-commit",
 	KindDiscNotice:   "disc-notice",
-	KindAbortRequest: "abort-request",
-	KindAbortCert:    "abort-cert",
 	KindStateRequest: "state-request",
 	KindStateOffer:   "state-offer",
 	KindStateChunk:   "state-chunk",
@@ -1366,92 +1365,4 @@ func UnmarshalStateDone(buf []byte) (StateDone, error) {
 		return StateDone{}, err
 	}
 	return dn, nil
-}
-
-// AbortRequest asks a TTP to certify the abort of a blocked run (§7
-// extension: imposition of deadlines via a TTP). Evidence carries whatever
-// signed messages the requester holds for the run.
-type AbortRequest struct {
-	RunID     string
-	Object    string
-	Requester string
-	Evidence  []Signed
-}
-
-// Marshal returns the canonical (signature input) bytes.
-func (a AbortRequest) Marshal() []byte {
-	e := canon.NewEncoder()
-	e.Struct("abort-request")
-	e.String(a.RunID)
-	e.String(a.Object)
-	e.String(a.Requester)
-	e.List(len(a.Evidence))
-	for _, ev := range a.Evidence {
-		ev.Encode(e)
-	}
-	return e.Out()
-}
-
-// UnmarshalAbortRequest parses an AbortRequest.
-func UnmarshalAbortRequest(buf []byte) (AbortRequest, error) {
-	d := canon.NewDecoder(buf)
-	d.Struct("abort-request")
-	a := AbortRequest{
-		RunID:     d.String(),
-		Object:    d.String(),
-		Requester: d.String(),
-	}
-	n := d.List()
-	if d.Err() == nil {
-		for i := 0; i < n; i++ {
-			a.Evidence = append(a.Evidence, DecodeSigned(d))
-			if d.Err() != nil {
-				break
-			}
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return AbortRequest{}, err
-	}
-	return a, nil
-}
-
-// AbortCert is the TTP's certified resolution of a run: either a certified
-// abort (Aborted) or a certified decision derived from a complete response
-// set (Aborted == false, Decision carries the outcome).
-type AbortCert struct {
-	RunID    string
-	Object   string
-	TTP      string
-	Aborted  bool
-	Decision Decision
-}
-
-// Marshal returns the canonical (signature input) bytes.
-func (a AbortCert) Marshal() []byte {
-	e := canon.NewEncoder()
-	e.Struct("abort-cert")
-	e.String(a.RunID)
-	e.String(a.Object)
-	e.String(a.TTP)
-	e.Bool(a.Aborted)
-	a.Decision.Encode(e)
-	return e.Out()
-}
-
-// UnmarshalAbortCert parses an AbortCert.
-func UnmarshalAbortCert(buf []byte) (AbortCert, error) {
-	d := canon.NewDecoder(buf)
-	d.Struct("abort-cert")
-	a := AbortCert{
-		RunID:  d.String(),
-		Object: d.String(),
-		TTP:    d.String(),
-	}
-	a.Aborted = d.Bool()
-	a.Decision = DecodeDecision(d)
-	if err := d.Finish(); err != nil {
-		return AbortCert{}, err
-	}
-	return a, nil
 }

@@ -407,32 +407,6 @@ func TestRejectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAbortMessagesRoundTrip(t *testing.T) {
-	fx := newFixture(t)
-	p := sampleProposal("alice")
-	sp := Sign(KindPropose, p.Marshal(), fx.alice, fx.tsa)
-	ar := AbortRequest{RunID: "run-1", Object: "order", Requester: "bob", Evidence: []Signed{sp}}
-	gotAR, err := UnmarshalAbortRequest(ar.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotAR.RunID != ar.RunID || len(gotAR.Evidence) != 1 {
-		t.Fatal("abort request mismatch")
-	}
-	if err := gotAR.Evidence[0].Verify(fx.v); err != nil {
-		t.Fatalf("embedded evidence: %v", err)
-	}
-
-	ac := AbortCert{RunID: "run-1", Object: "order", TTP: "ttp", Aborted: true, Decision: Rejected("deadline passed")}
-	gotAC, err := UnmarshalAbortCert(ac.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotAC != ac {
-		t.Fatalf("abort cert mismatch: %+v", gotAC)
-	}
-}
-
 func TestCrossMessageConfusionRejected(t *testing.T) {
 	// Parsing one message type's bytes as another must fail cleanly thanks
 	// to canonical struct names.
@@ -457,6 +431,56 @@ func TestKindString(t *testing.T) {
 	}
 	if ModeOverwrite.String() != "overwrite" || ModeUpdate.String() != "update" {
 		t.Fatal("mode names")
+	}
+}
+
+// TestKindNumbers pins every kind's number and name: kinds are wire format
+// and evidence-log format, so renumbering one breaks every peer and log
+// written before it. 15 and 16 (the removed §7 TTP abort) stay unnamed.
+func TestKindNumbers(t *testing.T) {
+	want := []struct {
+		k    Kind
+		n    uint8
+		name string
+	}{
+		{KindPropose, 1, "propose"},
+		{KindRespond, 2, "respond"},
+		{KindCommit, 3, "commit"},
+		{KindConnRequest, 4, "conn-request"},
+		{KindConnPropose, 5, "conn-propose"},
+		{KindConnRespond, 6, "conn-respond"},
+		{KindConnCommit, 7, "conn-commit"},
+		{KindWelcome, 8, "welcome"},
+		{KindReject, 9, "reject"},
+		{KindDiscRequest, 10, "disc-request"},
+		{KindDiscPropose, 11, "disc-propose"},
+		{KindDiscRespond, 12, "disc-respond"},
+		{KindDiscCommit, 13, "disc-commit"},
+		{KindDiscNotice, 14, "disc-notice"},
+		{KindStateRequest, 17, "state-request"},
+		{KindStateOffer, 18, "state-offer"},
+		{KindStateChunk, 19, "state-chunk"},
+		{KindStateAck, 20, "state-ack"},
+		{KindStateDone, 21, "state-done"},
+		{KindGossipDigest, 22, "gossip-digest"},
+		{KindGossipDelta, 23, "gossip-delta"},
+		{KindRelayDeposit, 24, "relay-deposit"},
+		{KindRelayPoll, 25, "relay-poll"},
+		{KindRelayBatch, 26, "relay-batch"},
+		{KindRelayPrekey, 27, "relay-prekey"},
+	}
+	for _, w := range want {
+		if uint8(w.k) != w.n || w.k.String() != w.name {
+			t.Errorf("kind %q = %d, want %q = %d", w.k.String(), uint8(w.k), w.name, w.n)
+		}
+	}
+	for _, n := range []uint8{15, 16} {
+		if name, ok := kindNames[Kind(n)]; ok {
+			t.Errorf("reserved kind %d is named %q", n, name)
+		}
+	}
+	if len(kindNames) != len(want)+1 { // + KindInvalid
+		t.Errorf("%d named kinds, want %d", len(kindNames), len(want)+1)
 	}
 }
 
@@ -521,7 +545,6 @@ func TestUnmarshalRobustnessProperty(t *testing.T) {
 		_, _ = UnmarshalEnvelope(garbage)
 		_, _ = UnmarshalConnPropose(garbage)
 		_, _ = UnmarshalWelcome(garbage)
-		_, _ = UnmarshalAbortRequest(garbage)
 		return true
 	}
 	if err := quickCheck(f, 300); err != nil {

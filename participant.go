@@ -118,7 +118,6 @@ type participantOpts struct {
 	clk              clock.Clock
 	mode             Mode
 	termination      coord.Termination
-	ttp              string
 	storageDir       string
 	durability       DurabilityPolicy
 	transfer         TransferPolicy
@@ -148,12 +147,6 @@ func WithMode(m Mode) Option {
 // instead of the paper's unanimous rule.
 func WithMajorityTermination() Option {
 	return func(o *participantOpts) { o.termination = coord.Majority }
-}
-
-// WithTTP names the trusted third party whose certified aborts this
-// participant honours (§7 deadline extension).
-func WithTTP(name string) Option {
-	return func(o *participantOpts) { o.ttp = name }
 }
 
 // WithResponseDeadline enables the §7 response deadline under majority
@@ -316,7 +309,6 @@ func NewParticipant(ident *crypto.Identity, td *TrustDomain, conn core.Conn, opt
 		Clock:            o.clk,
 		Durability:       o.durability,
 		Termination:      o.termination,
-		TTP:              o.ttp,
 		RetryInterval:    o.retryInterval,
 		ResponseDeadline: o.responseDeadline,
 		Transfer:         o.transfer,
