@@ -51,7 +51,7 @@ var (
 	}
 	barrierNames = map[string]bool{"barrier": true, "Barrier": true}
 	sendNames    = map[string]bool{
-		"send": true, "Send": true, "SendBatch": true, "SendStream": true, "SendFrame": true,
+		"send": true, "Send": true, "SendBatch": true, "SendFrame": true,
 		"broadcast": true, "SendTo": true,
 	}
 	installNames = map[string]bool{"notifyInstalled": true, "notifyRolledBack": true}

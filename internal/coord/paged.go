@@ -13,7 +13,7 @@ func (en *Engine) pageSize() int {
 	return pagestate.DefaultPageSize
 }
 
-// PageSize exposes the page granularity to the transfer plane and tests.
+// PageSize exposes the page granularity to tests.
 func (en *Engine) PageSize() int { return en.pageSize() }
 
 // pageState builds a paged view of flat state bytes under the engine's page

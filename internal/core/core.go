@@ -28,6 +28,7 @@ import (
 	"b2b/internal/group"
 	"b2b/internal/metrics"
 	"b2b/internal/nrlog"
+	"b2b/internal/pagestate"
 	"b2b/internal/relay"
 	"b2b/internal/store"
 	"b2b/internal/transport"
@@ -209,6 +210,11 @@ type Participant struct {
 func New(cfg Config) (*Participant, error) {
 	if cfg.Ident == nil || cfg.Conn == nil || cfg.Clock == nil || cfg.Verifier == nil {
 		return nil, errors.New("core: incomplete config")
+	}
+	if cfg.PageSize > 0 {
+		if err := pagestate.CheckPageSize(cfg.PageSize); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	if cfg.RetryInterval == 0 {
 		cfg.RetryInterval = 50 * time.Millisecond

@@ -16,6 +16,7 @@ import (
 	"b2b/internal/crypto"
 	"b2b/internal/lab"
 	"b2b/internal/nrlog"
+	"b2b/internal/pagestate"
 	"b2b/internal/store"
 	"b2b/internal/transport"
 	"b2b/internal/wire"
@@ -240,6 +241,18 @@ func TestParticipantClosedIgnoresTraffic(t *testing.T) {
 func TestIncompleteConfigRejected(t *testing.T) {
 	if _, err := core.New(core.Config{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+}
+
+// TestIllegalPageSizeRejected: above 4 MiB a page size must be a multiple
+// of 4 MiB, the unit a snapshot transfer verifies chunks in; a party refuses
+// any other.
+func TestIllegalPageSizeRejected(t *testing.T) {
+	for _, ps := range []int{pagestate.MaxPageSize + 1, 3 * pagestate.MaxPageSize / 2} {
+		if w, err := lab.NewWorld(lab.Options{Seed: 1, PageSize: ps}, "a"); err == nil {
+			w.Close()
+			t.Fatalf("page size %d accepted", ps)
+		}
 	}
 }
 

@@ -57,6 +57,10 @@ type spillConn struct {
 	p *Participant
 }
 
+// The engines' transport.SendFrame asserts FrameSender on this wrapper; a
+// wrapper without SendFrame would make them join every large payload.
+var _ transport.FrameSender = (*spillConn)(nil)
+
 func (c *spillConn) Send(ctx context.Context, to string, payload []byte) error {
 	if !c.over(to) {
 		return c.Conn.Send(ctx, to, payload)

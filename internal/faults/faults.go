@@ -97,23 +97,6 @@ func (ic *Interceptor) Send(ctx context.Context, to string, payload []byte) erro
 	return ic.inner.Send(ctx, to, payload)
 }
 
-// SendStream implements the transport's backpressured bulk path with
-// interception: the intercept decision applies exactly as for Send, and the
-// backpressure (when the wrapped connection supports it) still bounds the
-// unacknowledged backlog per peer.
-func (ic *Interceptor) SendStream(ctx context.Context, to string, payload []byte, limit int) error {
-	payload, drop := ic.intercept(to, payload)
-	if drop {
-		return nil
-	}
-	if ss, ok := ic.inner.(interface {
-		SendStream(ctx context.Context, to string, payload []byte, limit int) error
-	}); ok {
-		return ss.SendStream(ctx, to, payload, limit)
-	}
-	return ic.inner.Send(ctx, to, payload)
-}
-
 // Captured returns a snapshot of observed messages.
 func (ic *Interceptor) Captured() []Captured {
 	ic.mu.Lock()

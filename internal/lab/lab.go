@@ -129,7 +129,8 @@ type Options struct {
 	// Transfer tunes the state-transfer plane (zero: defaults).
 	Transfer xfer.Policy
 	// PageSize sets the paged state identity's page granularity for every
-	// party (zero: the pagestate default, 4 KiB). Setting it to the object
+	// party (zero: the pagestate default, 4 KiB). Above 4 MiB it must be a
+	// multiple of 4 MiB (pagestate.CheckPageSize). Setting it to the object
 	// size reconstructs the flat-hash baseline (TestPagedIdentityIsODelta).
 	PageSize int
 	// Quotas applies per-group resource quotas and admission control to

@@ -2,11 +2,13 @@
 // copy-on-write replica representation behind tuple.State.HashState.
 //
 // Object state is split into fixed-size pages (policy-configurable, default
-// 4 KiB). Each page is hashed into a leaf, leaves are combined pairwise into
-// a Merkle tree (RFC 6962-style domain separation: leaf and interior nodes
-// hash under distinct prefixes, and an odd node is promoted unchanged), and
-// the final identity wraps the tree root together with the page size and the
-// total state length:
+// 4 KiB). Each page is hashed into a leaf — a page longer than MaxPageSize
+// (4 MiB) as the Merkle fold of its 4 MiB sub-slices, so that a transfer
+// can verify every chunk of any page on arrival — leaves are combined
+// pairwise into a Merkle tree (RFC 6962-style domain separation: leaf and
+// interior nodes hash under distinct prefixes, and an odd node is promoted
+// unchanged), and the final identity wraps the tree root together with the
+// page size and the total state length:
 //
 //	HashState = H("b2b.paged-root" || be64(pageSize) || be64(size) || MTH)
 //
@@ -60,16 +62,29 @@ import (
 // into every state identity the group agrees on.
 const DefaultPageSize = 4 << 10
 
-// MaxPageSize bounds the page sizes the transfer plane will verify chunks
-// against incrementally (4 MiB). Snapshot-transfer chunks are page-aligned,
-// so pages must stay well under the 16 MiB transport frame cap to travel at
-// all; a group configured with larger pages (legal for the identity itself,
-// e.g. the flat-hash baseline of lab's TestPagedIdentityIsODelta) still
-// transfers snapshots, but
-// under legacy whole-payload verification instead of per-chunk Merkle
-// checks. Enforced by the transfer server (which omits page hashes beyond
-// the bound) and on inbound offers.
+// MaxPageSize is L (4 MiB), the longest page hashed as one leaf. A longer
+// page takes as its leaf the Merkle fold of its L-byte sub-slices, and must
+// be a multiple of L (CheckPageSize), so a state of any page size splits
+// into units of UnitSize bytes that never straddle a page. Snapshot
+// transfers chunk and verify in those units, which stay well under the
+// 16 MiB transport frame cap; the flat-hash baseline of lab's
+// TestPagedIdentityIsODelta (16 MiB pages) transfers like any other group.
 const MaxPageSize = 4 << 20
+
+// CheckPageSize rejects a page size no group may be configured with: it
+// must be positive, and above MaxPageSize a multiple of it.
+func CheckPageSize(pageSize int) error {
+	if pageSize <= 0 || (pageSize > MaxPageSize && pageSize%MaxPageSize != 0) {
+		return fmt.Errorf("pagestate: page size %d is neither in (0, %d] nor a multiple of %d",
+			pageSize, MaxPageSize, MaxPageSize)
+	}
+	return nil
+}
+
+// UnitSize returns the hash unit of a page size: the page itself up to
+// MaxPageSize, else its MaxPageSize sub-slices. A snapshot offer carries one
+// leaf hash per unit, and its chunks align to units.
+func UnitSize(pageSize int) int { return min(pageSize, MaxPageSize) }
 
 // Policy tunes the paged state identity. The zero value selects the
 // defaults noted on each field.
@@ -130,9 +145,26 @@ func wrapRoot(mth [32]byte, size, pageSize int) [32]byte {
 	return crypto.Hash(rootTag, be64(uint64(pageSize)), be64(uint64(size)), mth[:])
 }
 
-// PageHash returns the leaf hash of one page's content — the value a
-// transfer requester compares an arriving chunk's pages against.
-func PageHash(page []byte) [32]byte { return leafHash(page) }
+// UnitHash returns the leaf hash of one unit's content — the value a
+// transfer requester compares an arriving chunk's units against.
+func UnitHash(unit []byte) [32]byte { return leafHash(unit) }
+
+// appendUnitLeaves appends the leaf hash of each MaxPageSize slice of page.
+func appendUnitLeaves(dst [][32]byte, page []byte) [][32]byte {
+	for lo := 0; lo < len(page); lo += MaxPageSize {
+		dst = append(dst, leafHash(page[lo:min(lo+MaxPageSize, len(page))]))
+	}
+	return dst
+}
+
+// pageLeaf returns a page's leaf in the tree: its leaf hash up to
+// MaxPageSize bytes, else the Merkle fold of its units' leaf hashes.
+func pageLeaf(page []byte) [32]byte {
+	if len(page) <= MaxPageSize {
+		return leafHash(page)
+	}
+	return mthOf(appendUnitLeaves(nil, page))
+}
 
 // PageCount returns the number of pageSize pages covering size bytes.
 func PageCount(size, pageSize int) int {
@@ -175,7 +207,7 @@ func FromBytes(state []byte, pageSize int) *Paged {
 		copy(page, state[lo:hi])
 		statCopied.Add(uint64(len(page)))
 		pages[i] = page
-		leaves[i] = leafHash(page)
+		leaves[i] = pageLeaf(page)
 	}
 	p := &Paged{pageSize: pageSize, size: len(state), pages: pages}
 	p.levels = buildLevels(leaves)
@@ -197,25 +229,33 @@ func Root(state []byte, pageSize int) [32]byte {
 		if hi > len(state) {
 			hi = len(state)
 		}
-		leaves[i] = leafHash(state[lo:hi])
+		leaves[i] = pageLeaf(state[lo:hi])
 	}
 	return wrapRoot(mthOf(leaves), len(state), pageSize)
 }
 
-// RootFromPageHashes recomputes the wrapped root from a leaf-hash vector, as
-// a transfer requester does to bind a signed offer's page hashes to the
-// agreed tuple before trusting any chunk. The count must match the geometry.
-func RootFromPageHashes(hashes [][32]byte, size, pageSize int) ([32]byte, error) {
-	if pageSize <= 0 {
-		return [32]byte{}, fmt.Errorf("pagestate: page size %d invalid", pageSize)
+// RootFromUnitHashes recomputes the wrapped root from a unit-hash vector
+// (see UnitSize), as a transfer requester does to bind a signed offer's
+// page hashes to the agreed tuple before trusting any chunk. The page size
+// must pass CheckPageSize and the count must match the geometry.
+func RootFromUnitHashes(hashes [][32]byte, size, pageSize int) ([32]byte, error) {
+	if err := CheckPageSize(pageSize); err != nil {
+		return [32]byte{}, err
 	}
-	if want := PageCount(size, pageSize); len(hashes) != want {
-		return [32]byte{}, fmt.Errorf("pagestate: %d page hashes for %d bytes at page size %d (want %d)",
-			len(hashes), size, pageSize, want)
+	unit := UnitSize(pageSize)
+	if want := PageCount(size, unit); len(hashes) != want {
+		return [32]byte{}, fmt.Errorf("pagestate: %d unit hashes for %d bytes at unit size %d (want %d)",
+			len(hashes), size, unit, want)
 	}
-	leaves := make([][32]byte, len(hashes))
-	copy(leaves, hashes)
-	return wrapRoot(mthOf(leaves), size, pageSize), nil
+	// Fold each page's units to its leaf in place: leaf i lands at index
+	// i, which no later page's units occupy.
+	leaves := append([][32]byte(nil), hashes...)
+	per, n := pageSize/unit, 0
+	for lo := 0; lo < len(leaves); lo += per {
+		leaves[n] = mthOf(leaves[lo:min(lo+per, len(leaves))])
+		n++
+	}
+	return wrapRoot(mthOf(leaves[:n]), size, pageSize), nil
 }
 
 // buildLevels constructs the full tree bottom-up. The leaves slice is owned
@@ -281,10 +321,18 @@ func (p *Paged) Pages() int { return len(p.pages) }
 // Page returns page i for read-only use (aliases internal storage).
 func (p *Paged) Page(i int) []byte { return p.pages[i] }
 
-// PageHashes returns a copy of the leaf-hash vector (transfer offers).
-func (p *Paged) PageHashes() [][32]byte {
-	out := make([][32]byte, len(p.levels[0]))
-	copy(out, p.levels[0])
+// UnitHashes returns the leaf hash of every unit (see UnitSize) in order:
+// the page-hash vector of a snapshot offer. Up to MaxPageSize a unit is a
+// page and this copies the leaf level; larger pages are hashed again unit
+// by unit.
+func (p *Paged) UnitHashes() [][32]byte {
+	if p.pageSize <= MaxPageSize {
+		return append([][32]byte(nil), p.levels[0]...)
+	}
+	out := make([][32]byte, 0, PageCount(p.size, MaxPageSize))
+	for _, page := range p.pages {
+		out = appendUnitLeaves(out, page)
+	}
 	return out
 }
 
@@ -383,7 +431,7 @@ func (p *Paged) WriteAt(off int, data []byte) error {
 		n := copy(page[from:], data[lo+from-off:])
 		statCopied.Add(uint64(n))
 		p.pages[i] = page
-		p.setLeaf(i, leafHash(page))
+		p.setLeaf(i, pageLeaf(page))
 	}
 	p.root = wrapRoot(p.mth(), p.size, p.pageSize)
 	return nil
@@ -443,7 +491,7 @@ func (p *Paged) Resize(n int) error {
 		}
 		statCopied.Add(uint64(want))
 		pages[i] = page
-		leaves[i] = leafHash(page)
+		leaves[i] = pageLeaf(page)
 	}
 	p.pages = pages
 	p.size = n

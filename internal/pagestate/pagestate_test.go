@@ -177,8 +177,8 @@ func TestRootFromPageHashes(t *testing.T) {
 		state[i] = byte(i * 7)
 	}
 	p := FromBytes(state, 256)
-	hashes := p.PageHashes()
-	got, err := RootFromPageHashes(hashes, len(state), 256)
+	hashes := p.UnitHashes()
+	got, err := RootFromUnitHashes(hashes, len(state), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +186,93 @@ func TestRootFromPageHashes(t *testing.T) {
 		t.Fatal("reconstructed root mismatch")
 	}
 	hashes[3][0] ^= 1
-	got, err = RootFromPageHashes(hashes, len(state), 256)
+	got, err = RootFromUnitHashes(hashes, len(state), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got == p.Root() {
 		t.Fatal("corrupt leaf vector still reaches the root")
 	}
-	if _, err := RootFromPageHashes(hashes[:4], len(state), 256); err == nil {
+	if _, err := RootFromUnitHashes(hashes[:4], len(state), 256); err == nil {
 		t.Fatal("short leaf vector accepted")
 	}
-	if _, err := RootFromPageHashes(nil, 10, 0); err == nil {
+	if _, err := RootFromUnitHashes(nil, 10, 0); err == nil {
 		t.Fatal("invalid page size accepted")
+	}
+}
+
+// TestStateIdentityPinned pins the state identity. Up to MaxPageSize a
+// page is one leaf, so those roots are fixed values that must never move;
+// above it a page folds its MaxPageSize units, and the unit-hash vector a
+// snapshot offer carries must fold back to the same root.
+func TestStateIdentityPinned(t *testing.T) {
+	// 13 MiB + 4099 bytes: a short last page at every page size below, and
+	// at 8 and 16 MiB a short page of several units.
+	state := make([]byte, 13<<20+4099)
+	x := uint32(2463534242)
+	for i := range state {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		state[i] = byte(x)
+	}
+	for _, c := range []struct {
+		pageSize int
+		root     string // "": no pinned value; "reject": CheckPageSize refuses it
+	}{
+		{4 << 10, "5da262cac4b11b34b71adbd3566a9096d9799557d49e053eaddda96b655bc786"},
+		{1 << 20, "f313571705dca90f0d015db4f7e162048037c56dc4ca98ce6531f2f190eaf444"},
+		{4 << 20, "da644b1d302c64a622bdbed6de2b55974d079c17e1cc1f913870276f41b7c059"},
+		{8 << 20, ""},
+		{16 << 20, ""},
+		{4<<20 + 1, "reject"},
+	} {
+		t.Run(fmt.Sprint(c.pageSize), func(t *testing.T) {
+			if c.root == "reject" {
+				if CheckPageSize(c.pageSize) == nil {
+					t.Fatal("page size accepted")
+				}
+				if _, err := RootFromUnitHashes(nil, 0, c.pageSize); err == nil {
+					t.Fatal("unit hashes accepted at this page size")
+				}
+				return
+			}
+			if err := CheckPageSize(c.pageSize); err != nil {
+				t.Fatal(err)
+			}
+			p := FromBytes(state, c.pageSize)
+			root := Root(state, c.pageSize)
+			if p.Root() != root {
+				t.Fatal("FromBytes and Root disagree")
+			}
+			if c.root != "" {
+				if got := fmt.Sprintf("%x", root); got != c.root {
+					t.Fatalf("root %s, pinned %s", got, c.root)
+				}
+			}
+			units := p.UnitHashes()
+			unit := UnitSize(c.pageSize)
+			if len(units) != PageCount(len(state), unit) {
+				t.Fatalf("%d unit hashes, want %d", len(units), PageCount(len(state), unit))
+			}
+			for i := range units {
+				if units[i] != UnitHash(state[i*unit:min((i+1)*unit, len(state))]) {
+					t.Fatalf("unit %d hash is not its slice's leaf hash", i)
+				}
+			}
+			got, err := RootFromUnitHashes(units, len(state), c.pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != root {
+				t.Fatal("unit hashes do not fold back to the root")
+			}
+			// With a power-of-two count of units per page, folding page by
+			// page is folding all units at once.
+			if flat := wrapRoot(mthOf(units), len(state), c.pageSize); flat != root {
+				t.Fatal("page-by-page fold differs from the fold over all units")
+			}
+		})
 	}
 }
 

@@ -118,10 +118,6 @@ type Reliable struct {
 	wakeAt    time.Time
 	lastSweep time.Time
 	sweeps    uint64 // outbox sweeps performed
-	// acked, once a SendStream waiter has made it, is closed when
-	// acknowledgements retire outbox entries, waking every waiter to
-	// re-check its peer's count.
-	acked chan struct{}
 
 	bmu      sync.Mutex
 	batchers map[string]*peerBatch
@@ -433,10 +429,6 @@ func (r *Reliable) Pending() int {
 func (r *Reliable) PendingTo(to string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.pendingToLocked(to)
-}
-
-func (r *Reliable) pendingToLocked(to string) int {
 	n := 0
 	for _, rec := range r.outbox {
 		if rec.to == to {
@@ -444,36 +436,6 @@ func (r *Reliable) pendingToLocked(to string) int {
 		}
 	}
 	return n
-}
-
-// SendStream is Send with backpressure for bulk traffic: it blocks while the
-// peer already has `limit` or more unacknowledged messages queued, so a
-// large state transfer feeds the outbox at the receiver's pace instead of
-// flooding it — coordination messages sharing the connection keep their
-// retransmission slots and the outbox stays bounded. Every waiter re-checks
-// whenever acknowledgements retire messages; limit < 1 degrades to plain
-// Send.
-func (r *Reliable) SendStream(ctx context.Context, to string, payload []byte, limit int) error {
-	for limit >= 1 {
-		r.mu.Lock()
-		if r.pendingToLocked(to) < limit {
-			r.mu.Unlock()
-			break
-		}
-		if r.acked == nil {
-			r.acked = make(chan struct{})
-		}
-		acked := r.acked
-		r.mu.Unlock()
-		select {
-		case <-acked:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-r.stop:
-			return ErrClosed
-		}
-	}
-	return r.Send(ctx, to, payload)
 }
 
 // Close stops retransmission and closes the underlying endpoint. Queued
@@ -843,14 +805,8 @@ func (r *Reliable) handleAcks(msgIDs []string) {
 		delete(r.outbox, id)
 		acked = append(acked, id)
 	}
-	if len(acked) > 0 {
-		if len(r.outbox) == 0 {
-			r.disarmLocked()
-		}
-		if r.acked != nil {
-			close(r.acked)
-			r.acked = nil
-		}
+	if len(acked) > 0 && len(r.outbox) == 0 {
+		r.disarmLocked()
 	}
 	r.mu.Unlock()
 	if r.journal != nil && len(acked) > 0 {

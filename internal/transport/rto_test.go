@@ -272,66 +272,6 @@ func TestRetransmitLearnsFromSpuriousResend(t *testing.T) {
 	}
 }
 
-// TestSendStreamWakesEveryWaiter: two SendStream calls wait on one peer's
-// full window, and a single ack frame retires the whole window. Both
-// waiters must wake and send — a one-slot signal would wake only one of
-// them and leave the other blocked.
-func TestSendStreamWakesEveryWaiter(t *testing.T) {
-	nw := NewNetwork(5)
-	defer nw.Close()
-	ra, err := NewReliable(nw.Endpoint("a"), WithRetryInterval(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ra.Close()
-	// b is a bare endpoint: nothing is acknowledged until the test says so.
-	b := nw.Endpoint("b")
-	b.SetHandler(func(string, []byte) {})
-
-	const limit = 2
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for i := 0; i < limit; i++ {
-		if err := ra.SendStream(ctx, "b", []byte("fill"), limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var ids []string
-	ra.mu.Lock()
-	for id := range ra.outbox {
-		ids = append(ids, id)
-	}
-	ra.mu.Unlock()
-
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() { errs <- ra.SendStream(ctx, "b", []byte("waiter"), limit) }()
-	}
-	waitFor(t, 5*time.Second, func() bool {
-		ra.mu.Lock()
-		defer ra.mu.Unlock()
-		return ra.acked != nil
-	}, "waiters blocked on the window")
-	time.Sleep(10 * time.Millisecond) // let the second waiter block too
-
-	if err := b.Send(context.Background(), "a", encodeRel(relAckN, "", encodeStrings("relacks", ids)).bytes()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("waiter %d: %v", i+1, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("waiter %d still blocked after the window was acknowledged", i+1)
-		}
-	}
-	if p := ra.PendingTo("b"); p != 2 {
-		t.Fatalf("pending to b = %d, want the two waiters' messages", p)
-	}
-}
-
 // TestReliableBackoffBoundedForLongSilence: a peer that never gave a clean
 // sample comes back after many silent rounds. Its timeout resumes from the
 // backoff its silence reached, which stops at the cap — doubling the floor

@@ -559,54 +559,3 @@ func TestReliableOverTCP(t *testing.T) {
 		seen[m] = true
 	}
 }
-
-// TestSendStreamBackpressure: SendStream must not let a bulk sender run
-// ahead of the receiver's acknowledgements by more than the limit, and must
-// still deliver everything.
-func TestSendStreamBackpressure(t *testing.T) {
-	net := NewNetwork(9)
-	defer net.Close()
-	a, err := NewReliable(net.Endpoint("a"), WithRetryInterval(5*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewReliable(net.Endpoint("b"), WithRetryInterval(5*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	got := 0
-	b.SetHandler(func(from string, payload []byte) {
-		mu.Lock()
-		got++
-		mu.Unlock()
-	})
-
-	const limit = 4
-	const msgs = 64
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i := 0; i < msgs; i++ {
-		if err := a.SendStream(ctx, "b", []byte{byte(i)}, limit); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-		// The invariant SendStream enforces on entry: fewer than limit
-		// unacked messages before each new send is queued.
-		if p := a.PendingTo("b"); p > limit {
-			t.Fatalf("outbox to b grew to %d, limit %d", p, limit)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		n := got
-		mu.Unlock()
-		if n == msgs {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d of %d", n, msgs)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}

@@ -92,12 +92,7 @@ func (s State) Zero() bool { return s == State{} }
 // Matches reports whether the tuple identifies the given state content under
 // the default page size.
 func (s State) Matches(state []byte) bool {
-	return s.MatchesSized(state, pagestate.DefaultPageSize)
-}
-
-// MatchesSized is Matches under an explicit page size.
-func (s State) MatchesSized(state []byte, pageSize int) bool {
-	return s.HashState == pagestate.Root(state, pageSize)
+	return s.HashState == pagestate.Root(state, pagestate.DefaultPageSize)
 }
 
 // MatchesRoot reports whether the tuple identifies the state whose paged

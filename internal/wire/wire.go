@@ -1147,13 +1147,13 @@ func UnmarshalStateRequest(buf []byte) (StateRequest, error) {
 // transfer mode, chunk geometry and the hash of the whole reassembled
 // payload.
 //
-// Snapshot offers additionally carry the state's Merkle page-hash vector
-// (PageSize, PageHashes; see internal/pagestate): the requester first binds
+// Snapshot offers additionally carry the state's Merkle unit-hash vector
+// (PageSize, PageHashes; see pagestate.UnitSize): the requester first binds
 // the vector to the agreed tuple's HashState — the paged Merkle root — and
-// can then verify every arriving chunk page-by-page at receipt, rejecting a
+// can then verify every arriving chunk unit by unit at receipt, rejecting a
 // corrupted or forged chunk immediately instead of at the final whole-payload
-// hash check. ChunkLen fixes the chunk geometry (a whole number of pages) so
-// chunk indexes map to page indexes. Delta-suffix offers leave the vector
+// hash check. ChunkLen fixes the chunk geometry (a whole number of units) so
+// chunk indexes map to unit indexes. Delta-suffix offers leave the vector
 // empty: their payloads are small and remain covered by chunk CRCs plus the
 // signed payload hash.
 type StateOffer struct {
@@ -1169,8 +1169,8 @@ type StateOffer struct {
 	ChunkLen    uint64 // payload bytes per chunk (last chunk may be short)
 	TotalLen    uint64
 	PayloadHash [32]byte
-	PageSize    uint64     // page granularity of PageHashes (snapshot mode)
-	PageHashes  [][32]byte // leaf hashes of the snapshot's pages
+	PageSize    uint64     // the group's page size (snapshot mode)
+	PageHashes  [][32]byte // leaf hashes of the snapshot's units
 }
 
 // Marshal returns the canonical (signature input) bytes.

@@ -40,7 +40,7 @@ func (m *Manager) handleOffer(from string, payload []byte) {
 		return
 	}
 	if err := validateOfferMerkle(&offer); err != nil {
-		// A snapshot offer must carry a page-hash vector whose Merkle root
+		// A snapshot offer must carry a unit-hash vector whose Merkle root
 		// IS the agreed tuple's HashState: a sponsor cannot advertise page
 		// hashes for any state but the one the tuple identifies, however
 		// valid its signature. Rejecting here is what lets every later
@@ -93,32 +93,20 @@ func validateOfferGeometry(o *wire.StateOffer) error {
 	return nil
 }
 
-// validateOfferMerkle binds a snapshot offer's Merkle page-hash vector to
-// the agreed tuple's HashState (the paged Merkle root — see
-// internal/pagestate). Non-snapshot offers carry no vector and pass.
+// validateOfferMerkle binds a snapshot offer's unit-hash vector (see
+// pagestate.UnitSize) to the agreed tuple's HashState (the paged Merkle
+// root — see internal/pagestate). Non-snapshot offers carry no vector and
+// pass.
 func validateOfferMerkle(o *wire.StateOffer) error {
 	if o.Mode != wire.XferSnapshot {
 		return nil
 	}
-	if len(o.PageHashes) == 0 {
-		// Legacy snapshot offer: the sponsor's page size exceeds
-		// MaxPageSize (pages cannot serve as deliverable chunk units), so
-		// chunks are not individually verifiable — the final payload-hash
-		// and agreed-tuple checks still gate installation.
-		if o.PageSize != 0 {
-			return fmt.Errorf("page size %d declared without page hashes", o.PageSize)
-		}
-		return nil
-	}
-	if o.PageSize == 0 || o.PageSize > pagestate.MaxPageSize {
-		return fmt.Errorf("snapshot offer page size %d outside (0, %d]", o.PageSize, pagestate.MaxPageSize)
-	}
-	if o.Chunks > 1 && o.ChunkLen%o.PageSize != 0 {
-		return fmt.Errorf("chunk length %d not page aligned (%d)", o.ChunkLen, o.PageSize)
-	}
-	root, err := pagestate.RootFromPageHashes(o.PageHashes, int(o.TotalLen), int(o.PageSize))
+	root, err := pagestate.RootFromUnitHashes(o.PageHashes, int(o.TotalLen), int(o.PageSize))
 	if err != nil {
 		return err
+	}
+	if unit := uint64(pagestate.UnitSize(int(o.PageSize))); o.Chunks > 1 && o.ChunkLen%unit != 0 {
+		return fmt.Errorf("chunk length %d not aligned to unit size %d", o.ChunkLen, unit)
 	}
 	if !o.Agreed.MatchesRoot(root) {
 		return fmt.Errorf("page hashes do not reach the agreed tuple's Merkle root")
@@ -127,9 +115,9 @@ func validateOfferMerkle(o *wire.StateOffer) error {
 }
 
 // checkChunkAgainstOffer verifies one chunk against the signed offer: exact
-// position-determined length, and — for snapshots — every page it carries
-// against the offer's Merkle page hashes. A corrupted chunk is therefore
-// rejected the moment it arrives, not at the final whole-payload hash check.
+// position-determined length, and — for snapshots — every unit it carries
+// against the offer's unit hashes. A corrupted chunk is therefore rejected
+// the moment it arrives, not at the final whole-payload hash check.
 func checkChunkAgainstOffer(o *wire.StateOffer, idx uint64, payload []byte) error {
 	if idx >= o.Chunks {
 		return fmt.Errorf("chunk %d outside offer (%d chunks)", idx, o.Chunks)
@@ -142,25 +130,22 @@ func checkChunkAgainstOffer(o *wire.StateOffer, idx uint64, payload []byte) erro
 	if uint64(len(payload)) != want {
 		return fmt.Errorf("chunk %d carries %d bytes, offer says %d", idx, len(payload), want)
 	}
-	if o.Mode != wire.XferSnapshot || len(o.PageHashes) == 0 {
+	if o.Mode != wire.XferSnapshot {
 		return nil
 	}
-	pi := lo / o.PageSize
-	for off := uint64(0); off < want; off += o.PageSize {
-		end := off + o.PageSize
-		if end > want {
-			end = want
+	unit := uint64(pagestate.UnitSize(int(o.PageSize)))
+	ui := lo / unit
+	for off := uint64(0); off < want; off += unit {
+		if pagestate.UnitHash(payload[off:min(off+unit, want)]) != o.PageHashes[ui] {
+			return fmt.Errorf("chunk %d unit %d fails Merkle verification", idx, ui)
 		}
-		if pagestate.PageHash(payload[off:end]) != o.PageHashes[pi] {
-			return fmt.Errorf("chunk %d page %d fails Merkle verification", idx, pi)
-		}
-		pi++
+		ui++
 	}
 	return nil
 }
 
 // pruneInvalidChunksLocked re-judges pre-offer buffered chunks once the
-// offer's geometry and page hashes are known, dropping any that fail; the
+// offer's geometry and unit hashes are known, dropping any that fail; the
 // cumulative-ack resume rule re-earns dropped indexes.
 func (s *clientSession) pruneInvalidChunksLocked() {
 	s.contig, s.received, s.bytes = 0, 0, 0
@@ -446,16 +431,8 @@ func (m *Manager) verify(s *clientSession, have, want tuple.State, basePaged *pa
 	case wire.XferUpToDate:
 		return res, nil
 	case wire.XferSnapshot:
-		if len(offer.PageHashes) == 0 {
-			// Legacy offer (sponsor pages exceed MaxPageSize): bind the
-			// reassembled state to the agreed tuple under this member's own
-			// page size — the group-wide protocol parameter.
-			if !offer.Agreed.MatchesSized(state, m.cfg.Engine.PageSize()) {
-				return nil, fmt.Errorf("%w: snapshot does not match agreed tuple", ErrBadPayload)
-			}
-		}
-		// Otherwise every chunk was already verified at receipt against the
-		// offer's page hashes, whose Merkle root validateOffer bound to the
+		// Every chunk was already verified at receipt against the offer's
+		// unit hashes, whose Merkle root validateOfferMerkle bound to the
 		// agreed tuple's HashState — the payload-hash check above is the
 		// remaining defense-in-depth over the reassembly itself.
 		res.State = state

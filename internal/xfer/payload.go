@@ -20,8 +20,8 @@ type delta struct {
 }
 
 // encodePayload builds the transfer payload. A snapshot payload is the raw
-// state bytes themselves — page-aligned, so the requester can verify each
-// chunk against the signed offer's Merkle page hashes as it arrives. Delta
+// state bytes themselves — unit-aligned, so the requester can verify each
+// chunk against the signed offer's Merkle unit hashes as it arrives. Delta
 // and up-to-date payloads keep the canonical self-describing encoding (they
 // are small; chunk CRCs plus the signed payload hash cover them).
 func encodePayload(mode wire.XferMode, state []byte, deltas []store.Checkpoint) []byte {

@@ -131,7 +131,6 @@ func (m *Manager) buildSession(req wire.StateRequest) (*serverSession, wire.Xfer
 
 	mode := wire.XferSnapshot
 	var payload []byte
-	var pageHashes [][32]byte
 	var deltaFrom uint64
 	switch {
 	case !req.Have.Zero() && req.Have.Seq >= agreedT.Seq:
@@ -160,41 +159,26 @@ func (m *Manager) buildSession(req wire.StateRequest) (*serverSession, wire.Xfer
 				}
 			}
 		}
-		if payload == nil {
-			// The chain was compacted past the requester's tuple (or the
-			// history is overwrite-mode): fall back to a chunked snapshot.
-			payload = agreedPaged.Bytes()
-			pageHashes = agreedPaged.PageHashes()
-		}
-	default:
-		payload = agreedPaged.Bytes()
-		pageHashes = agreedPaged.PageHashes()
 	}
 
 	window := uint64(m.pol.Window)
 	if req.Window > 0 && req.Window < window {
 		window = req.Window
 	}
-	// Snapshot chunks align to page boundaries so the requester can map
-	// chunk indexes to page indexes and verify each chunk at receipt
-	// against the offer's Merkle page hashes. Pages beyond MaxPageSize
-	// cannot serve as chunk units (they would approach or exceed the
-	// transport frame cap), so such configurations fall back to plain
-	// chunking under legacy whole-payload verification.
 	chunkLen := m.pol.ChunkSize
 	var pageSize uint64
-	if pageHashes != nil && agreedPaged.PageSize() > pagestate.MaxPageSize {
-		pageHashes = nil
-	}
-	if pageHashes != nil {
-		ps := agreedPaged.PageSize()
-		pageSize = uint64(ps)
-		if chunkLen%ps != 0 {
-			chunkLen -= chunkLen % ps
-			if chunkLen < ps {
-				chunkLen = ps
-			}
-		}
+	var pageHashes [][32]byte
+	if mode == wire.XferSnapshot {
+		// The requester holds nothing, or the chain was compacted past its
+		// tuple (or the history is overwrite-mode): serve the whole state.
+		// Chunks align to the offer's hash units (a page, or a MaxPageSize
+		// slice of a larger one), so the requester maps each chunk to its
+		// units and verifies it at receipt.
+		payload = agreedPaged.Bytes()
+		pageHashes = agreedPaged.UnitHashes()
+		pageSize = uint64(agreedPaged.PageSize())
+		unit := pagestate.UnitSize(agreedPaged.PageSize())
+		chunkLen = max(chunkLen-chunkLen%unit, unit)
 	}
 	chunks := chunkCount(len(payload), chunkLen)
 	offer := wire.StateOffer{
@@ -248,11 +232,13 @@ func min64(a, b uint64) uint64 {
 }
 
 // serve streams a session's chunks under the cumulative-ack window, closing
-// with the signed StateDone after the last chunk. Sends go through the
-// transport's backpressured bulk path so the transfer cannot starve
-// coordination traffic. An idle session (no ack progress and nothing
-// sendable for 3x the request timeout) is reaped; the requester's own
-// progress timeout re-opens it with a resume index if it is still alive.
+// with the signed StateDone after the last chunk. The window is the
+// transfer's one flow control: at most window chunks are unacknowledged, so
+// the transfer feeds the transport's outbox at the requester's pace and
+// cannot starve coordination traffic on the shared connection. An idle
+// session (no ack progress and nothing sendable for 3x the request timeout)
+// is reaped; the requester's own progress timeout re-opens it with a resume
+// index if it is still alive.
 func (m *Manager) serve(s *serverSession) {
 	idle := 0
 	doneSent := false
@@ -291,26 +277,13 @@ func (m *Manager) serve(s *serverSession) {
 				Payload:   body,
 				CRC:       crc32.Checksum(body, castagnoli),
 			}
-			// Backpressure must stay bounded: a dead requester whose
-			// transport backlog never drains would otherwise pin this
-			// goroutine (and its MaxSessions slot) inside SendStream
-			// forever. On timeout the chunk is unsent — rewind the window
-			// over it and fall through to the idle/reap wait.
+			// The window is the flow control; the deadline only bounds a
+			// send that must first dial its peer. A chunk that fails to go
+			// out is re-earned through the requester's resume rule.
 			sendCtx, cancel := context.WithTimeout(context.Background(), 3*m.pol.RequestTimeout)
-			err := m.sendStream(sendCtx, s.requester, wire.KindStateChunk,
-				chunk.Marshal(), int(s.window)*2)
+			err := m.send(sendCtx, s.requester, wire.KindStateChunk, chunk.Marshal())
 			cancel()
 			if err != nil {
-				m.mu.Lock()
-				if idx < s.next {
-					s.next = idx
-				}
-				m.mu.Unlock()
-				idle++
-				if idle >= 3 {
-					m.dropServer(s.id)
-					return
-				}
 				continue
 			}
 			m.mu.Lock()

@@ -135,12 +135,6 @@ type Config struct {
 	Drain func(ctx context.Context) (int, error)
 }
 
-// streamSender is the transport's backpressured bulk path
-// (transport.Reliable.SendStream); connections without it fall back to Send.
-type streamSender interface {
-	SendStream(ctx context.Context, to string, payload []byte, limit int) error
-}
-
 // Stats counts the transfer plane's work.
 type Stats struct {
 	SessionsServed   uint64 // transfer sessions this party served
@@ -177,7 +171,7 @@ type serverSession struct {
 	offerRaw  []byte
 	doneRaw   []byte
 	chunks    uint64
-	chunkLen  int // payload bytes per chunk (page-aligned for snapshots)
+	chunkLen  int // payload bytes per chunk (unit-aligned for snapshots)
 	window    uint64
 	next      uint64 // next chunk index to send
 	acked     uint64 // cumulative: requester holds all chunks < acked
@@ -292,21 +286,6 @@ func (m *Manager) send(ctx context.Context, to string, kind wire.Kind, payload [
 		return err
 	}
 	return m.cfg.Conn.Send(ctx, to, raw)
-}
-
-// sendStream is send through the transport's backpressured bulk path, so a
-// 16 MiB transfer feeds the outbox at the receiver's pace instead of
-// flooding it and starving coordination traffic on the shared connection.
-func (m *Manager) sendStream(ctx context.Context, to string, kind wire.Kind, payload []byte, limit int) error {
-	ss, ok := m.cfg.Conn.(streamSender)
-	if !ok {
-		return m.send(ctx, to, kind, payload)
-	}
-	raw, err := m.envelope(to, kind, payload)
-	if err != nil {
-		return err
-	}
-	return ss.SendStream(ctx, to, raw, limit)
 }
 
 // HandleEnvelope dispatches inbound transfer traffic (both sides).

@@ -3,6 +3,7 @@ package xfer_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"hash/crc32"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"b2b/internal/coord"
 	"b2b/internal/faults"
 	"b2b/internal/lab"
-	"b2b/internal/pagestate"
 	"b2b/internal/tuple"
 	"b2b/internal/wire"
 	"b2b/internal/xfer"
@@ -237,6 +237,32 @@ func TestFetchResumesAfterChunkLoss(t *testing.T) {
 	}
 }
 
+// TestFetchEmptyState: an empty agreed state travels as a snapshot of no
+// chunks and no unit hashes, which fold to the empty state's root.
+func TestFetchEmptyState(t *testing.T) {
+	pol := xfer.Policy{RequestTimeout: 100 * time.Millisecond}
+	w, err := lab.NewWorld(lab.Options{Seed: 53, Transfer: pol}, "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Bind(obj, func(string) coord.Validator { return lab.AcceptAllValidator() }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Bootstrap(obj, []byte{}, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := w.Party("b").Xfer(obj).Fetch(ctx, "a", tuple.State{}, tuple.State{})
+	if err != nil {
+		t.Fatalf("fetch: %v", err)
+	}
+	if res.Mode != wire.XferSnapshot || len(res.State) != 0 || res.Chunks != 0 {
+		t.Fatalf("fetched mode %v, %d bytes in %d chunks; want an empty snapshot", res.Mode, len(res.State), res.Chunks)
+	}
+}
+
 // TestJoinFailsOverWhenSponsorDies: the sponsor welcomes the subject and
 // then serves nothing (its transfer traffic is blackholed — a sponsor crash
 // right after the Welcome); the joiner times the sponsor out and fetches
@@ -314,69 +340,142 @@ func TestRequesterRestartsSession(t *testing.T) {
 // TestCorruptChunkRejectedAtReceipt: an on-path adversary corrupts a chunk's
 // payload and recomputes its CRC, so the transport-level checksum passes.
 // Under the flat-hash scheme this was only caught at the final whole-payload
-// hash check, after the entire transfer; with the Merkle page hashes inside
+// hash check, after the entire transfer; with the Merkle unit hashes inside
 // the signed offer the requester rejects the chunk the moment it arrives —
 // before StateDone — and the session completes through the resume rule once
-// the genuine bytes are re-earned.
+// the genuine bytes are re-earned. Pages above pagestate.MaxPageSize are
+// verified in their 4 MiB units like any other.
 func TestCorruptChunkRejectedAtReceipt(t *testing.T) {
-	pol := xfer.Policy{ChunkSize: 8 << 10, Window: 2, RequestTimeout: 200 * time.Millisecond}
-	w, err := lab.NewWorld(lab.Options{Seed: 49, Transfer: pol}, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Bind(obj, func(string) coord.Validator { return lab.AcceptAllValidator() }, nil); err != nil {
-		t.Fatal(err)
-	}
-	initial := bigState(64 << 10)
-	if err := w.Bootstrap(obj, initial, []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name                 string
+		pageSize, chunkSize  int
+		stateSize, corruptAt int
+	}{
+		{"4KiB-pages", 0, 8 << 10, 64 << 10, 3},
+		// One full 8 MiB page and one short page; chunk 1 is the second
+		// unit of the full page.
+		{"8MiB-pages", 8 << 20, 1 << 20, 9 << 20, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pol := xfer.Policy{ChunkSize: c.chunkSize, Window: 2, RequestTimeout: 200 * time.Millisecond}
+			w, err := lab.NewWorld(lab.Options{Seed: 49, Transfer: pol, PageSize: c.pageSize}, "a", "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Bind(obj, func(string) coord.Validator { return lab.AcceptAllValidator() }, nil); err != nil {
+				t.Fatal(err)
+			}
+			initial := bigState(c.stateSize)
+			if err := w.Bootstrap(obj, initial, []string{"a", "b"}); err != nil {
+				t.Fatal(err)
+			}
 
-	// Corrupt the first transmission of chunk 3: flip a payload byte and
-	// recompute the CRC so only end-to-end verification can catch it.
-	var corrupted atomic.Int32
-	w.Party("a").Interceptor.SetOnSend(func(to string, payload []byte) (faults.Action, []byte) {
-		env, err := wire.UnmarshalEnvelope(payload)
-		if err != nil || env.Kind != wire.KindStateChunk {
-			return faults.Pass, nil
-		}
-		c, err := wire.UnmarshalStateChunk(env.Payload)
-		if err != nil || c.Index != 3 || !corrupted.CompareAndSwap(0, 1) {
-			return faults.Pass, nil
-		}
-		c.Payload = append([]byte(nil), c.Payload...)
-		c.Payload[100] ^= 0xff
-		c.CRC = crc32.Checksum(c.Payload, crc32.MakeTable(crc32.Castagnoli))
-		env.Payload = c.Marshal()
-		return faults.Tamper, env.Marshal()
-	})
+			// Corrupt the first transmission of one chunk: flip a payload
+			// byte and recompute the CRC so only end-to-end verification
+			// can catch it.
+			var corrupted atomic.Int32
+			w.Party("a").Interceptor.SetOnSend(func(to string, payload []byte) (faults.Action, []byte) {
+				env, err := wire.UnmarshalEnvelope(payload)
+				if err != nil || env.Kind != wire.KindStateChunk {
+					return faults.Pass, nil
+				}
+				ch, err := wire.UnmarshalStateChunk(env.Payload)
+				if err != nil || ch.Index != uint64(c.corruptAt) || !corrupted.CompareAndSwap(0, 1) {
+					return faults.Pass, nil
+				}
+				ch.Payload = append([]byte(nil), ch.Payload...)
+				ch.Payload[100] ^= 0xff
+				ch.CRC = crc32.Checksum(ch.Payload, crc32.MakeTable(crc32.Castagnoli))
+				env.Payload = ch.Marshal()
+				return faults.Tamper, env.Marshal()
+			})
 
-	res, err := w.Party("b").Xfer(obj).Fetch(joinCtx(t), "a", tuple.State{}, tuple.State{})
-	if err != nil {
-		t.Fatalf("fetch despite transient corruption: %v", err)
+			res, err := w.Party("b").Xfer(obj).Fetch(joinCtx(t), "a", tuple.State{}, tuple.State{})
+			if err != nil {
+				t.Fatalf("fetch despite transient corruption: %v", err)
+			}
+			if !bytes.Equal(res.State, initial) {
+				t.Fatal("fetched state differs")
+			}
+			if corrupted.Load() != 1 {
+				t.Fatalf("fault injector never corrupted chunk %d", c.corruptAt)
+			}
+			// The rejection must have happened at chunk receipt (evidence
+			// kind state-chunk-rejected), not at the final payload-hash
+			// check.
+			entries, err := w.Party("b").Log.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, e := range entries {
+				if e.Kind == "state-chunk-rejected" {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Fatal("no state-chunk-rejected evidence: corruption was not caught at receipt")
+			}
+		})
 	}
-	if !bytes.Equal(res.State, initial) {
-		t.Fatal("fetched state differs")
-	}
-	if corrupted.Load() != 1 {
-		t.Fatal("fault injector never corrupted chunk 3")
-	}
-	// The rejection must have happened at chunk receipt (evidence kind
-	// state-chunk-rejected), not at the final payload-hash check.
-	entries, err := w.Party("b").Log.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range entries {
-		if e.Kind == "state-chunk-rejected" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no state-chunk-rejected evidence: corruption was not caught at receipt")
+}
+
+// TestWindowBoundsSponsorOutbox: the cumulative-ack window is a transfer's
+// one flow control. The sponsor's transport outbox to the requester (frames
+// sent and not yet acknowledged) stays below twice the window at every chunk
+// it sends, however many chunks the snapshot has. The link is undelayed: the
+// in-memory network then delivers each endpoint's datagrams in order, so the
+// transport ack of a chunk is processed before the StateAck sent after it.
+// On a delayed link each datagram is delivered by its own timer goroutine,
+// either may be processed first, and the outbox briefly holds chunks the
+// requester already has (under a loaded test run, 2 x window at 2 ms).
+func TestWindowBoundsSponsorOutbox(t *testing.T) {
+	for _, window := range []int{2, 4, 8} {
+		t.Run(fmt.Sprint(window), func(t *testing.T) {
+			pol := xfer.Policy{ChunkSize: 16 << 10, Window: window, RequestTimeout: time.Second}
+			w, err := lab.NewWorld(lab.Options{Seed: 52, Transfer: pol}, "a", "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Bind(obj, func(string) coord.Validator { return lab.AcceptAllValidator() }, nil); err != nil {
+				t.Fatal(err)
+			}
+			initial := bigState(1 << 20) // 64 chunks
+			if err := w.Bootstrap(obj, initial, []string{"a", "b"}); err != nil {
+				t.Fatal(err)
+			}
+			var chunks, peak atomic.Int32
+			sponsor := w.Party("a")
+			sponsor.Interceptor.SetOnSend(func(to string, payload []byte) (faults.Action, []byte) {
+				env, err := wire.UnmarshalEnvelope(payload)
+				if err != nil || env.Kind != wire.KindStateChunk {
+					return faults.Pass, nil
+				}
+				chunks.Add(1)
+				p := int32(sponsor.Rel.PendingTo(to))
+				for old := peak.Load(); p > old && !peak.CompareAndSwap(old, p); old = peak.Load() {
+				}
+				return faults.Pass, nil
+			})
+
+			res, err := w.Party("b").Xfer(obj).Fetch(joinCtx(t), "a", tuple.State{}, tuple.State{})
+			if err != nil {
+				t.Fatalf("fetch: %v", err)
+			}
+			if !bytes.Equal(res.State, initial) {
+				t.Fatal("fetched state differs")
+			}
+			t.Logf("window %d: %d chunk sends, outbox to the requester peaked at %d", window, chunks.Load(), peak.Load())
+			if chunks.Load() < 64 {
+				t.Fatalf("only %d chunk sends, want at least 64", chunks.Load())
+			}
+			if p := peak.Load(); p >= int32(2*window) {
+				t.Fatalf("outbox to the requester reached %d at a chunk send, want below 2 x window = %d", p, 2*window)
+			}
+		})
 	}
 }
 
@@ -409,7 +508,7 @@ func TestForgedOfferRejected(t *testing.T) {
 			return faults.Pass, nil
 		}
 		offer, err := wire.UnmarshalStateOffer(signed.Body)
-		if err != nil || len(offer.PageHashes) == 0 {
+		if err != nil || offer.Mode != wire.XferSnapshot {
 			return faults.Pass, nil
 		}
 		offer.PageHashes[0][0] ^= 0xff
@@ -436,36 +535,5 @@ func TestForgedOfferRejected(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("forged offer left no state-offer-merkle-mismatch evidence")
-	}
-}
-
-// TestOversizedPageSnapshotLegacyPath: a group configured with pages above
-// pagestate.MaxPageSize cannot verify snapshot chunks incrementally (pages
-// would not fit transport frames as chunk units); its offers omit the page
-// hashes and the transfer completes under legacy whole-payload + tuple
-// verification instead of stalling.
-func TestOversizedPageSnapshotLegacyPath(t *testing.T) {
-	pol := xfer.Policy{ChunkSize: 32 << 10, RequestTimeout: 200 * time.Millisecond}
-	w, err := lab.NewWorld(lab.Options{Seed: 51, Transfer: pol, PageSize: pagestate.MaxPageSize + 1}, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Bind(obj, func(string) coord.Validator { return lab.AcceptAllValidator() }, nil); err != nil {
-		t.Fatal(err)
-	}
-	initial := bigState(128 << 10)
-	if err := w.Bootstrap(obj, initial, []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Party("b").Xfer(obj).Fetch(joinCtx(t), "a", tuple.State{}, tuple.State{})
-	if err != nil {
-		t.Fatalf("legacy-path fetch: %v", err)
-	}
-	if !bytes.Equal(res.State, initial) {
-		t.Fatal("fetched state differs")
-	}
-	if res.Chunks < 2 {
-		t.Fatalf("expected a multi-chunk session, got %d chunks", res.Chunks)
 	}
 }
